@@ -53,6 +53,7 @@ from .density import (
 from .profile import (
     BaseProfile,
     DegenerateRatioError,
+    InputRangeError,
     ZeroInputError,
     decompose,
     special_prime_divides,

@@ -14,9 +14,15 @@ import math
 # increasing, exponents >= 1.
 Factorization = list[tuple[int, int]]
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3e24,
+# Witness set making Miller-Rabin deterministic for all n < 3.18e23,
 # in particular for the full 64-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# _MR_PSI[k-1] is the least odd composite that passes the first k bases
+# (OEIS A014233), so below it those k bases already decide primality.
+_MR_PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+           3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+           3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+           3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461)
 
 _TRIAL_LIMIT = 10**6
 
@@ -90,16 +96,17 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = v2(d)
     d >>= s
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _MR_PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 

@@ -5,32 +5,38 @@ Per generic prime p (p not dividing 2ab) the classification computes
 
 * s = v2(p-1),
 * t = v2 of the multiplicative order of r = a/b mod p, found by raising
-  r to the odd part of p-1 and squaring at most s times (the full order
-  is never computed and p-1 is never factored in this loop),
+  a and b to the odd part of p-1 and squaring both at most s times until
+  they agree (the full order is never computed and p-1 is never factored),
 * the Legendre symbol of the maximal root r0 at p.
 
-p divides some a^k + b^k iff t >= 1.  All heuristic weights attached to a
-prime are dyadic rationals with denominator 2^s, so the accumulators hold
-plain integers scaled by 2**SHIFT and every identity in the test suite
-can be checked as exact equality.  Special primes p | 2ab are kept out of
-every heuristic sum and enter only the exact count (and pi).
+p divides some a^k + b^k iff t >= 1.  A sieve segment is classified at
+once in numpy (_classify) and its primes are counted in a (s, t, leg)
+histogram; classify_prime is the scalar Python-int reference.  All
+heuristic weights attached to a prime are dyadic rationals with
+denominator 2^s, so the accumulators hold plain integers scaled by
+2**SHIFT and every identity in the test suite can be checked as exact
+equality.  Special primes p | 2ab are kept out of every heuristic sum and
+enter only the exact count (and pi).
 
-Checkpointed sweeps split the prime range at segment and checkpoint
-boundaries; partial accumulators are integers under addition, so any
-merge schedule (1 worker or many) produces bit-identical results.
+Checkpointed sweeps work one sieve segment at a time and cut its tallies
+at the checkpoints inside it; partial accumulators are integers under
+addition, so any merge schedule (1 worker or many) produces bit-identical
+results.
 """
 
+import bisect
 import cmath
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Iterator, Literal, NamedTuple
+from typing import Callable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .arith import log_integral, v2
+from .arith import is_prime, log_integral, v2
 from .cyclic import character_table, rational_mod
 from .density import delta_naive, delta_table
 from .profile import BaseProfile
@@ -50,7 +56,8 @@ Truncation = Literal["full", "e", "e+1"]
 
 
 class InternalInconsistencyError(ArithmeticError):
-    """A character sum failed to round to an integer within tolerance."""
+    """A proven bound failed: a character sum that does not round to an
+    integer, or an order valuation that exceeds s = v2(p-1)."""
 
 
 @dataclass(frozen=True)
@@ -145,28 +152,41 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi) via a sieve segment."""
+def _primes_in_range(lo: int, hi: int, base: np.ndarray | None = None) -> np.ndarray:
+    """Primes in [lo, hi) via a sieve segment, as an int64 array.
+
+    base holds the primes up to at least isqrt(hi - 1); callers that sieve
+    many segments pass it so that it is sieved once.
+    """
     lo = max(lo, 2)
     if hi <= lo:
-        return []
+        return np.empty(0, dtype=np.int64)
+    root = math.isqrt(hi - 1)
+    if base is None:
+        base = _simple_sieve(root)
     mask = np.ones(hi - lo, dtype=bool)
-    for p in _simple_sieve(math.isqrt(hi - 1)):
-        p = int(p)
+    for p in base[: np.searchsorted(base, root, side="right")].tolist():
         start = max(p * p, (lo + p - 1) // p * p)
         if start < hi:
             mask[start - lo :: p] = False
-    return (np.flatnonzero(mask) + lo).tolist()
+    return np.flatnonzero(mask) + lo
+
+
+def _segments(x_max: int, segment_size: int) -> Iterator[tuple[int, int]]:
+    """The sieve segments [lo, hi) that cover 2..x_max, aligned to segment_size."""
+    lo = 2
+    while lo <= x_max:
+        hi = min((lo // segment_size + 1) * segment_size, x_max + 1)
+        yield lo, hi
+        lo = hi
 
 
 def prime_stream(x_max: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
     """Every prime <= x_max exactly once, ascending, in independent segments."""
     _check_bounds(x_max, segment_size)
-    lo = 2
-    while lo <= x_max:
-        hi = min((lo // segment_size + 1) * segment_size, x_max + 1)
-        yield from _primes_in_range(lo, hi)
-        lo = hi
+    base = _simple_sieve(math.isqrt(x_max))
+    for lo, hi in _segments(x_max, segment_size):
+        yield from _primes_in_range(lo, hi, base).tolist()
 
 
 def _check_bounds(x_max: int, segment_size: int) -> None:
@@ -183,7 +203,13 @@ def _check_bounds(x_max: int, segment_size: int) -> None:
 
 
 def classify_prime(profile: BaseProfile, p: int) -> PrimeClassification:
-    """Order-parity data of one prime against a profile."""
+    """Order-parity data of one prime p <= 2^40 against a profile.
+
+    This is the scalar Python-int reference for the vector classifier
+    _classify.  Raises ValueError if p is not a prime in [2, 2^40].
+    """
+    if not (2 <= p <= MAX_X and is_prime(p)):
+        raise ValueError(f"p must be a prime <= 2^40, got {p}")
     a, b = profile.a, profile.b
     if p == 2 or a % p == 0 or b % p == 0:
         # p | 2ab, so decompose() has already decided it
@@ -193,14 +219,90 @@ def classify_prime(profile: BaseProfile, p: int) -> PrimeClassification:
         )
     pm1 = p - 1
     s = (pm1 & -pm1).bit_length() - 1
-    r = a % p * pow(b % p, p - 2, p) % p
+    r = a % p * pow(b % p, -1, p) % p
     y = pow(r, pm1 >> s, p)
-    t = 0
-    while y != 1:
+    # r^(p-1) = 1, so y reaches 1 within s squarings
+    for t in range(s + 1):
+        if y == 1:
+            break
         y = y * y % p
-        t += 1
+    else:
+        raise InternalInconsistencyError(f"r^(p-1) != 1 mod {p}")
     leg = 1 if pow(profile.r0_num * profile.r0_den % p, pm1 >> 1, p) == 1 else -1
     return PrimeClassification(p=p, s=s, t=t, leg_r0=leg, divides=t >= 1, special=False)
+
+
+def _mulmod_u64(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x * y mod p for residues of p < 2^32, where x * y fits uint64."""
+    return x * y % p
+
+
+def _mulmod_f64(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x * y mod p for residues of p < 2^40.
+
+    The float64 quotient of x * y < 2^80 by p is within 2^-12 of the true
+    one, so its floor q is off by at most 1 and x*y - q*p, taken in
+    wrapping uint64 and read as int64, lies in [-p, 2p): one correction
+    brings it into [0, p).
+    """
+    q = (x.astype(np.float64) * y.astype(np.float64) / p.astype(np.float64)).astype(np.uint64)
+    r = (x * y - q * p).view(np.int64)
+    pi = p.view(np.int64)
+    return np.where(r < 0, r + pi, np.where(r >= pi, r - pi, r)).view(np.uint64)
+
+
+def _pow_many(bases: list[np.ndarray], exps: list[np.ndarray], p: np.ndarray,
+              mulmod: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+              ) -> list[np.ndarray]:
+    """bases[j] ** exps[j] mod p, elementwise, by right-to-left
+    square-and-multiply with one loop over the bits of the largest exponent."""
+    out = [np.ones_like(p) for _ in bases]
+    nbits = max(int(e.max()) for e in exps).bit_length()
+    for i in range(nbits):
+        shift = np.uint64(i)
+        for j, (b, e) in enumerate(zip(bases, exps)):
+            out[j] = np.where((e >> shift) & np.uint64(1), mulmod(out[j], b, p), out[j])
+        if i + 1 < nbits:
+            bases = [mulmod(b, b, p) for b in bases]
+    return out
+
+
+def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """classify_prime for an ascending int64 array of generic primes
+    (p odd, p <= 2^40, p not dividing ab): the arrays s, t and leg (+-1).
+
+    With m the odd part of p-1, X = a^m and Y = b^m, so (a/b)^(m 2^k) = 1
+    iff X^(2^k) = Y^(2^k): t is the number of squarings of X and Y until
+    they agree, found without a modular inverse and at most max(s) steps.
+    The Legendre symbol of r0 is Euler's criterion.  Needs |a|, |b| < 2^63.
+    """
+    p = primes.view(np.uint64)
+    pm1 = p - np.uint64(1)
+    s = np.bitwise_count(pm1 ^ (pm1 - np.uint64(1))).astype(np.int64) - 1
+    m = pm1 >> s.astype(np.uint64)
+    mulmod = _mulmod_u64 if int(primes[-1]) < 1 << 32 else _mulmod_f64
+
+    def residue(n: int) -> np.ndarray:
+        return (np.int64(n) % primes).view(np.uint64)
+
+    r0 = mulmod(residue(profile.r0_num), residue(profile.r0_den), p)
+    if profile.b == 1:  # Y = 1: skip its powers
+        x, euler = _pow_many([residue(profile.a), r0], [m, pm1 >> np.uint64(1)], p, mulmod)
+        y = np.ones_like(p)
+    else:
+        x, y, euler = _pow_many([residue(profile.a), residue(profile.b), r0],
+                                [m, m, pm1 >> np.uint64(1)], p, mulmod)
+    t = np.zeros(len(p), dtype=np.int64)
+    differ = x != y
+    for _ in range(int(s.max()) + 1):
+        if not differ.any():
+            break
+        t += differ
+        x, y = mulmod(x, x, p), mulmod(y, y, p)
+        differ = x != y
+    else:
+        raise InternalInconsistencyError("(a/b)^(p-1) != 1 mod some p in the segment")
+    return s, t, np.where(euler == 1, 1, -1)
 
 
 def local_factor_k1(profile: BaseProfile, s: int) -> Fraction:
@@ -230,108 +332,101 @@ def local_factor_k2(profile: BaseProfile, s: int, leg_r0: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # accumulation
 
+# A generic prime's cell in the (s, t, leg) histogram is (s * _S_CELLS + t)
+# * 2 + (leg == 1); s = v2(p-1) < 40 for p <= 2^40 and t <= s.
+_S_CELLS = 41
+_N_CELLS = 2 * _S_CELLS * _S_CELLS
 
-def _fold_range(profile: BaseProfile, lo: int, hi: int) -> CountAccumulator:
-    """Classify every prime in [lo, hi) and tally it."""
+# Primes classified at once: bounds the kernel's temporary arrays.
+_CHUNK = 1 << 13
+
+
+def _scaled(weight: Fraction) -> int:
+    """A dyadic weight as an integer at scale 2**SHIFT."""
+    return (weight.numerator << SHIFT) // weight.denominator
+
+
+def _ramanujan_prefix(v: int, w: int) -> int:
+    """sum_{j<=v} c_{2^j}(m) for m with v2(m) = w: 2^v if v <= w, else 0
+    (c_{2^j}(m) is 2^(j-1) for 1 <= j <= w, -2^w for j = w+1, then 0)."""
+    return 1 << v if v <= w else 0
+
+
+def _tally(profile: BaseProfile, counts: np.ndarray) -> CountAccumulator:
+    """The accumulator of the generic primes counted by a (s, t, leg) cell
+    histogram: the one place the local weights are summed."""
     acc = CountAccumulator()
-    primes = _primes_in_range(lo, hi)
-    if not primes:
-        return acc
-
-    a, b = profile.a, profile.b
-    e, eps = profile.e, profile.eps
-    r0prod = profile.r0_num * profile.r0_den
-    special = dict(profile.special_primes)
-    mod_prog = 1 << (e + 1)
-    half_eps = (1 + eps) >> 1
-
-    pi = pi_g = prog = prog_g = n_ex = n_g = 0
-    k1n = k2n = ram1 = ram2 = ramf = 0
-    cnt_m1 = sum_e = sum_e1 = 0
-
-    for p in primes:
-        pi += 1
-        sp = special.get(p)
-        if sp is not None:
-            if p % mod_prog == 1:
-                prog += 1
-            if sp:
-                n_ex += 1
-            continue
-        pi_g += 1
-        pm1 = p - 1
-        s = (pm1 & -pm1).bit_length() - 1
-        bp = b % p
-        r = a % p if bp == 1 else a % p * pow(bp, p - 2, p) % p
-        y = pow(r, pm1 >> s, p)
-        t = 0
-        while y != 1:
-            y = y * y % p
-            t += 1
-        if t:
-            n_ex += 1
-            n_g += 1
-        leg = 1 if pow(r0prod % p, pm1 >> 1, p) == 1 else -1
+    e = profile.e
+    for cell in np.flatnonzero(counts).tolist():
+        n = int(counts[cell])
+        s, t = divmod(cell >> 1, _S_CELLS)
+        leg = 1 if cell & 1 else -1
         sh = SHIFT - s
+        acc.pi += n
+        acc.pi_generic += n
+        if t:
+            acc.n_exact += n
+            acc.n_generic += n
+        acc.k1_num += n * _scaled(local_factor_k1(profile, s))
+        acc.k2_num += n * _scaled(local_factor_k2(profile, s, leg))
 
-        # naive and refined local weights, scaled by 2**SHIFT
-        if s <= e:
-            k1n += half_eps << SHIFT
-            k2n += half_eps << SHIFT
-        else:
-            k1n += 1 << (sh + e)
-            if s == e + 1:
-                k2n += (1 + eps * leg) >> 1 << SHIFT
-            elif leg == 1:
-                k2n += 1 << (sh + e + 1)
-
-        # truncated 2-power Ramanujan sums: with w = v2 of the group index
-        # of r, sum_{v<=V} c_{2^v} = 2^min(V,w) - (2^w if V > w else 0)
+        # truncated 2-power Ramanujan sums at the group index of r, whose
+        # 2-adic valuation is w
         w = s - t
-        v1 = e if e < s else s
-        ram1 += ((1 << min(v1, w)) - ((1 << w) if v1 > w else 0)) << sh
-        v2_ = e + 1 if e + 1 < s else s
-        ram2 += ((1 << min(v2_, w)) - ((1 << w) if v2_ > w else 0)) << sh
-        if t == 0:
-            ramf += 1 << SHIFT
+        acc.ram1_num += n * _ramanujan_prefix(min(e, s), w) << sh
+        acc.ram2_num += n * _ramanujan_prefix(min(e + 1, s), w) << sh
+        acc.ram_full_num += n * _ramanujan_prefix(s, w) << sh
 
         # components of the explicit progression-minus-sum formulas
         if s > e:
-            prog += 1
-            prog_g += 1
+            acc.pi_progression += n
+            acc.pi_progression_generic += n
             if leg == 1:
-                sum_e += 1 << sh
+                acc.sum_leg1_sgt_e_num += n << sh
                 if s > e + 1:
-                    sum_e1 += 1 << sh
+                    acc.sum_leg1_sgt_e1_num += n << sh
             elif s == e + 1:
-                cnt_m1 += 1
-
-    acc.pi = pi
-    acc.pi_generic = pi_g
-    acc.pi_progression = prog
-    acc.pi_progression_generic = prog_g
-    acc.n_exact = n_ex
-    acc.n_generic = n_g
-    acc.k1_num = k1n
-    acc.k2_num = k2n
-    acc.ram1_num = ram1
-    acc.ram2_num = ram2
-    acc.ram_full_num = ramf
-    acc.cnt_legm1_s_e1 = cnt_m1
-    acc.sum_leg1_sgt_e_num = sum_e
-    acc.sum_leg1_sgt_e1_num = sum_e1
+                acc.cnt_legm1_s_e1 += n
     return acc
+
+
+def _fold_segment(profile: BaseProfile, base: np.ndarray, lo: int, hi: int,
+                  cuts: tuple[int, ...] = ()) -> list[CountAccumulator]:
+    """Classify every prime of the sieve segment [lo, hi) once and tally it
+    into one accumulator per piece [lo, cuts[0]), [cuts[0], cuts[1]), ...,
+    [cuts[-1], hi).  Special primes take a short exact side path."""
+    primes = _primes_in_range(lo, hi, base)
+    specials = [(p, div) for p, div in profile.special_primes if lo <= p < hi]
+    if specials:
+        primes = np.delete(primes, np.searchsorted(primes, [p for p, _ in specials]))
+    cells = np.empty(len(primes), dtype=np.int16)
+    for i in range(0, len(primes), _CHUNK):
+        s, t, leg = _classify(profile, primes[i : i + _CHUNK])
+        cells[i : i + _CHUNK] = (s * _S_CELLS + t) * 2 + (leg > 0)
+
+    edges = [lo, *cuts, hi]
+    ends = np.searchsorted(primes, edges[1:]).tolist()
+    pieces = []
+    start = 0
+    for piece_lo, piece_hi, end in zip(edges, edges[1:], ends):
+        acc = _tally(profile, np.bincount(cells[start:end], minlength=_N_CELLS))
+        for p, div in specials:
+            if piece_lo <= p < piece_hi:
+                acc.pi += 1
+                acc.pi_progression += p % (2 << profile.e) == 1
+                acc.n_exact += div
+        pieces.append(acc)
+        start = end
+    return pieces
 
 
 @functools.lru_cache(maxsize=64)
 def _accumulate(profile: BaseProfile, x: int) -> CountAccumulator:
     _check_bounds(x, DEFAULT_SEGMENT_SIZE)
+    base = _simple_sieve(math.isqrt(x))
     acc = CountAccumulator()
-    lo = 2
-    while lo <= x:
-        hi = min((lo // DEFAULT_SEGMENT_SIZE + 1) * DEFAULT_SEGMENT_SIZE, x + 1)
-        acc.merge(_fold_range(profile, lo, hi))
-        lo = hi
+    for lo, hi in _segments(x, DEFAULT_SEGMENT_SIZE):
+        acc.merge(_fold_segment(profile, base, lo, hi)[0])
     return acc
 
 
@@ -416,7 +511,7 @@ def character_count(profile: BaseProfile, x: int) -> Fraction:
     pi_g = 0
     total_num = 0  # scaled by 2**SHIFT
     special = dict(profile.special_primes)
-    for p in _primes_in_range(2, x + 1):
+    for p in _primes_in_range(2, x + 1).tolist():
         if p in special:
             continue
         pi_g += 1
@@ -477,9 +572,14 @@ class SweepSeries:
         return out
 
 
-def _sweep_task(args: tuple[BaseProfile, int, int]) -> CountAccumulator:
-    profile, lo, hi = args
-    return _fold_range(profile, lo, hi)
+def _sweep_task(args) -> list[CountAccumulator]:
+    return _fold_segment(*args)
+
+
+def _worker_count(threads: int, tasks: int) -> int:
+    """Worker processes for a sweep: never more than its segment tasks or
+    the machine's CPUs."""
+    return min(threads, tasks, os.cpu_count() or 1)
 
 
 def sweep(
@@ -490,9 +590,10 @@ def sweep(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> SweepSeries:
     """Single pass over the primes <= x_max with snapshots at each
-    checkpoint.  Output is identical for any worker count: the work ranges
-    and their merge order depend only on (x_max, checkpoints, segment_size),
-    and merging is integer addition.
+    checkpoint.  Output is identical for any worker count: the work units
+    (one per sieve segment, cut at the checkpoints inside it) and their
+    merge order depend only on (x_max, checkpoints, segment_size), and
+    merging is integer addition.
     """
     _check_bounds(x_max, segment_size)
     if threads < 1:
@@ -504,26 +605,29 @@ def sweep(
     if checkpoints[0] < 2 or checkpoints[-1] > x_max:
         raise ValueError("checkpoints must lie in [2, x_max]")
 
-    edges = {2, x_max + 1}
-    edges.update(c + 1 for c in checkpoints)
-    edges.update(range(segment_size, x_max + 1, segment_size))
-    bounds = sorted(edges)
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    # a checkpoint c closes the piece that ends before c + 1
+    ends = [c + 1 for c in checkpoints]
+    base = _simple_sieve(math.isqrt(x_max))
+    tasks = []
+    for lo, hi in _segments(x_max, segment_size):
+        cuts = tuple(ends[bisect.bisect_right(ends, lo) : bisect.bisect_left(ends, hi)])
+        tasks.append((profile, base, lo, hi, cuts))
 
-    def collect(partials) -> tuple[SweepPoint, ...]:
+    def collect(results) -> tuple[SweepPoint, ...]:
         acc = CountAccumulator()
         points: list[SweepPoint] = []
-        snapshot_at = {c + 1: c for c in checkpoints}
-        for (_, hi), part in zip(ranges, partials):
-            acc.merge(part)
-            if hi in snapshot_at:
-                x = snapshot_at[hi]
-                points.append(SweepPoint(x=x, acc=acc.copy(), li=log_integral(x)))
+        closes = set(ends)
+        for (_, _, _, hi, cuts), pieces in zip(tasks, results):
+            for end, piece in zip((*cuts, hi), pieces):
+                acc.merge(piece)
+                if end in closes:
+                    points.append(SweepPoint(x=end - 1, acc=acc.copy(), li=log_integral(end - 1)))
         return tuple(points)
 
-    if threads == 1:
-        points = collect(_fold_range(profile, lo, hi) for lo, hi in ranges)
+    workers = _worker_count(threads, len(tasks))
+    if workers == 1:
+        points = collect(_sweep_task(task) for task in tasks)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            points = collect(pool.map(_sweep_task, [(profile, lo, hi) for lo, hi in ranges]))
-    return SweepSeries(profile=profile, points=tuple(points))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = collect(pool.map(_sweep_task, tasks))
+    return SweepSeries(profile=profile, points=points)

@@ -146,12 +146,8 @@ def cmd_sweep(args) -> int:
             return 2
     else:
         checkpoints = default_checkpoints(args.checkpoints, args.x_max)
-    try:
-        series = sweep(profile, args.x_max, checkpoints,
-                       threads=args.threads, segment_size=args.segment_size)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    series = sweep(profile, args.x_max, checkpoints,
+                   threads=args.threads, segment_size=args.segment_size)
     sys.stdout.write(render_sweep(series, args.format))
     return 0
 
@@ -250,7 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # every documented precondition (input range, x bounds, checkpoints,
+        # worker count, segment size) raises ValueError: a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

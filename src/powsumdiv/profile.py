@@ -23,6 +23,15 @@ class DegenerateRatioError(ValueError):
     """|a| = |b|, i.e. r = +-1; the sequence a^k + b^k degenerates."""
 
 
+class InputRangeError(ValueError):
+    """|a| or |b| is 2^63 or more, outside the supported range."""
+
+
+# The supported input range: |a|, |b| < 2^63, so both fit a signed 64-bit
+# integer and every factorisation stays in the deterministic range.
+MAX_INPUT = 1 << 63
+
+
 @dataclass(frozen=True)
 class BaseProfile:
     a: int
@@ -79,10 +88,13 @@ def special_prime_divides(a: int, b: int, p: int) -> bool:
 def decompose(a: int, b: int) -> BaseProfile:
     """Build the BaseProfile of r = a/b.
 
-    Raises ZeroInputError if a*b = 0 and DegenerateRatioError if |a| = |b|.
+    Raises ZeroInputError if a*b = 0, InputRangeError if |a| or |b| is
+    2^63 or more, and DegenerateRatioError if |a| = |b|.
     """
     if a == 0 or b == 0:
         raise ZeroInputError("a and b must be nonzero")
+    if abs(a) >= MAX_INPUT or abs(b) >= MAX_INPUT:
+        raise InputRangeError("|a| and |b| must be < 2^63")
     if abs(a) == abs(b):
         raise DegenerateRatioError("ratio is +-1")
     eps = 1 if (a > 0) == (b > 0) else -1

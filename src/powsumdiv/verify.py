@@ -141,7 +141,7 @@ def check_characters(p_max: int = 200, x_char: int = 500) -> CheckResult:
     the character-sum count against the Ramanujan-sum count."""
     checked = 0
     failures: list[str] = []
-    for p in _primes_in_range(3, p_max + 1):
+    for p in _primes_in_range(3, p_max + 1).tolist():
         table = character_table(p)
         n = p - 1
         for j in range(n):
@@ -180,7 +180,7 @@ def check_local_factors(p_limit: int = 10**5,
         k1_acc, k2_acc = Fraction(0), Fraction(0)
         cps = sorted(checkpoints)
         ci = 0
-        for p in _primes_in_range(2, p_limit + 1):
+        for p in _primes_in_range(2, p_limit + 1).tolist():
             while ci < len(cps) and p > cps[ci]:
                 sums[cps[ci]] = [k1_acc, k2_acc]
                 ci += 1
@@ -257,7 +257,7 @@ def check_densities(bound: int = 30) -> CheckResult:
 def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
     """Order-parity classification vs direct search for a k <= 2p with
     p | a^k + b^k, over every admissible pair |a|, |b| <= coeff_bound."""
-    primes = np.array(_primes_in_range(2, p_limit + 1), dtype=np.int64)
+    primes = _primes_in_range(2, p_limit + 1)
     pairs = [
         (a, b)
         for a in range(-coeff_bound, coeff_bound + 1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powsumdiv.arith import (
+    _MR_PSI,
     NotInvertibleError,
     euler_phi,
     factorize,
@@ -43,6 +44,19 @@ def test_mod_pow_examples():
     assert mod_pow(5, 0, 7) == 1
     # Fermat oracle: 101 is prime, so 3^100 = 1 mod 101
     assert mod_pow(3, 100, 101) == 1
+
+
+def test_is_prime_against_sieve_and_at_the_witness_bounds():
+    limit = 2 * 10**5
+    flags = bytearray([1]) * limit
+    flags[0] = flags[1] = 0
+    for n in range(2, math.isqrt(limit) + 1):
+        if flags[n]:
+            flags[n * n :: n] = bytearray(len(range(n * n, limit, n)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if flags[n]]
+    # each bound passes every base before the one that rejects it
+    for psi in _MR_PSI[:11]:
+        assert not is_prime(psi)
 
 
 def test_fermat_all_primes_to_1e4():

@@ -20,6 +20,7 @@ from powsumdiv.census import (
     sweep,
     tail_sum,
 )
+from powsumdiv import census
 from powsumdiv.arith import log_integral
 from powsumdiv.profile import decompose
 
@@ -108,6 +109,22 @@ def test_classify_examples():
     assert not classify_prime(decompose(4, 1), 11).divides
     c = classify_prime(p21, 2)
     assert c.special and not c.divides and c.t is None and c.leg_r0 is None
+
+
+def test_classify_rejects_non_primes_and_out_of_range():
+    p21 = decompose(2, 1)
+    for p in (-7, 0, 1, 9, 91, 2047, 2**40 + 15):
+        with pytest.raises(ValueError):
+            classify_prime(p21, p)
+    assert classify_prime(p21, 2**40 - 87).s == 3      # the largest prime <= 2^40
+
+
+def test_classify_order_loop_is_bounded(monkeypatch):
+    # were 9 accepted, 2^(odd part of 8) = 2 would never square to 1 mod 9;
+    # the loop stops after s = 3 squarings instead of running forever
+    monkeypatch.setattr(census, "is_prime", lambda n: True)
+    with pytest.raises(InternalInconsistencyError):
+        classify_prime(decompose(2, 1), 9)
 
 
 def test_classify_invariants_small_grid():
@@ -257,6 +274,8 @@ def test_sweep_thread_determinism():
     base = sweep(profile, 10**5, cps, threads=1)
     for threads in (2, 3):
         assert sweep(profile, 10**5, cps, threads=threads) == base
+        # small segments give the pool several tasks, cut at checkpoints
+        assert sweep(profile, 10**5, cps, threads=threads, segment_size=1 << 12) == base
 
 
 def test_sweep_validation():

@@ -145,6 +145,32 @@ def test_sweep_bad_segment_size(capsys):
     assert code == 2 and "power of two" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "2", "1", str(2**40 + 1)],                             # x > 2^40
+    ["sweep", "2", "1", str(2**40 + 1), "--checkpoint-list", "10"],
+    ["count", "2", "1", "1"],                                        # x < 2
+    ["sweep", "2", "1", "1"],
+    ["profile", str(2**63), "1"],                                    # |a| >= 2^63
+    ["count", "3", str(-(2**63)), "100"],
+    ["sweep", "2", "1", "100", "--checkpoint-list", "10,abc"],       # bad list
+    ["sweep", "2", "1", "100", "--checkpoint-list", "50,20"],
+    ["sweep", "2", "1", "100", "--checkpoint-list", "10,200"],
+    ["sweep", "2", "1", "100", "--threads", "0"],
+    ["sweep", "2", "1", "100", "--segment-size", "1000"],            # not 2^k
+    ["sweep", "2", "1", "100", "--checkpoints", "0"],
+])
+def test_invalid_arguments_exit_2_with_one_line(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1
+    assert "Traceback" not in out.err
+
+
 def test_verify_ok(capsys):
     code, out, _ = run_cli(capsys, "verify", "densities")
     assert code == 0

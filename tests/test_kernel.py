@@ -1,0 +1,204 @@
+"""The vector classifier and the segment fold against the scalar Python-int
+reference classify_prime, over the whole supported range up to 2^40."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from powsumdiv import cli
+from powsumdiv.arith import is_prime
+from powsumdiv.census import (
+    MAX_X,
+    CountAccumulator,
+    _classify,
+    _fold_segment,
+    _primes_in_range,
+    _simple_sieve,
+    _worker_count,
+    classify_prime,
+    local_factor_k1,
+    local_factor_k2,
+)
+from powsumdiv.profile import decompose
+from powsumdiv.ramanujan import ramanujan_c_2pow
+from powsumdiv.verify import PROFILE_GRID
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# b = 1 and b != 1, eps = +-1, e = 0, 1, 2, Q(sqrt 2), a large |D|, and a
+# near-63-bit a
+WIDE_PAIRS = [(2, 1), (-4, 1), (8, 27), (7, 3), (16, 1),
+              (-1000003, 999331), (2**62 + 135, 3), (-(2**63 - 1), 2**63 - 25)]
+
+
+def generic_primes(profile, lo, hi):
+    special = [p for p, _ in profile.special_primes]
+    primes = _primes_in_range(lo, hi)
+    return primes[~np.isin(primes, special)]
+
+
+def assert_kernel_matches_oracle(profile, primes):
+    s, t, leg = _classify(profile, primes)
+    got = list(zip(s.tolist(), t.tolist(), leg.tolist()))
+    want = []
+    for p in primes.tolist():
+        c = classify_prime(profile, p)
+        want.append((c.s, c.t, c.leg_r0))
+    assert got == want, (profile.a, profile.b)
+
+
+# ---------------------------------------------------------------------------
+# per-prime (s, t, leg)
+
+
+@pytest.mark.parametrize("a,b", PROFILE_GRID)
+def test_kernel_all_primes_below_1e5(a, b):
+    profile = decompose(a, b)
+    assert_kernel_matches_oracle(profile, generic_primes(profile, 2, 10**5))
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (2**32 - 2**16, 2**32),             # uint64 mulmod, just below 2^32
+    (2**32 - 2**15, 2**32 + 2**15),     # straddles 2^32: float-quotient mulmod
+    (2**40 - 2**16, 2**40),             # just below 2^40
+])
+def test_kernel_wide_segments(lo, hi):
+    for a, b in WIDE_PAIRS:
+        profile = decompose(a, b)
+        assert_kernel_matches_oracle(profile, generic_primes(profile, lo, hi))
+
+
+def test_kernel_large_s():
+    # p = 43 * 2^32 + 1 has s = 32: t and the Legendre symbol take the
+    # longest squaring chains
+    p = 43 * 2**32 + 1
+    for a, b in WIDE_PAIRS:
+        profile = decompose(a, b)
+        primes = generic_primes(profile, p - 2**12, p + 2**12)
+        assert p in primes.tolist()
+        assert_kernel_matches_oracle(profile, primes)
+
+
+nonzero_63 = st.integers(-(2**63) + 1, 2**63 - 1).filter(lambda n: n != 0)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=nonzero_63, b=nonzero_63, lo=st.integers(3, MAX_X - 2**12))
+def test_kernel_random_pairs(a, b, lo):
+    if abs(a) == abs(b):
+        return
+    profile = decompose(a, b)
+    primes = generic_primes(profile, lo, lo + 2**12)
+    if len(primes):
+        assert_kernel_matches_oracle(profile, primes)
+
+
+# ---------------------------------------------------------------------------
+# the fold: cell histogram to accumulator
+
+
+def scalar_fold(profile, primes) -> CountAccumulator:
+    """Reference fold from classify_prime, the local-factor functions and
+    the 2-power Ramanujan sums at the group index, one prime at a time."""
+    one = 1 << 64
+    e = profile.e
+    acc = CountAccumulator()
+    for p in primes:
+        c = classify_prime(profile, p)
+        acc.pi += 1
+        acc.n_exact += c.divides
+        acc.pi_progression += p % (2 << e) == 1
+        if c.special:
+            continue
+        s, t, leg = c.s, c.t, c.leg_r0
+        acc.pi_generic += 1
+        acc.n_generic += c.divides
+        acc.pi_progression_generic += s > e
+        acc.k1_num += int(local_factor_k1(profile, s) * one)
+        acc.k2_num += int(local_factor_k2(profile, s, leg) * one)
+        for field, top in (("ram1_num", min(e, s)), ("ram2_num", min(e + 1, s)),
+                           ("ram_full_num", s)):
+            # c_{2^v} at the group index, whose 2-adic valuation is s - t
+            total = sum(ramanujan_c_2pow(v, 1 << (s - t)) for v in range(top + 1))
+            setattr(acc, field, getattr(acc, field) + int(Fraction(total, 1 << s) * one))
+        if s > e and leg == 1:
+            acc.sum_leg1_sgt_e_num += one >> s
+            if s > e + 1:
+                acc.sum_leg1_sgt_e1_num += one >> s
+        acc.cnt_legm1_s_e1 += s == e + 1 and leg == -1
+    return acc
+
+
+@pytest.mark.parametrize("a,b", PROFILE_GRID + [(7, 3), (-1000003, 999331)])
+def test_fold_segment_matches_scalar_fold(a, b):
+    profile = decompose(a, b)
+    base = _simple_sieve(2**10)
+    cuts = (3, 8, 100, 1001, 2000)
+    pieces = _fold_segment(profile, base, 2, 3001, cuts)
+    edges = [2, *cuts, 3001]
+    for lo, hi, piece in zip(edges, edges[1:], pieces):
+        assert piece == scalar_fold(profile, _primes_in_range(lo, hi).tolist()), (lo, hi)
+
+
+def test_fold_segment_near_2_40():
+    base = _simple_sieve(2**20)
+    for a, b in [(2, 1), (7, 3), (-(2**63 - 1), 2**63 - 25)]:
+        profile = decompose(a, b)
+        lo, hi = 43 * 2**32 + 1 - 2**11, 43 * 2**32 + 1 + 2**11
+        mid = 43 * 2**32 + 2
+        pieces = _fold_segment(profile, base, lo, hi, (mid,))
+        assert pieces == [scalar_fold(profile, _primes_in_range(lo, mid).tolist()),
+                          scalar_fold(profile, _primes_in_range(mid, hi).tolist())]
+
+
+def test_fold_segment_every_s():
+    # the least prime k 2^s + 1 (k odd) for each s that has one below 2^40
+    # (all but s = 34, 35, 37, 38, 39), so every s row of the cell
+    # histogram is decoded
+    base = _simple_sieve(2**20)
+    windows = []
+    for s in range(1, 40):
+        p = next((k * 2**s + 1 for k in range(1, 2**(40 - s), 2)
+                  if k * 2**s + 1 <= MAX_X and is_prime(k * 2**s + 1)), None)
+        if p is not None:
+            windows.append(p)
+    assert len(windows) == 34
+    for a, b in [(2, 1), (7, 3), (-(2**63 - 1), 2**63 - 25)]:
+        profile = decompose(a, b)
+        for p in windows:
+            if any(p == q for q, _ in profile.special_primes):
+                continue
+            assert _fold_segment(profile, base, p, p + 1) == [scalar_fold(profile, [p])], p
+
+
+# ---------------------------------------------------------------------------
+# output frozen at the per-prime implementation
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["sweep", "8", "27", "100000", "--format", "json"], "sweep_8_27_100000.json"),
+    (["sweep", "7", "3", "300000", "--checkpoint-list",
+      "2,3,5,7,10,97,1000,65535,65536,65537,100000,131072,299999,300000",
+      "--segment-size", "65536"], "sweep_7_3_checkpoint_list.csv"),
+])
+def test_sweep_matches_golden_output(capsys, argv, golden):
+    assert cli.main(argv + ["--threads", "1"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+# ---------------------------------------------------------------------------
+# worker cap
+
+
+def test_worker_count_cap(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _worker_count(1, 100) == 1
+    assert _worker_count(3, 100) == 3
+    assert _worker_count(10**6, 100) == 4      # capped by the CPUs
+    assert _worker_count(8, 2) == 2            # capped by the tasks
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _worker_count(8, 100) == 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from powsumdiv.profile import (
     DegenerateRatioError,
+    InputRangeError,
     ZeroInputError,
     decompose,
     special_prime_divides,
@@ -61,6 +62,14 @@ def test_decompose_errors():
         decompose(5, 5)
     with pytest.raises(DegenerateRatioError):
         decompose(-7, 7)
+
+
+def test_decompose_rejects_inputs_beyond_63_bits():
+    # the first pair used to hang in Brent rho
+    for a, b in [((2**127 - 1) * (2**61 - 1), 3), (2**63, 1), (-(2**63), 1), (5, 2**63)]:
+        with pytest.raises(InputRangeError):
+            decompose(a, b)
+    assert decompose(2**63 - 1, -(2**63 - 1) + 2).a == 2**63 - 1
 
 
 def test_special_prime_examples():
