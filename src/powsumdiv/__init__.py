@@ -3,19 +3,16 @@ primes dividing the sequence a^k + b^k."""
 
 from .arith import (
     Factorization,
-    NotInvertibleError,
     euler_phi,
     factorize,
     legendre_symbol,
     log_integral,
-    mod_inverse,
-    mod_pow,
     moebius,
-    p_adic_valuation,
     squarefree_kernel,
 )
 from .census import (
     CountAccumulator,
+    Counts,
     InternalInconsistencyError,
     PrimeClassification,
     SweepPoint,
@@ -27,7 +24,6 @@ from .census import (
     heuristic_counts,
     local_factor_k1,
     local_factor_k2,
-    prime_stream,
     ramanujan_count,
     sweep,
     tail_sum,

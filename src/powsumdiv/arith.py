@@ -24,26 +24,8 @@ _MR_PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
            3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
            3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461)
 
-_TRIAL_LIMIT = 10**6
-
-
-class NotInvertibleError(ValueError):
-    """gcd(a, m) > 1, so a has no inverse mod m."""
-
-
-def p_adic_valuation(p: int, n: int) -> int:
-    """Largest v such that p**v divides n.  The sign of n is ignored.
-
-    n = 0 is rejected (the valuation would be infinite).
-    """
-    if n == 0:
-        raise ValueError("valuation of 0 is infinite")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+# Trial division stops here; Brent's rho splits what is left.
+_TRIAL_LIMIT = 1 << 10
 
 
 def v2(n: int) -> int:
@@ -51,25 +33,6 @@ def v2(n: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     return (n & -n).bit_length() - 1
-
-
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m for exp >= 0, m >= 2."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if exp < 0:
-        raise ValueError("exponent must be >= 0")
-    return pow(base, exp, m)
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """x in [1, m) with a*x == 1 (mod m); NotInvertibleError if gcd(a,m) > 1."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    try:
-        return pow(a, -1, m)
-    except ValueError as exc:
-        raise NotInvertibleError(f"{a} is not invertible mod {m}") from exc
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -158,7 +121,7 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 2.
 
-    Trial division up to min(sqrt(n), 10**6); any remaining cofactor is
+    Trial division up to min(sqrt(n), 2**10); any remaining cofactor is
     certified prime by Miller-Rabin or split with Brent's rho.
     """
     if n < 2:

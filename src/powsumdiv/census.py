@@ -1,5 +1,6 @@
 """The counting core: stream primes with a segmented sieve, classify each
-one against a BaseProfile, and accumulate every counting function exactly.
+one against a BaseProfile, and derive every counting function exactly from
+one histogram.
 
 Per generic prime p (p not dividing 2ab) the classification computes
 
@@ -10,18 +11,19 @@ Per generic prime p (p not dividing 2ab) the classification computes
 * the Legendre symbol of the maximal root r0 at p.
 
 p divides some a^k + b^k iff t >= 1.  A sieve segment is classified at
-once in numpy (_classify) and its primes are counted in a (s, t, leg)
-histogram; classify_prime is the scalar Python-int reference.  All
-heuristic weights attached to a prime are dyadic rationals with
-denominator 2^s, so the accumulators hold plain integers scaled by
-2**SHIFT and every identity in the test suite can be checked as exact
-equality.  Special primes p | 2ab are kept out of every heuristic sum and
-enter only the exact count (and pi).
+once in numpy (_classify); classify_prime is the scalar Python-int
+reference.  The only accumulated state is a CountAccumulator: the count of
+primes in each (s, t, Legendre) cell.  Special primes p | 2ab have a column
+of their own (t = 40, bit = "p divides the sequence"), so they enter pi and
+the exact count but no heuristic sum.
 
-Checkpointed sweeps work one sieve segment at a time and cut its tallies
-at the checkpoints inside it; partial accumulators are integers under
-addition, so any merge schedule (1 worker or many) produces bit-identical
-results.
+Every counting function is a linear functional of that histogram:
+_evaluate weighs each nonzero cell by a dyadic rational with denominator
+2^s (the local factors, the truncated 2-power Ramanujan sums, the explicit
+formula) and sums exactly, so every identity in the test suite is an exact
+equality.  Checkpointed sweeps work one sieve segment at a time and cut its
+cell counts at the checkpoints inside it; histograms add as integers, so
+any merge schedule (1 worker or many) produces bit-identical results.
 """
 
 import bisect
@@ -30,7 +32,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Literal, NamedTuple
 
@@ -41,18 +43,20 @@ from .cyclic import character_table, rational_mod
 from .density import delta_naive, delta_table
 from .profile import BaseProfile
 
-# Fixed binary scale for the dyadic accumulators.  Every per-prime weight
-# has denominator 2^s with s = v2(p-1) < 64 for any x below 2^40, so the
-# scaled contributions are exact integers.
-SHIFT = 64
-_ONE = 1 << SHIFT
-
 DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_X = 1 << 40
 
 CHARACTER_X_LIMIT = 2000
 
 Truncation = Literal["full", "e", "e+1"]
+
+# A prime's cell in the histogram is (s * _S_CELLS + t) * 2 + bit.  For a
+# generic prime t <= s = v2(p-1) < 40 (p <= 2^40) and bit is (r0/p) == 1;
+# a special prime takes the otherwise unused t = _SPECIAL_T, with bit
+# "p divides the sequence" (s = 0 for p = 2).
+_S_CELLS = 41
+_SPECIAL_T = _S_CELLS - 1
+_N_CELLS = 2 * _S_CELLS * _S_CELLS
 
 
 class InternalInconsistencyError(ArithmeticError):
@@ -70,44 +74,38 @@ class PrimeClassification:
     special: bool           # p | 2ab
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class CountAccumulator:
-    """Additive per-prime tallies; merge order never matters.
+    """The number of primes in each (s, t, bit) cell, an int64 array of
+    _N_CELLS counts; merge order never matters."""
 
-    Integer fields suffixed _num are numerators at scale 2**SHIFT.
-    """
-
-    pi: int = 0                    # all primes counted
-    pi_generic: int = 0            # primes not dividing 2ab
-    pi_progression: int = 0        # p = 1 mod 2^(e+1), all primes
-    pi_progression_generic: int = 0
-    n_exact: int = 0               # primes dividing the sequence
-    n_generic: int = 0             # same, special primes excluded
-    k1_num: int = 0
-    k2_num: int = 0
-    ram1_num: int = 0              # truncation v <= min(s, e)
-    ram2_num: int = 0              # truncation v <= min(s, e+1)
-    ram_full_num: int = 0          # truncation v <= s
-    cnt_legm1_s_e1: int = 0        # generic p with (r0/p) = -1, s = e+1
-    sum_leg1_sgt_e_num: int = 0    # sum of 2^-s over generic p, (r0/p)=1, s > e
-    sum_leg1_sgt_e1_num: int = 0   # same with s > e+1
+    cells: np.ndarray = field(default_factory=lambda: np.zeros(_N_CELLS, dtype=np.int64))
 
     def merge(self, other: "CountAccumulator") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        self.cells += other.cells
 
     def copy(self) -> "CountAccumulator":
-        return replace(self)
+        return CountAccumulator(self.cells.copy())
 
-    # -- exact rational views -------------------------------------------
 
-    @property
-    def k1(self) -> Fraction:
-        return Fraction(self.k1_num, _ONE)
+class Counts(NamedTuple):
+    """Every counting function at one x, evaluated exactly from a histogram.
 
-    @property
-    def k2(self) -> Fraction:
-        return Fraction(self.k2_num, _ONE)
+    pi and n_exact count every prime, the other views the generic ones
+    only.  ram_e, ram_e1 and ram_full are ramanujan_count at truncation
+    "e", "e+1" and "full"; formula is formula_count.
+    """
+
+    pi: int
+    n_exact: int
+    n_generic: int
+    pi_generic: int
+    k1: Fraction
+    k2: Fraction
+    ram_e: Fraction
+    ram_e1: Fraction
+    ram_full: Fraction
+    formula: Fraction
 
     @property
     def h1(self) -> Fraction:
@@ -118,14 +116,6 @@ class CountAccumulator:
         return self.pi_generic - self.k2
 
     @property
-    def ram_trunc_j1(self) -> Fraction:
-        return Fraction(self.ram1_num, _ONE)
-
-    @property
-    def ram_trunc_j2(self) -> Fraction:
-        return Fraction(self.ram2_num, _ONE)
-
-    @property
     def tail(self) -> Fraction:
         """n_generic - h2, i.e. the weight the refined truncation discards.
 
@@ -133,7 +123,7 @@ class CountAccumulator:
         ramanujan_count("e+1"); the raw inner sum over v >= e+2 is its
         negative.
         """
-        return Fraction(self.ram2_num - self.ram_full_num, _ONE)
+        return self.ram_full - self.ram_e1
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +169,6 @@ def _segments(x_max: int, segment_size: int) -> Iterator[tuple[int, int]]:
         hi = min((lo // segment_size + 1) * segment_size, x_max + 1)
         yield lo, hi
         lo = hi
-
-
-def prime_stream(x_max: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
-    """Every prime <= x_max exactly once, ascending, in independent segments."""
-    _check_bounds(x_max, segment_size)
-    base = _simple_sieve(math.isqrt(x_max))
-    for lo, hi in _segments(x_max, segment_size):
-        yield from _primes_in_range(lo, hi, base).tolist()
 
 
 def _check_bounds(x_max: int, segment_size: int) -> None:
@@ -332,102 +314,100 @@ def local_factor_k2(profile: BaseProfile, s: int, leg_r0: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # accumulation
 
-# A generic prime's cell in the (s, t, leg) histogram is (s * _S_CELLS + t)
-# * 2 + (leg == 1); s = v2(p-1) < 40 for p <= 2^40 and t <= s.
-_S_CELLS = 41
-_N_CELLS = 2 * _S_CELLS * _S_CELLS
-
 # Primes classified at once: bounds the kernel's temporary arrays.
 _CHUNK = 1 << 13
 
 
-def _scaled(weight: Fraction) -> int:
-    """A dyadic weight as an integer at scale 2**SHIFT."""
-    return (weight.numerator << SHIFT) // weight.denominator
-
-
-def _ramanujan_prefix(v: int, w: int) -> int:
-    """sum_{j<=v} c_{2^j}(m) for m with v2(m) = w: 2^v if v <= w, else 0
-    (c_{2^j}(m) is 2^(j-1) for 1 <= j <= w, -2^w for j = w+1, then 0)."""
-    return 1 << v if v <= w else 0
-
-
-def _tally(profile: BaseProfile, counts: np.ndarray) -> CountAccumulator:
-    """The accumulator of the generic primes counted by a (s, t, leg) cell
-    histogram: the one place the local weights are summed."""
-    acc = CountAccumulator()
-    e = profile.e
-    for cell in np.flatnonzero(counts).tolist():
-        n = int(counts[cell])
-        s, t = divmod(cell >> 1, _S_CELLS)
-        leg = 1 if cell & 1 else -1
-        sh = SHIFT - s
-        acc.pi += n
-        acc.pi_generic += n
-        if t:
-            acc.n_exact += n
-            acc.n_generic += n
-        acc.k1_num += n * _scaled(local_factor_k1(profile, s))
-        acc.k2_num += n * _scaled(local_factor_k2(profile, s, leg))
-
-        # truncated 2-power Ramanujan sums at the group index of r, whose
-        # 2-adic valuation is w
-        w = s - t
-        acc.ram1_num += n * _ramanujan_prefix(min(e, s), w) << sh
-        acc.ram2_num += n * _ramanujan_prefix(min(e + 1, s), w) << sh
-        acc.ram_full_num += n * _ramanujan_prefix(s, w) << sh
-
-        # components of the explicit progression-minus-sum formulas
-        if s > e:
-            acc.pi_progression += n
-            acc.pi_progression_generic += n
-            if leg == 1:
-                acc.sum_leg1_sgt_e_num += n << sh
-                if s > e + 1:
-                    acc.sum_leg1_sgt_e1_num += n << sh
-            elif s == e + 1:
-                acc.cnt_legm1_s_e1 += n
-    return acc
-
-
 def _fold_segment(profile: BaseProfile, base: np.ndarray, lo: int, hi: int,
-                  cuts: tuple[int, ...] = ()) -> list[CountAccumulator]:
-    """Classify every prime of the sieve segment [lo, hi) once and tally it
-    into one accumulator per piece [lo, cuts[0]), [cuts[0], cuts[1]), ...,
-    [cuts[-1], hi).  Special primes take a short exact side path."""
+                  cuts: tuple[int, ...] = ()) -> list[np.ndarray]:
+    """Classify every prime of the sieve segment [lo, hi) once: the int16
+    histogram cell of each prime, split into the pieces [lo, cuts[0]),
+    [cuts[0], cuts[1]), ..., [cuts[-1], hi)."""
     primes = _primes_in_range(lo, hi, base)
+    cells = np.empty(len(primes), dtype=np.int16)
+    generic = np.ones(len(primes), dtype=bool)
     specials = [(p, div) for p, div in profile.special_primes if lo <= p < hi]
     if specials:
-        primes = np.delete(primes, np.searchsorted(primes, [p for p, _ in specials]))
-    cells = np.empty(len(primes), dtype=np.int16)
-    for i in range(0, len(primes), _CHUNK):
-        s, t, leg = _classify(profile, primes[i : i + _CHUNK])
-        cells[i : i + _CHUNK] = (s * _S_CELLS + t) * 2 + (leg > 0)
+        at = np.searchsorted(primes, [p for p, _ in specials])
+        generic[at] = False
+        cells[at] = [(v2(p - 1) * _S_CELLS + _SPECIAL_T) * 2 + div for p, div in specials]
+    todo = primes[generic]
+    codes = np.empty(len(todo), dtype=np.int16)
+    for i in range(0, len(todo), _CHUNK):
+        s, t, leg = _classify(profile, todo[i : i + _CHUNK])
+        codes[i : i + _CHUNK] = (s * _S_CELLS + t) * 2 + (leg > 0)
+    cells[generic] = codes
 
-    edges = [lo, *cuts, hi]
-    ends = np.searchsorted(primes, edges[1:]).tolist()
-    pieces = []
-    start = 0
-    for piece_lo, piece_hi, end in zip(edges, edges[1:], ends):
-        acc = _tally(profile, np.bincount(cells[start:end], minlength=_N_CELLS))
-        for p, div in specials:
-            if piece_lo <= p < piece_hi:
-                acc.pi += 1
-                acc.pi_progression += p % (2 << profile.e) == 1
-                acc.n_exact += div
-        pieces.append(acc)
-        start = end
-    return pieces
+    ends = np.searchsorted(primes, [*cuts, hi]).tolist()
+    return [cells[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _histogram(cells: np.ndarray) -> CountAccumulator:
+    return CountAccumulator(np.bincount(cells, minlength=_N_CELLS))
+
+
+def _evaluate(profile: BaseProfile, acc: CountAccumulator) -> Counts:
+    """Every counting function of the primes counted in acc, exactly.
+
+    Each view weighs a generic prime's cell (s, t, leg) by a dyadic
+    rational with denominator 2^s: the local factors, the truncated
+    2-power Ramanujan sums at the group index of r, whose 2-adic valuation
+    is s - t, and the explicit formula.  Only the nonzero cells are
+    weighed, each by the integer weight * 2^s, computed in closed form.
+    """
+    cells = np.flatnonzero(acc.cells)
+    n = acc.cells[cells]
+    s, t = np.divmod(cells >> 1, _S_CELLS)
+    bit = cells & 1
+    generic = t != _SPECIAL_T
+    divides = np.where(generic, t > 0, bit == 1)
+    pi, pi_generic = int(n.sum()), int(n[generic].sum())
+    n_exact, n_generic = int(n[divides].sum()), int(n[generic & divides].sum())
+
+    s, t, bit, n = s[generic], t[generic], bit[generic], n[generic]
+    e, eps = profile.e, profile.eps
+    one = np.left_shift(1, s)
+    leg = 2 * bit - 1
+    odd = one * (1 + eps) // 2  # (1 + eps)/2, both local factors when s <= e
+    k1 = np.where(s <= e, odd, 1 << e)
+    k2 = np.where(s <= e, odd, np.where(s == e + 1, one * (1 + eps * leg) // 2, (1 + leg) << e))
+
+    def ramanujan(top: np.ndarray) -> np.ndarray:
+        # 1 - 2^-s sum_{v <= top} c_{2^v}(m) with v2(m) = s - t: the
+        # c_{2^v}(m) are 1, then 2^(v-1) up to v = v2(m), then -2^v2(m),
+        # then 0, so the prefix sum is 2^top if top <= v2(m), else 0
+        return one - np.where(top <= s - t, np.left_shift(1, top), 0)
+
+    if eps == 1:
+        # pi(x; 2^(e+1), 1) minus the sum of 2^(e+1-s) over (r0/p) = 1
+        formula = (s > e) * (one - bit * (2 << e))
+    else:
+        # pi minus #{s = e+1, (r0/p) = -1} minus the sum of 2^(e+1-s) over
+        # (r0/p) = 1, s > e+1
+        formula = one - (s == e + 1) * (1 - bit) * one - (s > e + 1) * bit * (2 << e)
+    weights = np.stack([k1, k2, ramanujan(np.minimum(s, e)), ramanujan(np.minimum(s, e + 1)),
+                        ramanujan(s), formula])
+
+    # Each s row is summed in int64, then the rows are combined in Python
+    # ints at scale 2^40 (s < 40).  Every weight * 2^s lies in [0, 2^s], and
+    # a row s cell counts primes p = 1 mod 2^s below 2^40, at most 2^(40-s):
+    # a row sum stays below 82 * 2^40 < 2^47 even with every one of its 82
+    # cells at that bound.
+    rows = np.flatnonzero(np.diff(s, prepend=-1))  # cells are in s-major order
+    shifts = (40 - s[rows]).tolist()
+    views = [Fraction(sum(total << k for total, k in zip(row, shifts)), 1 << 40)
+             for row in np.add.reduceat(weights * n, rows, axis=1).tolist()]
+    return Counts(pi, n_exact, n_generic, pi_generic, *views)
 
 
 @functools.lru_cache(maxsize=64)
-def _accumulate(profile: BaseProfile, x: int) -> CountAccumulator:
+def _accumulate(profile: BaseProfile, x: int) -> Counts:
     _check_bounds(x, DEFAULT_SEGMENT_SIZE)
     base = _simple_sieve(math.isqrt(x))
     acc = CountAccumulator()
     for lo, hi in _segments(x, DEFAULT_SEGMENT_SIZE):
-        acc.merge(_fold_segment(profile, base, lo, hi)[0])
-    return acc
+        acc.merge(_histogram(_fold_segment(profile, base, lo, hi)[0]))
+    return _evaluate(profile, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +429,8 @@ class HeuristicCounts(NamedTuple):
 def heuristic_counts(profile: BaseProfile, x: int) -> HeuristicCounts:
     """K1/K2 = summed local weights over generic primes <= x; H_j = the
     generic prime count minus K_j."""
-    acc = _accumulate(profile, x)
-    return HeuristicCounts(k1=acc.k1, k2=acc.k2, h1=acc.h1, h2=acc.h2)
-
-
-def _formula_from(acc: CountAccumulator, profile: BaseProfile) -> Fraction:
-    e = profile.e
-    if profile.eps == 1:
-        return acc.pi_progression_generic - Fraction(
-            acc.sum_leg1_sgt_e_num << (e + 1), _ONE
-        )
-    return (acc.pi_generic - acc.cnt_legm1_s_e1
-            - Fraction(acc.sum_leg1_sgt_e1_num << (e + 1), _ONE))
+    counts = _accumulate(profile, x)
+    return HeuristicCounts(k1=counts.k1, k2=counts.k2, h1=counts.h1, h2=counts.h2)
 
 
 def formula_count(profile: BaseProfile, x: int) -> Fraction:
@@ -468,7 +438,7 @@ def formula_count(profile: BaseProfile, x: int) -> Fraction:
     pi(x; 2^(e+1), 1) minus a Legendre-weighted 2-power sum, for negative
     ones the variant with the s = e+1 correction term.  All prime sums are
     restricted to generic primes; equals h2 exactly."""
-    return _formula_from(_accumulate(profile, x), profile)
+    return _accumulate(profile, x).formula
 
 
 _TRUNCATIONS = ("full", "e", "e+1")
@@ -483,9 +453,8 @@ def ramanujan_count(profile: BaseProfile, x: int, truncation: Truncation = "full
     """
     if truncation not in _TRUNCATIONS:
         raise ValueError(f"truncation must be one of {_TRUNCATIONS}")
-    acc = _accumulate(profile, x)
-    num = {"full": acc.ram_full_num, "e": acc.ram1_num, "e+1": acc.ram2_num}[truncation]
-    return acc.pi_generic - Fraction(num, _ONE)
+    counts = _accumulate(profile, x)
+    return {"full": counts.ram_full, "e": counts.ram_e, "e+1": counts.ram_e1}[truncation]
 
 
 def tail_sum(profile: BaseProfile, x: int) -> Fraction:
@@ -503,13 +472,13 @@ def character_count(profile: BaseProfile, x: int) -> Fraction:
     For each generic p <= x sums chi(eps) * chi(r0)^h over the characters
     of (Z/pZ)* of order dividing 2^s, by complex evaluation from a
     character table; each inner sum must round to an integer (tolerance
-    1e-8).  Oracle-scale only: x <= 2000.
+    1e-8).  Oracle-scale only: 2 <= x <= 2000.
     """
-    if x > CHARACTER_X_LIMIT:
-        raise ValueError(f"character_count requires x <= {CHARACTER_X_LIMIT}")
+    if not 2 <= x <= CHARACTER_X_LIMIT:
+        raise ValueError(f"character_count requires 2 <= x <= {CHARACTER_X_LIMIT}")
     h = profile.h
     pi_g = 0
-    total_num = 0  # scaled by 2**SHIFT
+    total = Fraction(0)
     special = dict(profile.special_primes)
     for p in _primes_in_range(2, x + 1).tolist():
         if p in special:
@@ -528,8 +497,8 @@ def character_count(profile: BaseProfile, x: int) -> Fraction:
         if abs(inner.imag) > 1e-8 or abs(inner.real - round(inner.real)) > 1e-8:
             raise InternalInconsistencyError(
                 f"character sum at p={p} is not integral: {inner!r}")
-        total_num += round(inner.real) << (SHIFT - s)
-    return pi_g - Fraction(total_num, _ONE)
+        total += Fraction(round(inner.real), 1 << s)
+    return pi_g - total
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +508,7 @@ def character_count(profile: BaseProfile, x: int) -> Fraction:
 @dataclass(frozen=True)
 class SweepPoint:
     x: int
-    acc: CountAccumulator
+    counts: Counts
     li: float
 
 
@@ -554,25 +523,25 @@ class SweepSeries:
         delta1 = delta_naive(self.profile)
         out = []
         for pt in self.points:
-            acc = pt.acc
+            counts = pt.counts
             out.append({
                 "x": pt.x,
-                "pi": acc.pi,
+                "pi": counts.pi,
                 "li": pt.li,
-                "n_exact": acc.n_exact,
-                "n_generic": acc.n_generic,
-                "h1": acc.h1,
-                "h2": acc.h2,
-                "k1": acc.k1,
-                "k2": acc.k2,
-                "tail": acc.tail,
+                "n_exact": counts.n_exact,
+                "n_generic": counts.n_generic,
+                "h1": counts.h1,
+                "h2": counts.h2,
+                "k1": counts.k1,
+                "k2": counts.k2,
+                "tail": counts.tail,
                 "delta": delta,
                 "delta1": delta1,
             })
         return out
 
 
-def _sweep_task(args) -> list[CountAccumulator]:
+def _sweep_task(args) -> list[np.ndarray]:
     return _fold_segment(*args)
 
 
@@ -593,7 +562,7 @@ def sweep(
     checkpoint.  Output is identical for any worker count: the work units
     (one per sieve segment, cut at the checkpoints inside it) and their
     merge order depend only on (x_max, checkpoints, segment_size), and
-    merging is integer addition.
+    merging is integer addition of cell counts.
     """
     _check_bounds(x_max, segment_size)
     if threads < 1:
@@ -618,10 +587,11 @@ def sweep(
         points: list[SweepPoint] = []
         closes = set(ends)
         for (_, _, _, hi, cuts), pieces in zip(tasks, results):
-            for end, piece in zip((*cuts, hi), pieces):
-                acc.merge(piece)
+            for end, cells in zip((*cuts, hi), pieces):
+                acc.merge(_histogram(cells))
                 if end in closes:
-                    points.append(SweepPoint(x=end - 1, acc=acc.copy(), li=log_integral(end - 1)))
+                    points.append(SweepPoint(x=end - 1, counts=_evaluate(profile, acc),
+                                             li=log_integral(end - 1)))
         return tuple(points)
 
     workers = _worker_count(threads, len(tasks))

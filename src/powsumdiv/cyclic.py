@@ -13,8 +13,7 @@ import cmath
 import functools
 import math
 
-from .arith import _factorize_cached, is_prime, mod_inverse, v2
-from .ramanujan import ramanujan_c
+from .arith import _factorize_cached, is_prime, v2
 
 _TWO_PI = 2.0 * math.pi
 
@@ -152,11 +151,6 @@ def character_order_sum(p: int, d: int, g: int) -> complex:
     return character_table(p).order_sum(d, g)
 
 
-def character_order_sum_expected(p: int, d: int, g: int) -> int:
-    """The exact integer the character sum must round to."""
-    return ramanujan_c(d, character_table(p).group_index(g))
-
-
 def rational_mod(num: int, den: int, p: int) -> int:
     """num/den as an element of (Z/pZ)*; requires p coprime to den."""
-    return num % p * mod_inverse(den % p, p) % p
+    return num % p * pow(den % p, -1, p) % p

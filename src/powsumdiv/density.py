@@ -4,7 +4,7 @@ arithmetic.
 Three routes to the same number:
 
 * ``delta_table``      -- the closed-form density, a four-branch table in
-                          (is_sqrt2, lam, eps);
+                          (is_sqrt2, e, eps);
 * ``delta_naive``      -- the limit of the order-parity heuristic that
                           ignores quadratic residues (exact only when the
                           quadratic field is not Q(sqrt 2));
@@ -59,18 +59,18 @@ def _degree_gap_sum(is_sqrt2: bool, start: int) -> Fraction:
 
 def delta_table(profile: BaseProfile) -> Fraction:
     """The closed-form density of primes dividing the sequence."""
-    lam, eps = profile.lam, profile.eps
+    e, eps = profile.e, profile.eps
     if not profile.is_sqrt2:
         if eps == 1:
-            return Fraction(2, 3 * (1 << lam))
-        return 1 - Fraction(1, 3 * (1 << lam))
-    if lam == 0:
+            return Fraction(2, 3 * (1 << e))
+        return 1 - Fraction(1, 3 * (1 << e))
+    if e == 0:
         return Fraction(17, 24)
-    if lam == 1:
+    if e == 1:
         return Fraction(5, 12) if eps == 1 else Fraction(2, 3)
     if eps == 1:
-        return Fraction(1, 3 * (1 << lam))
-    return 1 - Fraction(1, 3 * (1 << (lam + 1)))
+        return Fraction(1, 3 * (1 << e))
+    return 1 - Fraction(1, 3 * (1 << (e + 1)))
 
 
 def delta_naive(profile: BaseProfile) -> Fraction:

@@ -43,7 +43,6 @@ class BaseProfile:
     r0_den: int
     h: int
     e: int                   # v2(h)
-    lam: int                 # largest j with |r| a 2**j-th rational power (= e)
     kernel: int              # squarefree kernel of r0_num*r0_den
     discriminant: int        # of Q(sqrt kernel)
     is_sqrt2: bool           # kernel == 2
@@ -55,7 +54,9 @@ class BaseProfile:
             "a": self.a, "b": self.b, "eps": self.eps,
             "num": self.num, "den": self.den,
             "r0_num": self.r0_num, "r0_den": self.r0_den,
-            "h": self.h, "e": self.e, "lambda": self.lam,
+            "h": self.h, "e": self.e,
+            # the largest j with |r| a 2**j-th rational power, which is e
+            "lambda": self.e,
             "kernel": self.kernel, "discriminant": self.discriminant,
             "is_sqrt2": self.is_sqrt2,
             "special_primes": [[p, div] for p, div in self.special_primes],
@@ -127,7 +128,7 @@ def decompose(a: int, b: int) -> BaseProfile:
 
     return BaseProfile(
         a=a, b=b, eps=eps, num=num, den=den,
-        r0_num=r0_num, r0_den=r0_den, h=h, e=e, lam=e,
+        r0_num=r0_num, r0_den=r0_den, h=h, e=e,
         kernel=kernel, discriminant=disc, is_sqrt2=(kernel == 2),
         special_primes=special_primes, omega_ab=omega_ab,
     )

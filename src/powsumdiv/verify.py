@@ -15,7 +15,6 @@ import numpy as np
 
 from .arith import divisors, v2
 from .census import (
-    _accumulate,
     classify_prime,
     heuristic_counts,
     local_factor_k1,
@@ -257,6 +256,8 @@ def check_densities(bound: int = 30) -> CheckResult:
 def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
     """Order-parity classification vs direct search for a k <= 2p with
     p | a^k + b^k, over every admissible pair |a|, |b| <= coeff_bound."""
+    if p_limit > 46340:
+        raise ValueError("p_limit must be <= 46340, so residue products fit int32")
     primes = _primes_in_range(2, p_limit + 1)
     pairs = [
         (a, b)
@@ -264,23 +265,29 @@ def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
         for b in range(-coeff_bound, coeff_bound + 1)
         if a != 0 and b != 0 and abs(a) != abs(b)
     ]
-    a_col = np.array([p[0] for p in pairs], dtype=np.int64)[:, None]
-    b_col = np.array([p[1] for p in pairs], dtype=np.int64)[:, None]
-    P = primes[None, :]
+    a_col = np.array([p[0] for p in pairs], dtype=np.int32)[:, None]
+    b_col = np.array([p[1] for p in pairs], dtype=np.int32)[:, None]
+    P = primes.astype(np.int32)
     base_a = a_col % P
     base_b = b_col % P
     cur_a = base_a.copy()
     cur_b = base_b.copy()
-    first_k = np.zeros(base_a.shape, dtype=np.int64)
-    k_max = 2 * int(primes[-1])
-    for k in range(1, k_max + 1):
+    first_k = np.zeros(base_a.shape, dtype=np.int32)
+    col = 0
+    for k in range(1, 2 * int(primes[-1]) + 1):
+        # only the columns with k <= 2p are searched, a suffix as the
+        # primes ascend
+        while 2 * P[col] < k:
+            col += 1
+        ca, cb, pj, fk = cur_a[:, col:], cur_b[:, col:], P[col:], first_k[:, col:]
         if k > 1:
-            cur_a = cur_a * base_a % P
-            cur_b = cur_b * base_b % P
-        hit = ((cur_a + cur_b) % P == 0) & (first_k == 0)
+            for cur, base in ((ca, base_a[:, col:]), (cb, base_b[:, col:])):
+                np.multiply(cur, base, out=cur)
+                np.remainder(cur, pj, out=cur)
+        hit = ((ca + cb) % pj == 0) & (fk == 0)
         if hit.any():
-            first_k[hit] = k
-    expected = (first_k > 0) & (first_k <= 2 * P)
+            fk[hit] = k
+    expected = first_k > 0
 
     checked = 0
     failures: list[str] = []

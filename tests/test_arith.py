@@ -9,42 +9,29 @@ from hypothesis import strategies as st
 
 from powsumdiv.arith import (
     _MR_PSI,
-    NotInvertibleError,
+    _TRIAL_LIMIT,
     euler_phi,
     factorize,
     is_prime,
     legendre_symbol,
     log_integral,
-    mod_inverse,
-    mod_pow,
     moebius,
-    p_adic_valuation,
     squarefree_kernel,
+    v2,
 )
+from powsumdiv.cyclic import rational_mod
 
 
 # ---------------------------------------------------------------------------
-# p-adic valuation
-
-@pytest.mark.parametrize("p,n,want", [(2, 48, 4), (3, 10, 0), (2, -12, 2)])
-def test_valuation_examples(p, n, want):
-    assert p_adic_valuation(p, n) == want
-
+# 2-adic valuation
 
 def test_valuation_rejects_zero():
     with pytest.raises(ValueError):
-        p_adic_valuation(2, 0)
+        v2(0)
 
 
 # ---------------------------------------------------------------------------
 # modular arithmetic
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 10, 1000) == 24
-    assert mod_pow(5, 0, 7) == 1
-    # Fermat oracle: 101 is prime, so 3^100 = 1 mod 101
-    assert mod_pow(3, 100, 101) == 1
-
 
 def test_is_prime_against_sieve_and_at_the_witness_bounds():
     limit = 2 * 10**5
@@ -67,17 +54,19 @@ def test_fermat_all_primes_to_1e4():
 
 
 def test_mod_inverse_examples():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(1, 11) == 1
+    # rational_mod(1, d, p) is the inverse of d mod p
+    assert rational_mod(1, 3, 7) == 5
+    assert rational_mod(1, 1, 11) == 1
     # exhaustive-search oracle
     want = next(x for x in range(1, 17) if 10 * x % 17 == 1)
     assert want == 12
-    assert mod_inverse(10, 17) == want
+    assert rational_mod(1, 10, 17) == want
+    assert rational_mod(-3, 10, 17) == -3 * want % 17
 
 
 def test_mod_inverse_not_invertible():
-    with pytest.raises(NotInvertibleError):
-        mod_inverse(6, 9)
+    with pytest.raises(ValueError):
+        rational_mod(1, 6, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -123,26 +112,39 @@ def test_factorize_rho_path():
     assert factorize(n) == [(2**31 - 1, 1), (2**61 - 1, 1)]
 
 
+@pytest.mark.parametrize("p,q", [
+    (1031, 1031), (1031, 1033),                 # just above the trial bound 2^10
+    (1031, 8946044652623423),                   # and a 53-bit cofactor: 63 bits
+    (1048573, 1048583),                         # around 2^20
+    (2147483647, 2147483659),                   # around 2^31
+    (3037000453, 3037000493), (3037000493, 3037000493),  # below 2^63
+])
+def test_factorize_semiprimes_beyond_trial_division(p, q):
+    assert _TRIAL_LIMIT < p <= q and is_prime(p) and is_prime(q)
+    assert factorize(p * q) == ([(p, 2)] if p == q else [(p, 1), (q, 1)])
+
+
 def test_factorize_reconstruction_and_tables_to_1e5():
     limit = 10**5
-    # sieve oracles for phi and mu
+    # sieve oracles for the least prime factor, phi and mu
+    least = [0] * (limit + 1)
     phi = list(range(limit + 1))
     mu = [1] * (limit + 1)
-    sieve = [True] * (limit + 1)
     for p in range(2, limit + 1):
-        if not sieve[p]:
+        if least[p]:
             continue
         for m in range(p, limit + 1, p):
-            if m > p:
-                sieve[m] = False
+            least[m] = least[m] or p
             phi[m] -= phi[m] // p
             mu[m] = 0 if m % (p * p) == 0 else -mu[m]
     for n in range(2, limit + 1):
-        fac = factorize(n)
-        assert math.prod(p**e for p, e in fac) == n
-        primes = [p for p, _ in fac]
-        assert primes == sorted(primes)
-        assert all(e >= 1 for _, e in fac)
+        # trial division by the least prime factor
+        want: dict[int, int] = {}
+        m = n
+        while m > 1:
+            want[least[m]] = want.get(least[m], 0) + 1
+            m //= least[m]
+        assert factorize(n) == sorted(want.items()), n
     for n in range(1, limit + 1):
         assert euler_phi(n) == phi[n] if n > 1 else True
         assert moebius(n) == mu[n]

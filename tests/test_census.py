@@ -1,13 +1,23 @@
 """Census: prime streaming, classification, and the exact identities
 between every counting route."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from powsumdiv.census import (
+    DEFAULT_SEGMENT_SIZE,
     CountAccumulator,
     InternalInconsistencyError,
+    _accumulate,
+    _check_bounds,
+    _evaluate,
+    _fold_segment,
+    _histogram,
+    _primes_in_range,
+    _segments,
+    _simple_sieve,
     character_count,
     classify_prime,
     count_exact,
@@ -15,7 +25,6 @@ from powsumdiv.census import (
     heuristic_counts,
     local_factor_k1,
     local_factor_k2,
-    prime_stream,
     ramanujan_count,
     sweep,
     tail_sum,
@@ -66,7 +75,16 @@ def count_direct(a: int, b: int, x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# prime stream
+# prime stream: the sieve segments that sweeps and counts walk
+
+
+def prime_stream(x_max: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
+    """Every prime <= x_max from the segmented sieve, as sweep visits them."""
+    _check_bounds(x_max, segment_size)
+    base = _simple_sieve(math.isqrt(x_max))
+    return [p for lo, hi in _segments(x_max, segment_size)
+            for p in _primes_in_range(lo, hi, base).tolist()]
+
 
 def test_prime_stream_small():
     assert list(prime_stream(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -233,8 +251,9 @@ def test_character_count_matches_ramanujan_full():
 
 
 def test_character_count_rejects_large_x():
-    with pytest.raises(ValueError):
-        character_count(decompose(2, 1), 2001)
+    for x in (2001, 1, -5):
+        with pytest.raises(ValueError):
+            character_count(decompose(2, 1), x)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +262,7 @@ def test_character_count_rejects_large_x():
 def test_sweep_examples():
     p21 = decompose(2, 1)
     series = sweep(p21, 30, [10, 30])
-    assert [pt.acc.n_exact for pt in series.points] == [2, 7]
+    assert [pt.counts.n_exact for pt in series.points] == [2, 7]
     assert [pt.x for pt in series.points] == [10, 30]
     for pt in series.points:
         assert pt.li == log_integral(pt.x)
@@ -252,7 +271,7 @@ def test_sweep_examples():
 def test_sweep_closed_interval_checkpoints():
     # a checkpoint that is itself a dividing prime must include it
     series = sweep(decompose(2, 1), 5, [4, 5])
-    assert [pt.acc.n_exact for pt in series.points] == [1, 2]
+    assert [pt.counts.n_exact for pt in series.points] == [1, 2]
 
 
 def test_sweep_monotone_and_consistent():
@@ -292,12 +311,19 @@ def test_sweep_validation():
 
 def test_accumulator_merge_matches_single_pass():
     profile = decompose(5, 2)
-    series = sweep(profile, 4000, [4000])
-    acc = series.points[-1].acc
-    assert acc.h1 == acc.pi_generic - acc.k1
-    assert acc.h2 == acc.pi_generic - acc.k2
-    assert acc.tail == Fraction(acc.ram2_num - acc.ram_full_num, 1 << 64)
+    series = sweep(profile, 4000, [1000, 4000], segment_size=1 << 10)
+    counts = series.points[-1].counts
+    assert counts == _accumulate(profile, 4000)
+    assert counts.h1 == counts.pi_generic - counts.k1
+    assert counts.h2 == counts.pi_generic - counts.k2
+    assert counts.tail == counts.ram_full - counts.ram_e1
+    single = _histogram(_fold_segment(profile, _simple_sieve(63), 2, 4001)[0])
     merged = CountAccumulator()
-    merged.merge(acc)
+    for piece in _fold_segment(profile, _simple_sieve(63), 2, 4001, (5, 1001, 2048)):
+        merged.merge(_histogram(piece))
     merged.merge(CountAccumulator())
-    assert merged == acc
+    assert (merged.cells == single.cells).all()
+    copy = merged.copy()
+    merged.merge(single)
+    assert (copy.cells == single.cells).all()
+    assert _evaluate(profile, copy) == counts

@@ -9,7 +9,7 @@ from powsumdiv.cyclic import (
     CharacterTable,
     brute_force_valuation_count,
     character_order_sum,
-    character_order_sum_expected,
+    character_table,
     find_primitive_root,
     multiplicative_order,
     order_valuation_count,
@@ -88,10 +88,11 @@ def test_character_order_sum_examples():
     assert abs(z - 1) < 1e-8  # only the trivial character has order 1
     z = character_order_sum(7, 2, 3)
     assert abs(z.imag) < 1e-8 and abs(z.real - (-1)) < 1e-8
-    assert character_order_sum_expected(7, 2, 3) == -1
+    assert ramanujan_c(2, character_table(7).group_index(3)) == -1
     # direct summation oracle at (7, 3, 2): index of <2> in F_7^* is 2
     assert multiplicative_order(2, 7) == 3
-    assert character_order_sum_expected(7, 3, 2) == ramanujan_c(3, 2) == -1
+    assert character_table(7).group_index(2) == 2
+    assert ramanujan_c(3, 2) == -1
     z = character_order_sum(7, 3, 2)
     assert abs(z.imag) < 1e-8 and abs(z.real - (-1)) < 1e-8
 

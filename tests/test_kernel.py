@@ -12,10 +12,15 @@ from hypothesis import strategies as st
 from powsumdiv import cli
 from powsumdiv.arith import is_prime
 from powsumdiv.census import (
+    _S_CELLS,
+    _SPECIAL_T,
     MAX_X,
     CountAccumulator,
+    Counts,
     _classify,
+    _evaluate,
     _fold_segment,
+    _histogram,
     _primes_in_range,
     _simple_sieve,
     _worker_count,
@@ -98,39 +103,49 @@ def test_kernel_random_pairs(a, b, lo):
 
 
 # ---------------------------------------------------------------------------
-# the fold: cell histogram to accumulator
+# the fold and the views: cell histogram to every counting function
 
 
-def scalar_fold(profile, primes) -> CountAccumulator:
-    """Reference fold from classify_prime, the local-factor functions and
-    the 2-power Ramanujan sums at the group index, one prime at a time."""
-    one = 1 << 64
-    e = profile.e
-    acc = CountAccumulator()
+def prime_views(profile, s, t, leg) -> list[Fraction]:
+    """k1, k2, the three truncated Ramanujan-sum counts and the explicit
+    formula for one generic prime with cell (s, t, leg), from the local
+    factors and c_{2^v} at the group index, whose 2-adic valuation is s - t."""
+    e, eps = profile.e, profile.eps
+    views = [local_factor_k1(profile, s), local_factor_k2(profile, s, leg)]
+    for top in (min(e, s), min(e + 1, s), s):
+        total = sum(ramanujan_c_2pow(v, 1 << (s - t)) for v in range(top + 1))
+        views.append(1 - Fraction(total, 1 << s))
+    # pi(x; 2^(e+1), 1) minus 2^(e+1-s) where (r0/p) = 1 for eps = 1; for
+    # eps = -1 every prime, minus those with s = e+1 and (r0/p) = -1, minus
+    # 2^(e+1-s) where (r0/p) = 1 and s > e+1
+    legendre_sum = Fraction(2 << e, 1 << s) if leg == 1 else 0
+    if eps == 1:
+        views.append(int(s > e) - (legendre_sum if s > e else 0))
+    else:
+        views.append(1 - int(s == e + 1 and leg == -1) - (legendre_sum if s > e + 1 else 0))
+    return views
+
+
+def scalar_fold(profile, primes) -> Counts:
+    """Reference for _evaluate: every view summed one prime at a time in
+    Fractions from classify_prime and prime_views."""
+    ints = [0, 0, 0, 0]  # pi, n_exact, n_generic, pi_generic
+    sums = [Fraction(0)] * 6
     for p in primes:
         c = classify_prime(profile, p)
-        acc.pi += 1
-        acc.n_exact += c.divides
-        acc.pi_progression += p % (2 << e) == 1
+        ints[0] += 1
+        ints[1] += c.divides
         if c.special:
             continue
-        s, t, leg = c.s, c.t, c.leg_r0
-        acc.pi_generic += 1
-        acc.n_generic += c.divides
-        acc.pi_progression_generic += s > e
-        acc.k1_num += int(local_factor_k1(profile, s) * one)
-        acc.k2_num += int(local_factor_k2(profile, s, leg) * one)
-        for field, top in (("ram1_num", min(e, s)), ("ram2_num", min(e + 1, s)),
-                           ("ram_full_num", s)):
-            # c_{2^v} at the group index, whose 2-adic valuation is s - t
-            total = sum(ramanujan_c_2pow(v, 1 << (s - t)) for v in range(top + 1))
-            setattr(acc, field, getattr(acc, field) + int(Fraction(total, 1 << s) * one))
-        if s > e and leg == 1:
-            acc.sum_leg1_sgt_e_num += one >> s
-            if s > e + 1:
-                acc.sum_leg1_sgt_e1_num += one >> s
-        acc.cnt_legm1_s_e1 += s == e + 1 and leg == -1
-    return acc
+        ints[2] += c.divides
+        ints[3] += 1
+        sums = [a + b for a, b in zip(sums, prime_views(profile, c.s, c.t, c.leg_r0))]
+    return Counts(*ints, *sums)
+
+
+def fold_views(profile, base, lo, hi, cuts=()) -> list[Counts]:
+    return [_evaluate(profile, _histogram(cells))
+            for cells in _fold_segment(profile, base, lo, hi, cuts)]
 
 
 @pytest.mark.parametrize("a,b", PROFILE_GRID + [(7, 3), (-1000003, 999331)])
@@ -138,7 +153,7 @@ def test_fold_segment_matches_scalar_fold(a, b):
     profile = decompose(a, b)
     base = _simple_sieve(2**10)
     cuts = (3, 8, 100, 1001, 2000)
-    pieces = _fold_segment(profile, base, 2, 3001, cuts)
+    pieces = fold_views(profile, base, 2, 3001, cuts)
     edges = [2, *cuts, 3001]
     for lo, hi, piece in zip(edges, edges[1:], pieces):
         assert piece == scalar_fold(profile, _primes_in_range(lo, hi).tolist()), (lo, hi)
@@ -150,7 +165,7 @@ def test_fold_segment_near_2_40():
         profile = decompose(a, b)
         lo, hi = 43 * 2**32 + 1 - 2**11, 43 * 2**32 + 1 + 2**11
         mid = 43 * 2**32 + 2
-        pieces = _fold_segment(profile, base, lo, hi, (mid,))
+        pieces = fold_views(profile, base, lo, hi, (mid,))
         assert pieces == [scalar_fold(profile, _primes_in_range(lo, mid).tolist()),
                           scalar_fold(profile, _primes_in_range(mid, hi).tolist())]
 
@@ -172,7 +187,33 @@ def test_fold_segment_every_s():
         for p in windows:
             if any(p == q for q, _ in profile.special_primes):
                 continue
-            assert _fold_segment(profile, base, p, p + 1) == [scalar_fold(profile, [p])], p
+            assert fold_views(profile, base, p, p + 1) == [scalar_fold(profile, [p])], p
+
+
+@pytest.mark.parametrize("a,b", [(2, 1), (-2, 1), (4, 1), (-4, 1), (16, 1), (8, 27),
+                                 (2**32, 1), (-(2**48), 1)])
+def test_evaluate_worst_case_histogram(a, b):
+    # every reachable cell of row s holds 2^(40-s) primes, more than there
+    # are primes p = 1 mod 2^s below 2^40: the int64 row sums stay exact
+    profile = decompose(a, b)
+    acc = CountAccumulator()
+    ints = [0, 0, 0, 0]  # pi, n_exact, n_generic, pi_generic
+    sums = [Fraction(0)] * 6
+    for s in range(40):
+        n = 2**40 >> s
+        for divides in (False, True):  # a special prime's cell
+            acc.cells[(s * _S_CELLS + _SPECIAL_T) * 2 + divides] = n
+            ints[0] += n
+            ints[1] += n * divides
+        for t in range(s + 1 if s else 0):
+            for leg in (-1, 1):
+                acc.cells[(s * _S_CELLS + t) * 2 + (leg > 0)] = n
+                ints[0] += n
+                ints[1] += n * (t > 0)
+                ints[2] += n * (t > 0)
+                ints[3] += n
+                sums = [a + n * w for a, w in zip(sums, prime_views(profile, s, t, leg))]
+    assert _evaluate(profile, acc) == Counts(*ints, *sums)
 
 
 # ---------------------------------------------------------------------------

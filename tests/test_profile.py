@@ -36,11 +36,12 @@ def _is_rational_power(num: int, den: int, k: int) -> bool:
 def test_decompose_examples():
     p = decompose(2, 1)
     assert (p.eps, p.num, p.den, p.r0_num, p.r0_den) == (1, 2, 1, 2, 1)
-    assert (p.h, p.e, p.lam) == (1, 0, 0)
+    assert (p.h, p.e) == (1, 0)
     assert p.kernel == 2 and p.discriminant == 8 and p.is_sqrt2
 
     p = decompose(4, 1)
-    assert (p.r0_num, p.h, p.e, p.lam, p.is_sqrt2) == (2, 2, 1, 1, True)
+    assert (p.r0_num, p.h, p.e, p.is_sqrt2) == (2, 2, 1, True)
+    assert p.to_json_dict()["lambda"] == 1
 
     p = decompose(8, 27)
     assert (p.num, p.den) == (8, 27)
@@ -107,10 +108,10 @@ def test_reconstruction_and_maximality(a, b):
     for q in (2, 3, 5, 7):
         if p.h * q <= 64:
             assert not _is_rational_power(p.num, p.den, q * p.h)
-    # lambda-consistency: a 2^lam-th power but not a 2^(lam+1)-th power
-    assert p.lam == p.e
-    assert _is_rational_power(p.num, p.den, 1 << p.lam)
-    assert not _is_rational_power(p.num, p.den, 1 << (p.lam + 1))
+    # lambda-consistency: a 2^e-th power but not a 2^(e+1)-th power
+    assert p.to_json_dict()["lambda"] == p.e
+    assert _is_rational_power(p.num, p.den, 1 << p.e)
+    assert not _is_rational_power(p.num, p.den, 1 << (p.e + 1))
     # kernel determines the quadratic field
     assert p.is_sqrt2 == (p.kernel == 2)
     assert p.discriminant == (p.kernel if p.kernel % 4 == 1 else 4 * p.kernel)
@@ -124,7 +125,7 @@ def test_common_factor_invariance(a, b, c):
         return
     p = decompose(a, b)
     q = decompose(a * c, b * c)
-    for name in ("eps", "num", "den", "r0_num", "r0_den", "h", "e", "lam",
+    for name in ("eps", "num", "den", "r0_num", "r0_den", "h", "e",
                  "kernel", "discriminant", "is_sqrt2"):
         assert getattr(p, name) == getattr(q, name), name
 
