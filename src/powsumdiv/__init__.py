@@ -5,10 +5,8 @@ from .arith import (
     Factorization,
     euler_phi,
     factorize,
-    legendre_symbol,
     log_integral,
     moebius,
-    squarefree_kernel,
 )
 from .census import (
     CountAccumulator,
@@ -31,7 +29,6 @@ from .census import (
 from .cyclic import (
     CharacterTable,
     brute_force_valuation_count,
-    character_order_sum,
     find_primitive_root,
     multiplicative_order,
     order_valuation_count,
@@ -52,7 +49,6 @@ from .profile import (
     InputRangeError,
     ZeroInputError,
     decompose,
-    special_prime_divides,
 )
 from .ramanujan import divisor_indicator, ramanujan_c, ramanujan_c_2pow
 

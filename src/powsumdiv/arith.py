@@ -1,6 +1,5 @@
-"""Exact integer primitives: valuations, modular arithmetic, quadratic
-symbols, factorization, multiplicative functions, and the logarithmic
-integral.
+"""Exact integer primitives: valuations, primality, factorization,
+multiplicative functions, and the logarithmic integral.
 
 Everything here is a pure function; results for the multiplicative
 functions are derived from the complete factorization, never from
@@ -33,20 +32,6 @@ def v2(n: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     return (n & -n).bit_length() - 1
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion.
-
-    Returns 0 if p | a, +1 if a is a nonzero square mod p, -1 otherwise.
-    """
-    if p == 2 or p < 2:
-        raise ValueError("p must be an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 def is_prime(n: int) -> bool:
@@ -150,19 +135,6 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
         else:
             _factor_into(n, fac)
     return tuple(sorted(fac.items()))
-
-
-def squarefree_kernel(n: int) -> int:
-    """Product of the primes dividing n to an odd exponent; Q(sqrt n) = Q(sqrt kernel)."""
-    if n < 1:
-        raise ValueError("kernel requires n >= 1")
-    if n == 1:
-        return 1
-    k = 1
-    for p, ex in _factorize_cached(n):
-        if ex & 1:
-            k *= p
-    return k
 
 
 def euler_phi(n: int) -> int:

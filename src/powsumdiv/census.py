@@ -173,9 +173,9 @@ def _segments(x_max: int, segment_size: int) -> Iterator[tuple[int, int]]:
 
 def _check_bounds(x_max: int, segment_size: int) -> None:
     if x_max < 2:
-        raise ValueError("x_max must be >= 2")
+        raise ValueError("x must be >= 2")
     if x_max > MAX_X:
-        raise ValueError(f"x_max must be <= 2^40 = {MAX_X}")
+        raise ValueError(f"x must be <= 2^40 = {MAX_X}")
     if segment_size < 2 or segment_size & (segment_size - 1):
         raise ValueError("segment_size must be a power of two")
 
@@ -419,18 +419,10 @@ def count_exact(profile: BaseProfile, x: int) -> int:
     return _accumulate(profile, x).n_exact
 
 
-class HeuristicCounts(NamedTuple):
-    k1: Fraction
-    k2: Fraction
-    h1: Fraction
-    h2: Fraction
-
-
-def heuristic_counts(profile: BaseProfile, x: int) -> HeuristicCounts:
-    """K1/K2 = summed local weights over generic primes <= x; H_j = the
-    generic prime count minus K_j."""
-    counts = _accumulate(profile, x)
-    return HeuristicCounts(k1=counts.k1, k2=counts.k2, h1=counts.h1, h2=counts.h2)
+def heuristic_counts(profile: BaseProfile, x: int) -> Counts:
+    """Every count at x; its k1/k2 are the summed local weights over the
+    generic primes <= x, and h1/h2 the generic prime count minus them."""
+    return _accumulate(profile, x)
 
 
 def formula_count(profile: BaseProfile, x: int) -> Fraction:

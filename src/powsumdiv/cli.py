@@ -14,8 +14,6 @@ import sys
 from fractions import Fraction
 
 from .census import (
-    CHARACTER_X_LIMIT,
-    DEFAULT_SEGMENT_SIZE,
     character_count,
     count_exact,
     formula_count,
@@ -24,12 +22,10 @@ from .census import (
     sweep,
 )
 from .density import density_report
-from .profile import BaseProfile, DegenerateRatioError, ZeroInputError, decompose
+from .profile import decompose
 from .verify import SUITES, run_suite
 
 CSV_HEADER = "x,pi,li,n_exact,n_generic,h1,h2,k1,k2,tail,delta,delta1"
-
-_RATIONAL_COLUMNS = ("h1", "h2", "k1", "k2", "tail", "delta", "delta1")
 
 
 def _dec(value) -> str:
@@ -41,25 +37,14 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _profile_or_exit(a: int, b: int) -> BaseProfile:
-    try:
-        return decompose(a, b)
-    except ZeroInputError:
-        print("error: zero input (a and b must be nonzero)", file=sys.stderr)
-        raise SystemExit(2)
-    except DegenerateRatioError:
-        print("error: ratio is +-1 (|a| must differ from |b|)", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def cmd_profile(args) -> int:
-    profile = _profile_or_exit(args.a, args.b)
+    profile = decompose(args.a, args.b)
     print(json.dumps(profile.to_json_dict(), indent=2))
     return 0
 
 
 def cmd_density(args) -> int:
-    profile = _profile_or_exit(args.a, args.b)
+    profile = decompose(args.a, args.b)
     report = density_report(profile)
     if args.format == "json":
         print(json.dumps({
@@ -82,15 +67,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_count(args) -> int:
-    profile = _profile_or_exit(args.a, args.b)
-    if args.x < 2:
-        print("error: x must be >= 2", file=sys.stderr)
-        return 2
+    profile = decompose(args.a, args.b)
     method = args.method
-    if method == "character" and args.x > CHARACTER_X_LIMIT:
-        print(f"error: method 'character' requires x <= {CHARACTER_X_LIMIT}",
-              file=sys.stderr)
-        return 2
     if method == "exact":
         value = count_exact(profile, args.x)
     elif method == "h1":
@@ -136,7 +114,7 @@ def default_checkpoints(count: int, x_max: int) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    profile = _profile_or_exit(args.a, args.b)
+    profile = decompose(args.a, args.b)
     if args.checkpoint_list:
         try:
             checkpoints = [int(tok) for tok in args.checkpoint_list.split(",")]
@@ -146,29 +124,24 @@ def cmd_sweep(args) -> int:
             return 2
     else:
         checkpoints = default_checkpoints(args.checkpoints, args.x_max)
-    series = sweep(profile, args.x_max, checkpoints,
-                   threads=args.threads, segment_size=args.segment_size)
+    series = sweep(profile, args.x_max, checkpoints, threads=args.threads)
     sys.stdout.write(render_sweep(series, args.format))
     return 0
 
 
 def render_sweep(series, fmt: str) -> str:
+    """The rows in CSV_HEADER order: in JSON a Fraction as p/q and any
+    other value as it is, in CSV an int as it is and any other value as a
+    decimal."""
     rows = series.rows()
     if fmt == "json":
-        docs = []
-        for row in rows:
-            doc = {"x": row["x"], "pi": row["pi"], "li": row["li"],
-                   "n_exact": row["n_exact"], "n_generic": row["n_generic"]}
-            for key in _RATIONAL_COLUMNS:
-                doc[key] = _frac(row[key])
-            docs.append(doc)
+        docs = [{key: _frac(value) if isinstance(value, Fraction) else value
+                 for key, value in row.items()} for row in rows]
         return json.dumps(docs, indent=2) + "\n"
     lines = [CSV_HEADER]
     for row in rows:
-        cells = [str(row["x"]), str(row["pi"]), _dec(row["li"]),
-                 str(row["n_exact"]), str(row["n_generic"])]
-        cells += [_dec(row[key]) for key in _RATIONAL_COLUMNS]
-        lines.append(",".join(cells))
+        lines.append(",".join(str(value) if isinstance(value, int) else _dec(value)
+                              for value in row.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -234,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--threads", type=int, default=_int_env_threads(),
                    help="worker processes (default: POWSUMDIV_THREADS or 1)")
-    p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a property suite")
@@ -249,8 +221,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # every documented precondition (input range, x bounds, checkpoints,
-        # worker count, segment size) raises ValueError: a usage error
+        # every documented precondition (zero or degenerate input, input
+        # range, x bounds, checkpoints, worker count) raises ValueError: a
+        # usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -145,12 +145,6 @@ def character_table(p: int) -> CharacterTable:
     return CharacterTable(p)
 
 
-def character_order_sum(p: int, d: int, g: int) -> complex:
-    """Sum of chi_j(g) over characters of exact order d; equals the
-    integer c_d([(Z/pZ)* : <g>]) up to float rounding."""
-    return character_table(p).order_sum(d, g)
-
-
 def rational_mod(num: int, den: int, p: int) -> int:
     """num/den as an element of (Z/pZ)*; requires p coprime to den."""
     return num % p * pow(den % p, -1, p) % p

@@ -7,12 +7,16 @@ the maximal-root decomposition |r| = r0**h (h as large as possible), its
 quadratic field Q(sqrt r0) and its discriminant), and the finite list of
 "special" primes p | 2ab that the generic order-parity criterion does not
 cover.
+
+All of these are read off the prime exponents of a and b: decompose
+factors |a| and |b| and nothing else, so every pair below 2^63 decomposes
+in the time of two 63-bit factorisations.
 """
 
 import math
 from dataclasses import dataclass
 
-from .arith import _factorize_cached, squarefree_kernel, v2
+from .arith import _factorize_cached, v2
 
 
 class ZeroInputError(ValueError):
@@ -65,27 +69,6 @@ class BaseProfile:
         return d
 
 
-def special_prime_divides(a: int, b: int, p: int) -> bool:
-    """Does p | 2ab divide a^k + b^k for some k >= 1?
-
-    Decidable without search: if p divides both a and b it divides every
-    term; if it divides exactly one of them, every term is a nonzero
-    residue; p = 2 divides iff a and b are both odd (then every term is
-    even) or both even.
-    """
-    if a == 0 or b == 0:
-        raise ZeroInputError("a and b must be nonzero")
-    da, db = a % p == 0, b % p == 0
-    if not (da or db or p == 2):
-        raise ValueError(f"{p} does not divide 2ab")
-    if da and db:
-        return True
-    if da or db:
-        return False
-    # here p = 2 with a, b both odd
-    return True
-
-
 def decompose(a: int, b: int) -> BaseProfile:
     """Build the BaseProfile of r = a/b.
 
@@ -99,36 +82,28 @@ def decompose(a: int, b: int) -> BaseProfile:
     if abs(a) == abs(b):
         raise DegenerateRatioError("ratio is +-1")
     eps = 1 if (a > 0) == (b > 0) else -1
-    g = math.gcd(abs(a), abs(b))
-    num, den = abs(a) // g, abs(b) // g
+    fac_a, fac_b = dict(_factorize_cached(abs(a))), dict(_factorize_cached(abs(b)))
+    primes = sorted(fac_a.keys() | fac_b.keys())
 
-    fac_num = _factorize_cached(num) if num > 1 else ()
-    fac_den = _factorize_cached(den) if den > 1 else ()
-    h = 0
-    for _, ex in fac_num + fac_den:
-        h = math.gcd(h, ex)
-    r0_num = math.prod(p ** (ex // h) for p, ex in fac_num)
-    r0_den = math.prod(p ** (ex // h) for p, ex in fac_den)
-    e = v2(h)
-
-    kernel = squarefree_kernel(r0_num * r0_den)
+    # |r| = prod p^v(p) with v(p) = v_p(a) - v_p(b), not all 0 as |a| != |b|
+    v = {p: fac_a.get(p, 0) - fac_b.get(p, 0) for p in primes}
+    h = math.gcd(*v.values())
+    num = math.prod(p**ex for p, ex in v.items() if ex > 0)
+    den = math.prod(p**-ex for p, ex in v.items() if ex < 0)
+    r0_num = math.prod(p ** (ex // h) for p, ex in v.items() if ex > 0)
+    r0_den = math.prod(p ** (-ex // h) for p, ex in v.items() if ex < 0)
+    # r0_num * r0_den = prod p^|v(p)/h|: its kernel needs no factorisation
+    kernel = math.prod(p for p, ex in v.items() if ex // h % 2)
     disc = kernel if kernel % 4 == 1 else 4 * kernel
 
-    specials = {2}
-    if abs(a) > 1:
-        specials.update(p for p, _ in _factorize_cached(abs(a)))
-    if abs(b) > 1:
-        specials.update(p for p, _ in _factorize_cached(abs(b)))
-    special_primes = tuple(
-        (p, special_prime_divides(a, b, p)) for p in sorted(specials)
-    )
-    # 2 is always special (it divides 2ab) but only counts toward omega(ab)
-    # when ab is even
-    omega_ab = len(specials) - (0 if a % 2 == 0 or b % 2 == 0 else 1)
+    # A special prime p | 2ab divides every a^k + b^k if it divides both a
+    # and b, and none if it divides exactly one; p = 2 dividing neither
+    # divides every term, a sum of two odd numbers.
+    special_primes = tuple((p, (p in fac_a) == (p in fac_b)) for p in sorted({2, *primes}))
 
     return BaseProfile(
         a=a, b=b, eps=eps, num=num, den=den,
-        r0_num=r0_num, r0_den=r0_den, h=h, e=e,
+        r0_num=r0_num, r0_den=r0_den, h=h, e=v2(h),
         kernel=kernel, discriminant=disc, is_sqrt2=(kernel == 2),
-        special_primes=special_primes, omega_ab=omega_ab,
+        special_primes=special_primes, omega_ab=len(primes),
     )

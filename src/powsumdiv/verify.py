@@ -24,8 +24,6 @@ from .census import (
     _primes_in_range,
 )
 from .cyclic import (
-    CharacterTable,
-    brute_force_valuation_count,
     character_table,
     multiplicative_order,
     order_valuation_count,

@@ -13,10 +13,8 @@ from powsumdiv.arith import (
     euler_phi,
     factorize,
     is_prime,
-    legendre_symbol,
     log_integral,
     moebius,
-    squarefree_kernel,
     v2,
 )
 from powsumdiv.cyclic import rational_mod
@@ -67,33 +65,6 @@ def test_mod_inverse_examples():
 def test_mod_inverse_not_invertible():
     with pytest.raises(ValueError):
         rational_mod(1, 6, 3)
-
-
-# ---------------------------------------------------------------------------
-# Legendre symbol
-
-def test_legendre_examples():
-    # oracle: squares mod 7 are {1,2,4}; mod 5 are {1,4}
-    assert {x * x % 7 for x in range(1, 7)} == {1, 2, 4}
-    assert legendre_symbol(2, 7) == 1
-    assert {x * x % 5 for x in range(1, 5)} == {1, 4}
-    assert legendre_symbol(2, 5) == -1
-    assert legendre_symbol(14, 7) == 0
-
-
-def test_legendre_rejects_two():
-    with pytest.raises(ValueError):
-        legendre_symbol(3, 2)
-
-
-def test_legendre_against_square_enumeration():
-    for p in range(3, 201):
-        if not is_prime(p):
-            continue
-        squares = {x * x % p for x in range(1, p)}
-        for a in range(0, p):
-            want = 0 if a == 0 else (1 if a in squares else -1)
-            assert legendre_symbol(a, p) == want
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +119,6 @@ def test_factorize_reconstruction_and_tables_to_1e5():
     for n in range(1, limit + 1):
         assert euler_phi(n) == phi[n] if n > 1 else True
         assert moebius(n) == mu[n]
-
-
-@pytest.mark.parametrize("n,want", [(8, 2), (36, 1), (12, 3)])
-def test_kernel_examples(n, want):
-    assert squarefree_kernel(n) == want
-
-
-def test_kernel_square_invariance():
-    for n in range(1, 101):
-        for k in range(1, 101):
-            assert squarefree_kernel(n * k * k) == squarefree_kernel(n)
 
 
 def test_phi_mu_examples():

@@ -161,6 +161,18 @@ def test_classify_invariants_small_grid():
                     assert c.leg_r0 in (-1, 1)
 
 
+def test_legendre_against_square_enumeration():
+    # the classifier's Euler criterion against the squares mod p
+    profiles = [decompose(a, b) for a, b in [(2, 1), (-3, 1), (4, 1), (5, 2), (8, 27), (-12, 7)]]
+    for p in sieve_oracle(200)[1:]:
+        squares = {x * x % p for x in range(1, p)}
+        for profile in profiles:
+            c = classify_prime(profile, p)
+            if not c.special:
+                r0 = profile.r0_num * profile.r0_den % p
+                assert c.leg_r0 == (1 if r0 in squares else -1), (profile.a, profile.b, p)
+
+
 def test_odd_order_forced_when_s_below_e():
     # eps = +1 and s <= e make every h-th power odd-order: no p = 3 mod 4
     # divides any 4^k + 1
@@ -214,7 +226,7 @@ def test_heuristics_hand_example():
     assert hc.k1 == Fraction(5, 4) and hc.h1 == Fraction(7, 4)
     # below the least generic prime everything is zero
     hc2 = heuristic_counts(p21, 2)
-    assert hc2 == (0, 0, 0, 0)
+    assert (hc2.k1, hc2.k2, hc2.h1, hc2.h2) == (0, 0, 0, 0)
 
 
 def test_heuristics_nonnegative():
@@ -284,7 +296,7 @@ def test_sweep_monotone_and_consistent():
     last = rows[-1]
     assert last["n_exact"] == count_exact(profile, 10**4)
     hc = heuristic_counts(profile, 10**4)
-    assert (last["h1"], last["h2"], last["k1"], last["k2"]) == hc[2:] + hc[:2]
+    assert (last["h1"], last["h2"], last["k1"], last["k2"]) == (hc.h1, hc.h2, hc.k1, hc.k2)
 
 
 def test_sweep_thread_determinism():

@@ -8,7 +8,6 @@ from powsumdiv.arith import divisors, is_prime, v2
 from powsumdiv.cyclic import (
     CharacterTable,
     brute_force_valuation_count,
-    character_order_sum,
     character_table,
     find_primitive_root,
     multiplicative_order,
@@ -84,22 +83,22 @@ def test_multiplicative_order_against_brute_force():
 
 
 def test_character_order_sum_examples():
-    z = character_order_sum(13, 1, 6)
+    z = character_table(13).order_sum(1, 6)
     assert abs(z - 1) < 1e-8  # only the trivial character has order 1
-    z = character_order_sum(7, 2, 3)
+    z = character_table(7).order_sum(2, 3)
     assert abs(z.imag) < 1e-8 and abs(z.real - (-1)) < 1e-8
     assert ramanujan_c(2, character_table(7).group_index(3)) == -1
     # direct summation oracle at (7, 3, 2): index of <2> in F_7^* is 2
     assert multiplicative_order(2, 7) == 3
     assert character_table(7).group_index(2) == 2
     assert ramanujan_c(3, 2) == -1
-    z = character_order_sum(7, 3, 2)
+    z = character_table(7).order_sum(3, 2)
     assert abs(z.imag) < 1e-8 and abs(z.real - (-1)) < 1e-8
 
 
 def test_character_order_sum_rejects_bad_order():
     with pytest.raises(ValueError):
-        character_order_sum(7, 4, 3)
+        character_table(7).order_sum(4, 3)
 
 
 def test_character_table_small_primes():

@@ -27,6 +27,7 @@ from powsumdiv.census import (
     classify_prime,
     local_factor_k1,
     local_factor_k2,
+    sweep,
 )
 from powsumdiv.profile import decompose
 from powsumdiv.ramanujan import ramanujan_c_2pow
@@ -220,15 +221,23 @@ def test_evaluate_worst_case_histogram(a, b):
 # output frozen at the per-prime implementation
 
 
+CHECKPOINTS_7_3 = [2, 3, 5, 7, 10, 97, 1000, 65535, 65536, 65537, 100000, 131072, 299999, 300000]
+
+
 @pytest.mark.parametrize("argv,golden", [
     (["sweep", "8", "27", "100000", "--format", "json"], "sweep_8_27_100000.json"),
-    (["sweep", "7", "3", "300000", "--checkpoint-list",
-      "2,3,5,7,10,97,1000,65535,65536,65537,100000,131072,299999,300000",
-      "--segment-size", "65536"], "sweep_7_3_checkpoint_list.csv"),
+    (["sweep", "7", "3", "300000", "--checkpoint-list", ",".join(map(str, CHECKPOINTS_7_3))],
+     "sweep_7_3_checkpoint_list.csv"),
 ])
 def test_sweep_matches_golden_output(capsys, argv, golden):
     assert cli.main(argv + ["--threads", "1"]) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_sweep_golden_across_segment_boundaries():
+    # 65535, 65536, 65537 and 131072 sit at the edges of 2^16-wide segments
+    series = sweep(decompose(7, 3), 300000, CHECKPOINTS_7_3, segment_size=1 << 16)
+    assert cli.render_sweep(series, "csv") == (GOLDEN / "sweep_7_3_checkpoint_list.csv").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Ratio decomposition: examples, reconstruction, maximality, scaling."""
 
 import math
+import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from powsumdiv.profile import (
@@ -12,10 +13,12 @@ from powsumdiv.profile import (
     InputRangeError,
     ZeroInputError,
     decompose,
-    special_prime_divides,
 )
 
 nonzero = st.integers(min_value=-10**4, max_value=10**4).filter(lambda n: n != 0)
+
+# primes of 31 to 61 bits, beyond the reach of trial division
+LARGE_PRIMES = [2**31 - 1, 2**61 - 1, 1520995978549360837, 22131189333142891]
 
 
 def _is_rational_power(num: int, den: int, k: int) -> bool:
@@ -74,15 +77,78 @@ def test_decompose_rejects_inputs_beyond_63_bits():
 
 
 def test_special_prime_examples():
-    assert special_prime_divides(2, 1, 2) is False   # 2^k + 1 is odd
-    assert special_prime_divides(3, 5, 2) is True    # odd + odd
-    assert special_prime_divides(6, 10, 2) is True   # divides both
-    assert special_prime_divides(6, 5, 3) is False   # 6^k + 5^k = 5^k mod 3
+    assert dict(decompose(2, 1).special_primes)[2] is False   # 2^k + 1 is odd
+    assert dict(decompose(3, 5).special_primes)[2] is True    # odd + odd
+    assert dict(decompose(6, 10).special_primes)[2] is True   # divides both
+    assert dict(decompose(6, 5).special_primes)[3] is False   # 6^k + 5^k = 5^k mod 3
 
 
 def test_special_prime_rejects_coprime():
-    with pytest.raises(ValueError):
-        special_prime_divides(6, 5, 7)
+    # no prime coprime to 2ab is ever listed as special
+    for a in range(-30, 31):
+        for b in range(1, 31):
+            if a and abs(a) != b:
+                assert all(2 * a * b % p == 0 for p, _ in decompose(a, b).special_primes)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("decompose did not return within 10 s")
+
+
+def test_decompose_two_large_prime_factors():
+    # a = 2 * 1520995978549360837 and b = 3 * 5 * 13 * 22131189333142891:
+    # the kernel of r0 is a 124-bit product, which must not be factored
+    p1, p2 = 1520995978549360837, 22131189333142891
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        p = decompose(3041991957098721674, 4315581919962863745)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert p.h == 1
+    assert p.kernel == 2 * 3 * 5 * 13 * p1 * p2
+    assert p.special_primes == tuple((q, False) for q in (2, 3, 5, 13, p2, p1))
+
+
+def _small_primes(n: int) -> set[int]:
+    return {q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.sampled_from(LARGE_PRIMES), st.integers(0, 2),
+       st.integers(1, 64), st.sampled_from(LARGE_PRIMES), st.integers(0, 2),
+       st.sampled_from((-1, 1)))
+def test_decompose_large_prime_pairs(u, big_p, i, v, big_q, j, sign):
+    a, b = sign * u * big_p**i, v * big_q**j
+    assume(abs(a) < 2**63 and b < 2**63 and abs(a) != b)
+    p = decompose(a, b)
+    assert Fraction(p.r0_num, p.r0_den) ** p.h == Fraction(p.num, p.den) == Fraction(abs(a), b)
+
+    known = _small_primes(u) | _small_primes(v) | {q for q, k in ((big_p, i), (big_q, j)) if k}
+    rest = p.kernel
+    for q in known:
+        assert rest % (q * q) != 0
+        if rest % q == 0:
+            rest //= q
+    assert rest == 1  # squarefree, and only known primes divide it
+    square, remainder = divmod(p.r0_num * p.r0_den, p.kernel)
+    assert remainder == 0 and math.isqrt(square) ** 2 == square
+
+    assert [q for q, _ in p.special_primes] == sorted(known | {2})
+    for q, divides in p.special_primes:
+        assert divides == ((a % q == 0) == (b % q == 0))
+    assert p.omega_ab == len(known)
+
+
+def test_kernel_square_invariance():
+    # a non-square |r| has odd h, so Q(sqrt r0) = Q(sqrt r): the kernel of
+    # r0 is that of |r|, which square factors leave unchanged
+    for n in range(2, 101):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        for k in range(1, 101):
+            assert decompose(n * k * k, 1).kernel == decompose(n, 1).kernel
 
 
 def test_special_primes_listed():
