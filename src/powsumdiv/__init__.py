@@ -6,6 +6,7 @@ from .arith import (
     euler_phi,
     factorize,
     log_integral,
+    log_integrals,
     moebius,
 )
 from .census import (
@@ -28,7 +29,6 @@ from .census import (
 )
 from .cyclic import (
     CharacterTable,
-    brute_force_valuation_count,
     find_primitive_root,
     multiplicative_order,
     order_valuation_count,

@@ -3,11 +3,18 @@ multiplicative functions, and the logarithmic integral.
 
 Everything here is a pure function; results for the multiplicative
 functions are derived from the complete factorization, never from
-floating point.
+floating point.  The logarithmic integral is the one floating-point
+result: adaptive Simpson from 2 with an absolute tolerance, whose bits are
+frozen in the sweep output.  log_integral is the scalar reference and
+log_integrals the batched numpy walk that sweeps use, equal to it bit for
+bit.
 """
 
 import functools
+import itertools
 import math
+
+import numpy as np
 
 # A factorization is a list of (prime, exponent) pairs, primes strictly
 # increasing, exponents >= 1.
@@ -171,6 +178,18 @@ def divisors(n: int) -> list[int]:
     return out
 
 
+# Li(x) is adaptive Simpson from 2 with an absolute tolerance: trees of
+# depth at most _LI_DEPTH, the tolerance cut tenfold (by the same float
+# multiplication each time) up to six times until two estimates agree.
+_LI_DEPTH = 60
+_LI_TOLS = tuple(itertools.accumulate(range(6), lambda tol, _: tol * 0.1, initial=1e-6))
+# log_integrals evaluates the trees of this many roots breadth first, and
+# finishes a level wider than the node budget half by half, so that its live
+# memory is bounded by these constants and does not grow with x.
+_LI_GROUP = 16
+_LI_NODE_BUDGET = 1 << 14
+
+
 def _adaptive_simpson(a: float, fa: float, b: float, fb: float,
                       whole: float, fm: float, tol: float, depth: int) -> float:
     m = 0.5 * (a + b)
@@ -191,25 +210,153 @@ def _li_once(x: float, tol: float) -> float:
     m = 0.5 * (a + b)
     fm = 1.0 / math.log(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(a, fa, b, fb, whole, fm, tol, 60)
+    return _adaptive_simpson(a, fa, b, fb, whole, fm, tol, _LI_DEPTH)
+
+
+def _li_arg(x) -> float:
+    # NaN fails every comparison, so the Simpson recursion would never stop
+    if not 2 <= x < math.inf:
+        raise ValueError(f"log_integral requires finite x >= 2, got {x!r}")
+    return float(x)
+
+
+def _li_converged(prev: float, cur: float) -> bool:
+    return abs(cur - prev) <= 1e-9 * abs(cur)
 
 
 def log_integral(x: float) -> float:
     """Li(x) = integral of dt/log t from 2 to x, by adaptive Simpson.
 
-    The tolerance is tightened until two successive estimates agree to
-    1e-9 relative.
+    The absolute tolerance starts at 1e-6 and is cut tenfold, at most six
+    times, until two successive estimates agree to 1e-9 relative.  The
+    result's bits are part of the frozen sweep output: they depend on the
+    platform's libm ``log``, which ``math.log`` calls.  This scalar
+    recursion is the reference that ``log_integrals`` reproduces.  Because
+    the tolerance is absolute, the cost grows with x: from about 5e10 the
+    trees reach the depth limit and one call takes a second or more, up to
+    tens of seconds towards 2^40.  That is a known limit; bounding it would
+    change the bits.  Raises ValueError for a non-finite x or x < 2.
     """
-    if x < 2:
-        raise ValueError("log_integral requires x >= 2")
+    x = _li_arg(x)
     if x == 2:
         return 0.0
-    tol = 1e-6
-    prev = _li_once(x, tol)
-    for _ in range(6):
-        tol *= 0.1
+    prev = _li_once(x, _LI_TOLS[0])
+    for tol in _LI_TOLS[1:]:
         cur = _li_once(x, tol)
-        if abs(cur - prev) <= 1e-9 * abs(cur):
+        if _li_converged(prev, cur):
             return cur
         prev = cur
     return prev
+
+
+def log_integrals(xs) -> list[float]:
+    """[log_integral(x) for x in xs], bit for bit, in one batched pass.
+
+    A sweep calls this once for all of its checkpoints.  The Simpson trees
+    of up to _LI_GROUP points are walked level by level in numpy, and each
+    node's value is added bottom-up in the same pairs as the recursion.
+    Every log is ``math.log``, never ``np.log``, which can differ from libm
+    in the last bit (it does on about 1e-4 of the doubles below 4096, where
+    every tree has nodes, and more rarely above).  One walk at the finer tolerance of a step serves both
+    estimates: a node's inputs do not depend on the tolerance and the split
+    test is monotone in it, so the coarser tree is a subtree of the finer
+    one.  Memory is bounded by _LI_GROUP and _LI_NODE_BUDGET; time grows
+    with x as for log_integral.  Raises ValueError for a non-finite x or
+    x < 2.
+    """
+    xs = [_li_arg(x) for x in xs]
+    out = [0.0] * len(xs)
+    todo = [i for i, x in enumerate(xs) if x != 2]
+    for start in range(0, len(todo), _LI_GROUP):
+        group = todo[start:start + _LI_GROUP]
+        for coarse, fine in zip(_LI_TOLS, _LI_TOLS[1:]):
+            prevs, curs = _simpson_forest(np.array([xs[i] for i in group]), coarse, fine)
+            pending = []
+            for i, prev, cur in zip(group, prevs.tolist(), curs.tolist()):
+                out[i] = cur
+                if not _li_converged(prev, cur):
+                    pending.append(i)
+            if not pending:
+                break
+            group = pending
+    return out
+
+
+def _logs(v: np.ndarray) -> np.ndarray:
+    # a memoryview yields one float at a time: no list of temporaries
+    return np.fromiter(map(math.log, memoryview(v)), dtype=np.float64, count=len(v))
+
+
+def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.empty(2 * len(x), dtype=x.dtype)
+    out[0::2], out[1::2] = x, y
+    return out
+
+
+def _simpson_forest(b: np.ndarray, coarse: float, fine: float) -> tuple[np.ndarray, np.ndarray]:
+    """(_li_once(x, coarse), _li_once(x, fine)) for each x in b, coarse > fine."""
+    a = np.full_like(b, 2.0)
+    fa, fb = 1.0 / _logs(a), 1.0 / _logs(b)
+    m = 0.5 * (a + b)
+    fm = 1.0 / _logs(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    in_coarse = np.ones(len(b), dtype=bool)
+    return _simpson_level([a, fa, b, fb, whole, fm, in_coarse], coarse, fine, _LI_DEPTH)
+
+
+def _simpson_level(nodes: list, coarse: float, fine: float,
+                   depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse and the fine value of each node of one tree level.
+
+    ``nodes`` holds the arguments of _adaptive_simpson, one array each, and
+    a flag for the nodes of the coarse tree; a node off it gets its leaf
+    value as its (unused) coarse value.  The list is emptied as soon as its
+    arrays are used, so that the levels above the one being walked keep
+    only their leaf values and split masks (and a half still to walk).
+    """
+    width = len(nodes[0])
+    if width > _LI_NODE_BUDGET:
+        half = width // 2
+        upper = [v[half:].copy() for v in nodes]
+        nodes[:] = [v[:half] for v in nodes]
+        lo = _simpson_level(nodes, coarse, fine, depth)
+        hi = _simpson_level(upper, coarse, fine, depth)
+        return np.concatenate((lo[0], hi[0])), np.concatenate((lo[1], hi[1]))
+    leaf, split, split_coarse, children = _simpson_nodes(nodes, coarse, fine, depth)
+    if children is None:
+        return leaf, leaf
+    below_coarse, below_fine = _simpson_level(children, 0.5 * coarse, 0.5 * fine, depth - 1)
+    coarse_value, fine_value = leaf.copy(), leaf
+    fine_value[split] = below_fine[0::2] + below_fine[1::2]
+    pair_coarse = below_coarse[0::2] + below_coarse[1::2]
+    coarse_value[split_coarse] = pair_coarse[split_coarse[split]]
+    return coarse_value, fine_value
+
+
+def _simpson_nodes(nodes: list, coarse: float, fine: float, depth: int):
+    """One step of _adaptive_simpson on every node of a level, emptying
+    ``nodes``: the leaf values, the nodes that split under each tolerance
+    and their children (None if none splits).  Kept apart from
+    _simpson_level so that its temporaries are freed before the level below
+    is walked."""
+    a, fa, b, fb, whole, fm, in_coarse = nodes
+    nodes.clear()
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = 1.0 / _logs(lm), 1.0 / _logs(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    leaf = left + right + delta / 15.0
+    if depth <= 0:
+        return leaf, None, None, None
+    size = np.abs(delta)
+    split = ~(size <= 15.0 * fine)
+    if not split.any():
+        return leaf, None, None, None
+    split_coarse = in_coarse & ~(size <= 15.0 * coarse)
+    children = [_pairs(a[split], m[split]), _pairs(fa[split], fm[split]),
+                _pairs(m[split], b[split]), _pairs(fm[split], fb[split]),
+                _pairs(left[split], right[split]), _pairs(flm[split], frm[split]),
+                np.repeat(split_coarse[split], 2)]
+    return leaf, split, split_coarse, children

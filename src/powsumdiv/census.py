@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .arith import is_prime, log_integral, v2
+from .arith import is_prime, log_integrals, v2
 from .cyclic import character_table, rational_mod
 from .density import delta_naive, delta_table
 from .profile import BaseProfile
@@ -554,7 +554,8 @@ def sweep(
     checkpoint.  Output is identical for any worker count: the work units
     (one per sieve segment, cut at the checkpoints inside it) and their
     merge order depend only on (x_max, checkpoints, segment_size), and
-    merging is integer addition of cell counts.
+    merging is integer addition of cell counts.  Li of every checkpoint
+    comes from one batched log_integrals call.
     """
     _check_bounds(x_max, segment_size)
     if threads < 1:
@@ -575,16 +576,19 @@ def sweep(
         tasks.append((profile, base, lo, hi, cuts))
 
     def collect(results) -> tuple[SweepPoint, ...]:
+        # Li first: with workers it overlaps their folds, and its
+        # temporaries are freed before the fold's are made
+        lis = log_integrals(checkpoints)
         acc = CountAccumulator()
-        points: list[SweepPoint] = []
+        counts: list[Counts] = []
         closes = set(ends)
         for (_, _, _, hi, cuts), pieces in zip(tasks, results):
             for end, cells in zip((*cuts, hi), pieces):
                 acc.merge(_histogram(cells))
                 if end in closes:
-                    points.append(SweepPoint(x=end - 1, counts=_evaluate(profile, acc),
-                                             li=log_integral(end - 1)))
-        return tuple(points)
+                    counts.append(_evaluate(profile, acc))
+        return tuple(SweepPoint(x=x, counts=c, li=li)
+                     for x, c, li in zip(checkpoints, counts, lis, strict=True))
 
     workers = _worker_count(threads, len(tasks))
     if workers == 1:

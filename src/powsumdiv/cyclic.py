@@ -51,17 +51,6 @@ def power_exponent_set(n: int, h: int) -> set[int]:
     return {h * k % n for k in range(n)}
 
 
-def brute_force_valuation_count(n: int, h: int, w: int) -> int:
-    """order_valuation_count by enumeration; the element g0^j has order
-    n/gcd(n, j)."""
-    count = 0
-    for j in power_exponent_set(n, h):
-        order = n // math.gcd(n, j)
-        if v2(order) == w:
-            count += 1
-    return count
-
-
 def multiplicative_order(g: int, p: int) -> int:
     """Least k >= 1 with g^k == 1 mod p, for p prime and p not dividing g."""
     g %= p

@@ -1,12 +1,17 @@
 """Arithmetic kernel: spec examples plus sieve/enumeration cross-checks."""
 
 import math
+import random
+import signal
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powsumdiv import arith
 from powsumdiv.arith import (
     _MR_PSI,
     _TRIAL_LIMIT,
@@ -14,6 +19,7 @@ from powsumdiv.arith import (
     factorize,
     is_prime,
     log_integral,
+    log_integrals,
     moebius,
     v2,
 )
@@ -159,3 +165,66 @@ def test_log_integral_against_oracle_at_many_points():
 def test_log_integral_rejects_below_two():
     with pytest.raises(ValueError):
         log_integral(1.5)
+    with pytest.raises(ValueError):
+        log_integrals([10, 1.5])
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("log_integral did not return")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_log_integral_rejects_non_finite(x):
+    # NaN fails every comparison, so without the check the Simpson
+    # recursion never stops
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError):
+            log_integral(x)
+        with pytest.raises(ValueError):
+            log_integrals([100, x])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+LI_GOLDEN = Path(__file__).parent / "golden" / "li_sweep_dense.txt"
+# the checkpoints of the benchmark's dense sweep; the golden file holds
+# repr(log_integral(x)) for each, as computed before log_integrals existed
+DENSE_GRID = list(range(1000, 2 * 10**6 + 1, 1000))
+
+
+def test_log_integrals_match_golden_bits():
+    assert [repr(v) for v in log_integrals(DENSE_GRID)] == LI_GOLDEN.read_text().split()
+
+
+def test_log_integrals_take_every_log_from_math_log():
+    # np.log differs from libm's log in the last bit on about 1e-4 of these
+    v = np.random.default_rng(4096).uniform(2.0, 4096.0, 200_000)
+    assert arith._logs(v).tolist() == [math.log(x) for x in v.tolist()]
+
+
+def _differential_points():
+    rng = random.Random(20031)
+    # np.log differs from libm's log in the last bit most often below 4096,
+    # and every Simpson tree has nodes there
+    low = [rng.uniform(2.0, 4096.0) for _ in range(500)] + list(range(2, 40))
+    geometric = [10 ** (k / 8) for k in range(3, 81)] + [2**33 + 1, 3 * 10**9]
+    points = low + geometric + [2, 2.0, 777, 777, 1e6, 1e6, 2.5]
+    rng.shuffle(points)
+    return points
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_log_integrals_bit_identical_to_scalar(monkeypatch, budget):
+    if budget is not None:
+        # levels wider than the budget are walked half by half
+        monkeypatch.setattr(arith, "_LI_NODE_BUDGET", budget)
+    points = _differential_points()
+    got = log_integrals(points)
+    assert len(got) == len(points)
+    for x, value in zip(points, got):
+        assert value.hex() == log_integral(x).hex(), x
+    assert log_integrals([]) == []
+    assert log_integrals([2]) == [0.0]

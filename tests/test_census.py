@@ -3,6 +3,7 @@ between every counting route."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,7 @@ from powsumdiv.census import (
     sweep,
     tail_sum,
 )
-from powsumdiv import census
+from powsumdiv import arith, census
 from powsumdiv.arith import log_integral
 from powsumdiv.profile import decompose
 
@@ -278,6 +279,18 @@ def test_sweep_examples():
     assert [pt.x for pt in series.points] == [10, 30]
     for pt in series.points:
         assert pt.li == log_integral(pt.x)
+
+
+def test_sweep_li_column_matches_golden_bits(monkeypatch):
+    # the dense grid of the benchmark; Li comes from the batched pass only
+    def scalar_li(*args):
+        raise AssertionError("sweep called the scalar log_integral")
+
+    monkeypatch.setattr(arith, "_adaptive_simpson", scalar_li)
+    grid = list(range(1000, 2 * 10**6 + 1, 1000))
+    series = sweep(decompose(2, 1), 2 * 10**6, grid)
+    golden = (Path(__file__).parent / "golden" / "li_sweep_dense.txt").read_text().split()
+    assert [repr(pt.li) for pt in series.points] == golden
 
 
 def test_sweep_closed_interval_checkpoints():
