@@ -5,17 +5,23 @@ one histogram.
 Per generic prime p (p not dividing 2ab) the classification computes
 
 * s = v2(p-1),
-* t = v2 of the multiplicative order of r = a/b mod p, found by raising
-  a and b to the odd part of p-1 and squaring both at most s times until
-  they agree (the full order is never computed and p-1 is never factored),
-* the Legendre symbol of the maximal root r0 at p.
+* t = v2 of the multiplicative order of r = a/b mod p,
+* the Legendre symbol of the maximal root r0 at p,
+
+the last two in closed form from t0 = v2 of the order of r0, where
+a/b = eps r0^h as the profile decomposes it.  t0 is found by raising the
+numerator and denominator of r0 to the odd part of p-1 and squaring both
+at most s times until they agree (the full order is never computed and
+p-1 is never factored); r0 is a square iff t0 < s, and t follows from t0,
+e = v2(h) and eps.
 
 p divides some a^k + b^k iff t >= 1.  A sieve segment is classified at
 once in numpy (_classify); classify_prime is the scalar Python-int
-reference.  The only accumulated state is a CountAccumulator: the count of
-primes in each (s, t, Legendre) cell.  Special primes p | 2ab have a column
-of their own (t = 40, bit = "p divides the sequence"), so they enter pi and
-the exact count but no heuristic sum.
+reference, which takes t from r itself and the Legendre symbol from
+Euler's criterion.  The only accumulated state is a CountAccumulator: the
+count of primes in each (s, t, Legendre) cell.  Special primes p | 2ab
+have a column of their own (t = 40, bit = "p divides the sequence"), so
+they enter pi and the exact count but no heuristic sum.
 
 Every counting function is a linear functional of that histogram:
 _evaluate weighs each nonzero cell by a dyadic rational with denominator
@@ -253,10 +259,16 @@ def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.
     """classify_prime for an ascending int64 array of generic primes
     (p odd, p <= 2^40, p not dividing ab): the arrays s, t and leg (+-1).
 
-    With m the odd part of p-1, X = a^m and Y = b^m, so (a/b)^(m 2^k) = 1
-    iff X^(2^k) = Y^(2^k): t is the number of squarings of X and Y until
-    they agree, found without a modular inverse and at most max(s) steps.
-    The Legendre symbol of r0 is Euler's criterion.  Needs |a|, |b| < 2^63.
+    Both t and leg follow from t0 = v2(ord r0), where a/b = eps r0^h.  Let
+    m be the odd part of p-1, k < g the numerator and denominator of r0 in
+    either order (ord r0 = ord 1/r0), X = g^m and Y = k^m: t0 is the number
+    of squarings of X and Y until they agree (of X until it is 1 when
+    k = 1), at most s, with no modular inverse.  r0 is a square iff its
+    order divides (p-1)/2, i.e. iff t0 < s.  The order of r0^h has 2-part
+    exponent u = max(t0 - e, 0), which is t for eps = 1; for eps = -1, as
+    -1 is the only element of order 2 in the cyclic 2-Sylow subgroup,
+    t = u for u >= 2, t = 0 for u = 1 and t = 1 for u = 0.  Needs
+    r0_num, r0_den < 2^63.
     """
     p = primes.view(np.uint64)
     pm1 = p - np.uint64(1)
@@ -267,24 +279,26 @@ def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.
     def residue(n: int) -> np.ndarray:
         return (np.int64(n) % primes).view(np.uint64)
 
-    r0 = mulmod(residue(profile.r0_num), residue(profile.r0_den), p)
-    if profile.b == 1:  # Y = 1: skip its powers
-        x, euler = _pow_many([residue(profile.a), r0], [m, pm1 >> np.uint64(1)], p, mulmod)
-        y = np.ones_like(p)
+    k, g = sorted((profile.r0_num, profile.r0_den))
+    if k == 1:  # Y = 1: compare X against 1
+        (x,) = _pow_many([residue(g)], [m], p, mulmod)
+        y = np.uint64(1)
     else:
-        x, y, euler = _pow_many([residue(profile.a), residue(profile.b), r0],
-                                [m, m, pm1 >> np.uint64(1)], p, mulmod)
-    t = np.zeros(len(p), dtype=np.int64)
-    differ = x != y
+        x, y = _pow_many([residue(g), residue(k)], [m, m], p, mulmod)
+    t0 = np.zeros(len(p), dtype=np.int64)
     for _ in range(int(s.max()) + 1):
+        differ = x != y
         if not differ.any():
             break
-        t += differ
-        x, y = mulmod(x, x, p), mulmod(y, y, p)
-        differ = x != y
+        t0 += differ
+        x = mulmod(x, x, p)
+        if k != 1:
+            y = mulmod(y, y, p)
     else:
-        raise InternalInconsistencyError("(a/b)^(p-1) != 1 mod some p in the segment")
-    return s, t, np.where(euler == 1, 1, -1)
+        raise InternalInconsistencyError("r0^(p-1) != 1 mod some p in the segment")
+    u = np.maximum(t0 - profile.e, 0)
+    t = u if profile.eps == 1 else np.where(u >= 2, u, 1 - u)
+    return s, t, np.where(t0 < s, 1, -1)
 
 
 def local_factor_k1(profile: BaseProfile, s: int) -> Fraction:

@@ -1,6 +1,7 @@
 """The vector classifier and the segment fold against the scalar Python-int
 reference classify_prime, over the whole supported range up to 2^40."""
 
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from powsumdiv.census import (
     MAX_X,
     CountAccumulator,
     Counts,
+    InternalInconsistencyError,
     _classify,
     _evaluate,
     _fold_segment,
@@ -35,10 +37,12 @@ from powsumdiv.verify import PROFILE_GRID
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# b = 1 and b != 1, eps = +-1, e = 0, 1, 2, Q(sqrt 2), a large |D|, and a
-# near-63-bit a
+# b = 1 and b != 1, eps = +-1, e = 0, 1, 2, 4, Q(sqrt 2), a large |D|, a
+# near-63-bit a, eps = -1 with e >= 2 or with r0_den != 1 (where t is not
+# v2 of the order of r0^h), and r0_num = 1
 WIDE_PAIRS = [(2, 1), (-4, 1), (8, 27), (7, 3), (16, 1),
-              (-1000003, 999331), (2**62 + 135, 3), (-(2**63 - 1), 2**63 - 25)]
+              (-1000003, 999331), (2**62 + 135, 3), (-(2**63 - 1), 2**63 - 25),
+              (-16, 1), (-81, 16), (-9, 4), (-(2**48), 1), (-1, 9)]
 
 
 def generic_primes(profile, lo, hi):
@@ -101,6 +105,45 @@ def test_kernel_random_pairs(a, b, lo):
     primes = generic_primes(profile, lo, lo + 2**12)
     if len(primes):
         assert_kernel_matches_oracle(profile, primes)
+
+
+@st.composite
+def power_pairs(draw):
+    """(+-c u^h, c v^h) below 2^63 with u != v: a/b = +-(u/v)^h, so r0 is
+    u/v or a root of it and e >= v2(h); u or v may be 1."""
+    h = draw(st.sampled_from((2, 3, 4, 6, 8, 12, 16)))
+    top = round(2 ** (62 / h))
+    while top**h >= 2**62:
+        top -= 1
+    u, v = draw(st.lists(st.integers(1, top), min_size=2, max_size=2, unique=True))
+    c = draw(st.integers(1, 2**62 // max(u, v) ** h))
+    return draw(st.sampled_from((-1, 1))) * c * u**h, c * v**h
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pair=power_pairs(), lo=st.integers(3, MAX_X - 2**12))
+def test_kernel_power_pairs(pair, lo):
+    profile = decompose(*pair)
+    primes = generic_primes(profile, lo, lo + 2**12)
+    if len(primes):
+        assert_kernel_matches_oracle(profile, primes)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("_classify did not return within 10 s")
+
+
+def test_kernel_squaring_loop_is_bounded():
+    # were 9 passed as a prime, 2^(odd part of 8) = 2 would never square to
+    # 1 mod 9; the loop stops after s + 1 = 4 rounds instead of running forever
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        with pytest.raises(InternalInconsistencyError):
+            _classify(decompose(2, 1), np.array([9], dtype=np.int64))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
