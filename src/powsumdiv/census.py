@@ -9,10 +9,13 @@ Per generic prime p (p not dividing 2ab) the classification computes
 * the Legendre symbol of the maximal root r0 at p,
 
 the last two in closed form from t0 = v2 of the order of r0, where
-a/b = eps r0^h as the profile decomposes it.  t0 is found by raising the
-numerator and denominator of r0 to the odd part of p-1 and squaring both
-at most s times until they agree (the full order is never computed and
-p-1 is never factored); r0 is a square iff t0 < s, and t follows from t0,
+a/b = eps r0^h as the profile decomposes it.  t0 is found by raising r0
+mod p to the odd part of p-1 and squaring at most s times until it is 1
+(the full order is never computed and p-1 is never factored).  When the
+smaller term k of r0 is below 2^16, r0 mod p takes one product with the
+closed-form inverse (1 + j p) / k, j = -p^-1 mod k read from a table;
+otherwise its numerator and denominator are raised separately and squared
+until they agree.  r0 is a square iff t0 < s, and t follows from t0,
 e = v2(h) and eps.
 
 p divides some a^k + b^k iff t >= 1.  A sieve segment is classified at
@@ -220,6 +223,18 @@ def classify_prime(profile: BaseProfile, p: int) -> PrimeClassification:
     return PrimeClassification(p=p, s=s, t=t, leg_r0=leg, divides=t >= 1, special=False)
 
 
+def _mulmod_f53(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x * y mod p for float64 residues of p < 2^26.
+
+    x * y < 2^52 is exact.  If (x*y)/p is not an integer its fractional
+    part lies in [1/p, 1 - 1/p], wider than 2^-26 from either end, while
+    the rounded quotient is within 2^-27 of it: its floor is exact, and so
+    are the product with p and the difference.
+    """
+    z = x * y
+    return z - np.floor(z / p) * p
+
+
 def _mulmod_u64(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     """x * y mod p for residues of p < 2^32, where x * y fits uint64."""
     return x * y % p
@@ -239,20 +254,36 @@ def _mulmod_f64(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.where(r < 0, r + pi, np.where(r >= pi, r - pi, r)).view(np.uint64)
 
 
-def _pow_many(bases: list[np.ndarray], exps: list[np.ndarray], p: np.ndarray,
+def _pow_many(bases: list[np.ndarray], m: np.ndarray, p: np.ndarray,
               mulmod: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
               ) -> list[np.ndarray]:
-    """bases[j] ** exps[j] mod p, elementwise, by right-to-left
-    square-and-multiply with one loop over the bits of the largest exponent."""
-    out = [np.ones_like(p) for _ in bases]
-    nbits = max(int(e.max()) for e in exps).bit_length()
-    for i in range(nbits):
-        shift = np.uint64(i)
-        for j, (b, e) in enumerate(zip(bases, exps)):
-            out[j] = np.where((e >> shift) & np.uint64(1), mulmod(out[j], b, p), out[j])
-        if i + 1 < nbits:
-            bases = [mulmod(b, b, p) for b in bases]
+    """b ** m mod p for each array b of bases, elementwise, for odd
+    exponents m, by right-to-left square-and-multiply over the bits of
+    the largest exponent; bit 0 is set, so each result starts as its base."""
+    out = list(bases)
+    for i in range(1, int(m.max()).bit_length()):
+        bit = ((m >> np.uint64(i)) & np.uint64(1)).astype(bool)
+        bases = [mulmod(b, b, p) for b in bases]
+        out = [np.where(bit, mulmod(o, b, p), o) for o, b in zip(out, bases)]
     return out
+
+
+# The largest k whose closed-form inverse mod p is read from a table.
+_INVERSE_K_LIMIT = 1 << 16
+
+
+@functools.lru_cache(maxsize=16)
+def _negated_inverses(k: int) -> np.ndarray:
+    """-c^-1 mod k at index c, for c in [0, k) prime to k (0 elsewhere)."""
+    return np.array([-pow(c, -1, k) % k if math.gcd(c, k) == 1 else 0 for c in range(k)],
+                    dtype=np.int64)
+
+
+def _inverse(k: int, primes: np.ndarray) -> np.ndarray:
+    """k^-1 mod p in [1, p) for an int64 array of primes p not dividing
+    k < 2^16, as (1 + j p) / k with j = -p^-1 mod k: 1 + j p is divisible
+    by k, below 2^56 for p <= 2^40, and k (1 + j p) / k = 1 mod p."""
+    return (1 + _negated_inverses(k)[primes % k] * primes) // k
 
 
 def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,31 +291,38 @@ def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.
     (p odd, p <= 2^40, p not dividing ab): the arrays s, t and leg (+-1).
 
     Both t and leg follow from t0 = v2(ord r0), where a/b = eps r0^h.  Let
-    m be the odd part of p-1, k < g the numerator and denominator of r0 in
-    either order (ord r0 = ord 1/r0), X = g^m and Y = k^m: t0 is the number
-    of squarings of X and Y until they agree (of X until it is 1 when
-    k = 1), at most s, with no modular inverse.  r0 is a square iff its
-    order divides (p-1)/2, i.e. iff t0 < s.  The order of r0^h has 2-part
-    exponent u = max(t0 - e, 0), which is t for eps = 1; for eps = -1, as
-    -1 is the only element of order 2 in the cyclic 2-Sylow subgroup,
-    t = u for u >= 2, t = 0 for u = 1 and t = 1 for u = 0.  Needs
-    r0_num, r0_den < 2^63.
+    m be the odd part of p-1 and k < g the numerator and denominator of r0
+    in either order (ord r0 = ord 1/r0).  When k < 2^16, X = (g k^-1)^m
+    with k^-1 in closed form (_inverse) and t0 is the number of squarings
+    of X until it is 1; otherwise X = g^m and Y = k^m, and t0 is the number
+    of squarings of both until they agree.  Either way t0 <= s.  r0 is a
+    square iff its order divides (p-1)/2, i.e. iff t0 < s.  The order of
+    r0^h has 2-part exponent u = max(t0 - e, 0), which is t for eps = 1;
+    for eps = -1, as -1 is the only element of order 2 in the cyclic
+    2-Sylow subgroup, t = u for u >= 2, t = 0 for u = 1 and t = 1 for
+    u = 0.  Needs r0_num, r0_den < 2^63.
     """
-    p = primes.view(np.uint64)
-    pm1 = p - np.uint64(1)
+    pm1 = primes.view(np.uint64) - np.uint64(1)
     s = np.bitwise_count(pm1 ^ (pm1 - np.uint64(1))).astype(np.int64) - 1
     m = pm1 >> s.astype(np.uint64)
-    mulmod = _mulmod_u64 if int(primes[-1]) < 1 << 32 else _mulmod_f64
+    # residues and products in float64 below 2^26, else in uint64
+    top = int(primes[-1])
+    mulmod, dtype = ((_mulmod_f53, np.float64) if top < 1 << 26 else
+                     (_mulmod_u64, np.uint64) if top < 1 << 32 else
+                     (_mulmod_f64, np.uint64))
+    p = primes.astype(dtype)
 
     def residue(n: int) -> np.ndarray:
-        return (np.int64(n) % primes).view(np.uint64)
+        return (np.int64(n) % primes).astype(dtype)
 
     k, g = sorted((profile.r0_num, profile.r0_den))
-    if k == 1:  # Y = 1: compare X against 1
-        (x,) = _pow_many([residue(g)], [m], p, mulmod)
-        y = np.uint64(1)
+    single = k < _INVERSE_K_LIMIT
+    if single:  # Y = 1: compare X against 1
+        r0 = mulmod(residue(g), _inverse(k, primes).astype(dtype), p)
+        (x,) = _pow_many([r0], m, p, mulmod)
+        y = 1
     else:
-        x, y = _pow_many([residue(g), residue(k)], [m, m], p, mulmod)
+        x, y = _pow_many([residue(g), residue(k)], m, p, mulmod)
     t0 = np.zeros(len(p), dtype=np.int64)
     for _ in range(int(s.max()) + 1):
         differ = x != y
@@ -292,7 +330,7 @@ def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.
             break
         t0 += differ
         x = mulmod(x, x, p)
-        if k != 1:
+        if not single:
             y = mulmod(y, y, p)
     else:
         raise InternalInconsistencyError("r0^(p-1) != 1 mod some p in the segment")

@@ -23,6 +23,8 @@ from powsumdiv.census import (
     _evaluate,
     _fold_segment,
     _histogram,
+    _inverse,
+    _mulmod_f53,
     _primes_in_range,
     _simple_sieve,
     _worker_count,
@@ -39,10 +41,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # b = 1 and b != 1, eps = +-1, e = 0, 1, 2, 4, Q(sqrt 2), a large |D|, a
 # near-63-bit a, eps = -1 with e >= 2 or with r0_den != 1 (where t is not
-# v2 of the order of r0^h), and r0_num = 1
+# v2 of the order of r0^h), r0_num = 1, and the smaller term of r0 at
+# 2^16 - 1 (the largest inverse table) and 2^16 (two powers)
 WIDE_PAIRS = [(2, 1), (-4, 1), (8, 27), (7, 3), (16, 1),
               (-1000003, 999331), (2**62 + 135, 3), (-(2**63 - 1), 2**63 - 25),
-              (-16, 1), (-81, 16), (-9, 4), (-(2**48), 1), (-1, 9)]
+              (-16, 1), (-81, 16), (-9, 4), (-(2**48), 1), (-1, 9),
+              (65537, 65535), (65537, 65536)]
 
 
 def generic_primes(profile, lo, hi):
@@ -72,6 +76,8 @@ def test_kernel_all_primes_below_1e5(a, b):
 
 
 @pytest.mark.parametrize("lo,hi", [
+    (2**26 - 2**16, 2**26),             # float64 mulmod at its tightest margin
+    (2**26 - 2**15, 2**26 + 2**15),     # straddles 2^26: uint64 mulmod
     (2**32 - 2**16, 2**32),             # uint64 mulmod, just below 2^32
     (2**32 - 2**15, 2**32 + 2**15),     # straddles 2^32: float-quotient mulmod
     (2**40 - 2**16, 2**40),             # just below 2^40
@@ -91,6 +97,29 @@ def test_kernel_large_s():
         primes = generic_primes(profile, p - 2**12, p + 2**12)
         assert p in primes.tolist()
         assert_kernel_matches_oracle(profile, primes)
+
+
+# the largest primes below 2^26, 2^32 and 2^40
+TOP_PRIMES = [2**26 - 5, 2**32 - 5, 2**40 - 87]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 60, 65535])
+def test_inverse_is_exact(k):
+    primes = np.array([q for top in TOP_PRIMES for q in range(top - 2000, top + 1)
+                       if is_prime(q)], dtype=np.int64)
+    for p, inv in zip(primes.tolist(), _inverse(k, primes).tolist()):
+        assert 0 < inv < p and k * inv % p == 1, (k, p)
+
+
+def test_mulmod_f53_is_exact():
+    p = TOP_PRIMES[0]
+    assert is_prime(p)
+    top = np.float64(p - 1)
+    assert _mulmod_f53(top, top, np.float64(p)) == (p - 1) ** 2 % p
+    rng = np.random.default_rng(0)
+    x, y = rng.integers(0, p, size=(2, 10**5))
+    got = _mulmod_f53(x.astype(np.float64), y.astype(np.float64), np.float64(p))
+    assert got.astype(np.int64).tolist() == [a * b % p for a, b in zip(x.tolist(), y.tolist())]
 
 
 nonzero_63 = st.integers(-(2**63) + 1, 2**63 - 1).filter(lambda n: n != 0)

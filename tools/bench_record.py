@@ -1,0 +1,132 @@
+"""Fold the benchmark records of a parent and a change into BENCH_<label>.json.
+
+    python3 tools/bench_record.py --label L --what TEXT --protocol TEXT \\
+        --parent-commit SHA --change-commit SHA PARENT_OUT CHANGE_OUT
+
+PARENT_OUT and CHANGE_OUT are the perfbench/out/ directories of the two
+checkouts.  Each holds one <workload>-seed<n>-trace0.json record per run of
+perfbench/run.py; runs of one workload with the same seed on both sides
+make a pair.  For every workload and every end-to-end metric that
+BENCHMARK.json declares, the record gives each side's median, minimum and
+quartiles over its paired runs, the ratio of the medians (change over
+parent), and the number of pairs the change won, ties counting for
+neither.  The core count and the Python and numpy versions are those of
+the interpreter running this script, so run it on the machine that ran
+the benchmark.  The record is written to the repository root.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORD = re.compile(r"(?P<workload>.+)-seed(?P<seed>-?\d+)-trace0\.json")
+
+
+def load_runs(out_dir: Path) -> dict[tuple[str, int], dict]:
+    """The result of every untraced run in out_dir, by (workload, seed)."""
+    runs = {}
+    for path in sorted(out_dir.iterdir()):
+        match = RECORD.fullmatch(path.name)
+        if match:
+            runs[match["workload"], int(match["seed"])] = json.loads(path.read_text())["result"]
+    return runs
+
+
+def summary(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round6(statistics.median(values)), "min": round6(min(values)),
+            "quartiles": [round6(q1), round6(q3)]}
+
+
+def round6(x: float) -> float:
+    return float(f"{x:.6g}")
+
+
+def fold(parent: dict, change: dict, benchmark: dict) -> dict:
+    """Per workload of the benchmark that has at least two pairs, the paired
+    runs of both sides folded metric by metric."""
+    workloads = {}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
+        if len(seeds) < 2:
+            continue
+        sides = {"parent": [parent[workload, s] for s in seeds],
+                 "change": [change[workload, s] for s in seeds]}
+        metrics = {}
+        for spec in benchmark["end_to_end"]:
+            name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
+            values = {side: [r["metrics"][name]["value"] for r in runs]
+                      for side, runs in sides.items()}
+            metrics[name] = {
+                "unit": spec["unit"], "better": spec["better"],
+                **{side: summary(v) for side, v in values.items()},
+                "change_over_parent": round6(statistics.median(values["change"])
+                                             / statistics.median(values["parent"])),
+                "pairs_won": sum(sign * (c - p) > 0
+                                 for p, c in zip(values["parent"], values["change"])),
+            }
+        workloads[workload] = {
+            "runs_per_side": len(seeds),
+            "seeds": seeds,
+            "correct": {side: all(r["correct"] for r in runs) for side, runs in sides.items()},
+            "failed_share": {side: sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+                             for side, runs in sides.items()},
+            "metrics": metrics,
+        }
+    return workloads
+
+
+def render(value, levels: int = 4, indent: int = 0) -> str:
+    """JSON with the outer `levels` levels of objects one key a line."""
+    if levels == 0 or not isinstance(value, dict) or not value:
+        return json.dumps(value)
+    pad = " " * (indent + 1)
+    items = [f"{pad}{json.dumps(k)}: {render(v, levels - 1, indent + 1)}" for k, v in value.items()]
+    return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--what", required=True)
+    parser.add_argument("--protocol", required=True)
+    parser.add_argument("--parent-commit", required=True)
+    parser.add_argument("--change-commit", required=True)
+    parser.add_argument("parent_out", type=Path)
+    parser.add_argument("change_out", type=Path)
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = fold(load_runs(args.parent_out), load_runs(args.change_out), benchmark)
+    if not workloads:
+        print("error: no workload has two or more paired runs", file=sys.stderr)
+        return 2
+    record = {
+        "label": args.label,
+        "what": args.what,
+        "command": " ".join(benchmark["command"]) + " --workload W --seed N --seconds "
+                   f"{benchmark['run_seconds']} --trace 0",
+        "protocol": args.protocol,
+        "parent_commit": args.parent_commit,
+        "change_commit": args.change_commit,
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "workloads": workloads,
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(render(record) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
