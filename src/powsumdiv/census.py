@@ -268,7 +268,7 @@ def _pow_many(bases: list[np.ndarray], m: np.ndarray, p: np.ndarray,
     return out
 
 
-# The largest k whose closed-form inverse mod p is read from a table.
+# A smaller term k of r0 below this limit is inverted mod p from a table.
 _INVERSE_K_LIMIT = 1 << 16
 
 
