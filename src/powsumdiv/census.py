@@ -8,15 +8,19 @@ Per generic prime p (p not dividing 2ab) the classification computes
 * t = v2 of the multiplicative order of r = a/b mod p,
 * the Legendre symbol of the maximal root r0 at p,
 
-the last two in closed form from t0 = v2 of the order of r0, where
-a/b = eps r0^h as the profile decomposes it.  t0 is found by raising r0
-mod p to the odd part of p-1 and squaring at most s times until it is 1
-(the full order is never computed and p-1 is never factored).  When the
-smaller term k of r0 is below 2^16, r0 mod p takes one product with the
-closed-form inverse (1 + j p) / k, j = -p^-1 mod k read from a table;
-otherwise its numerator and denominator are raised separately and squared
-until they agree.  r0 is a square iff t0 < s, and t follows from t0,
-e = v2(h) and eps.
+where a/b = eps r0^h as the profile decomposes it.  The Legendre symbol
+comes first: it equals (kernel/p), and for a kernel below 2^16 it is read
+from a table of period 4 * kernel (quadratic reciprocity).  t follows
+from e = v2(h), eps and t0 = v2 of the order of r0.  (r0/p) = -1 means
+t0 = s, and (r0/p) = +1 with s <= e+1 means t0 <= e, where t is the same
+for every t0.  Only the rest, (r0/p) = +1 with s >= e+2, about one prime
+in four, raise r0 mod p to the odd part of p-1 and square at most s times
+until it is 1 (the full order is never computed and p-1 is never
+factored).  For a larger kernel every prime does, and (r0/p) = +1 iff
+t0 < s.  When the smaller term k of r0 is below 2^16, r0 mod p takes one
+product with the closed-form inverse (1 + j p) / k, j = -p^-1 mod k read
+from a table; otherwise its numerator and denominator are raised
+separately and squared until they agree.
 
 p divides some a^k + b^k iff t >= 1.  A sieve segment is classified at
 once in numpy (_classify); classify_prime is the scalar Python-int
@@ -47,7 +51,7 @@ from typing import Callable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .arith import is_prime, log_integrals, v2
+from .arith import _factorize_cached, is_prime, log_integrals, v2
 from .cyclic import character_table, rational_mod
 from .density import delta_naive, delta_table
 from .profile import BaseProfile
@@ -240,18 +244,23 @@ def _mulmod_u64(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return x * y % p
 
 
-def _mulmod_f64(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x * y mod p for residues of p < 2^40.
+def _mulmod_f64(x: np.ndarray, y: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
+    """x * y mod p for uint64 residues of p < 2^40, given p_inv = 1/p in
+    float64.
 
-    The float64 quotient of x * y < 2^80 by p is within 2^-12 of the true
-    one, so its floor q is off by at most 1 and x*y - q*p, taken in
-    wrapping uint64 and read as int64, lies in [-p, 2p): one correction
-    brings it into [0, p).
+    The exact quotient Q = x*y/p is below p < 2^40.  x and y convert
+    exactly, so c = fl(fl(x y) p_inv) carries three roundings of relative
+    error at most 2^-53 each and lies within 2^-11 of Q.  Subtracting 1/2
+    rounds by at most half an ulp below 2^40, 2^-14, so d = fl(c - 1/2)
+    lies in (Q - 1, Q).  Truncated toward zero it gives q = floor(Q) - 1
+    or floor(Q): for d >= 0 that is floor(d), and for d in (-1, 0) it is
+    0 while Q < 1 + d < 1.  So x*y - q*p, taken in wrapping uint64, is the
+    true difference, in [0, 2p), and min(r, r - p), where r - p wraps to
+    above 2^63 when r < p, brings it into [0, p).
     """
-    q = (x.astype(np.float64) * y.astype(np.float64) / p.astype(np.float64)).astype(np.uint64)
-    r = (x * y - q * p).view(np.int64)
-    pi = p.view(np.int64)
-    return np.where(r < 0, r + pi, np.where(r >= pi, r - pi, r)).view(np.uint64)
+    q = (x.astype(np.float64) * y.astype(np.float64) * p_inv - 0.5).astype(np.int64)
+    r = x * y - q.view(np.uint64) * p
+    return np.minimum(r, r - p)
 
 
 def _pow_many(bases: list[np.ndarray], m: np.ndarray, p: np.ndarray,
@@ -286,30 +295,66 @@ def _inverse(k: int, primes: np.ndarray) -> np.ndarray:
     return (1 + _negated_inverses(k)[primes % k] * primes) // k
 
 
-def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """classify_prime for an ascending int64 array of generic primes
-    (p odd, p <= 2^40, p not dividing ab): the arrays s, t and leg (+-1).
+# A kernel below this limit reads the Legendre symbol of r0 from a table of
+# 4 * kernel int8 entries, at most 256 KiB.  Measured on a 2-core VM,
+# building one took 0.04 ms at kernel 3599, 0.8 ms at 65521 and 5 ms at
+# 255255, while the table saves about 2 ms on each chunk of 2^13 primes
+# near 5e6: below 2^16 one full chunk repays the table.
+_LEGENDRE_KERNEL_LIMIT = 1 << 16
 
-    Both t and leg follow from t0 = v2(ord r0), where a/b = eps r0^h.  Let
-    m be the odd part of p-1 and k < g the numerator and denominator of r0
-    in either order (ord r0 = ord 1/r0).  When k < 2^16, X = (g k^-1)^m
+
+@functools.lru_cache(maxsize=16)
+def _legendre_table(kernel: int) -> np.ndarray:
+    """The Jacobi symbol (kernel/n) at index n in [0, 4 kernel) for odd n
+    (0 for even n), as int8, for a squarefree kernel >= 2.
+
+    For an odd prime p not dividing the kernel, (kernel/p) is the entry at
+    p mod 4 kernel.  The symbol is multiplicative over the prime factors q
+    of the kernel.  For odd q, reciprocity gives (q/n) = (n mod q / q)
+    times -1 when q = n = 3 mod 4: the first factor repeats with period q
+    and is read off the squares mod q.  (2/n) is -1 iff n = 3 or 5 mod 8.
+    So the table is a product of periodic patterns, each tiled to the full
+    period: one per odd q, and one of period 8 for the signs.
+    """
+    period = 4 * kernel
+    signs = np.array([0, 1] * 4, dtype=np.int8)  # at n mod 8
+    table = np.ones(period, dtype=np.int8)
+    for q, _ in _factorize_cached(kernel):
+        if q == 2:
+            signs[[3, 5]] *= -1
+            continue
+        if q & 3 == 3:
+            signs[[3, 7]] *= -1
+        squares = np.full(q, -1, dtype=np.int8)
+        squares[0] = 0
+        squares[np.arange(1, q // 2 + 1) ** 2 % q] = 1
+        table *= np.tile(squares, period // q)
+    if kernel & 1:  # the period is 4 mod 8, and the signs repeat with period 4
+        signs = signs[:4]
+    return table * np.tile(signs, period // len(signs))
+
+
+def _r0_valuation(profile: BaseProfile, primes: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """t0 = v2(ord r0) for an ascending int64 array of generic primes with
+    s = v2(p-1).
+
+    Let m be the odd part of p-1 and k < g the numerator and denominator of
+    r0 in either order (ord r0 = ord 1/r0).  When k < 2^16, X = (g k^-1)^m
     with k^-1 in closed form (_inverse) and t0 is the number of squarings
     of X until it is 1; otherwise X = g^m and Y = k^m, and t0 is the number
-    of squarings of both until they agree.  Either way t0 <= s.  r0 is a
-    square iff its order divides (p-1)/2, i.e. iff t0 < s.  The order of
-    r0^h has 2-part exponent u = max(t0 - e, 0), which is t for eps = 1;
-    for eps = -1, as -1 is the only element of order 2 in the cyclic
-    2-Sylow subgroup, t = u for u >= 2, t = 0 for u = 1 and t = 1 for
-    u = 0.  Needs r0_num, r0_den < 2^63.
+    of squarings of both until they agree.  Either way t0 <= s, so the
+    loop gives up after max(s) + 1 rounds.  Needs r0_num, r0_den < 2^63.
     """
-    pm1 = primes.view(np.uint64) - np.uint64(1)
-    s = np.bitwise_count(pm1 ^ (pm1 - np.uint64(1))).astype(np.int64) - 1
-    m = pm1 >> s.astype(np.uint64)
+    m = (primes.view(np.uint64) - np.uint64(1)) >> s.astype(np.uint64)
     # residues and products in float64 below 2^26, else in uint64
     top = int(primes[-1])
-    mulmod, dtype = ((_mulmod_f53, np.float64) if top < 1 << 26 else
-                     (_mulmod_u64, np.uint64) if top < 1 << 32 else
-                     (_mulmod_f64, np.uint64))
+    if top < 1 << 26:
+        mulmod, dtype = _mulmod_f53, np.float64
+    elif top < 1 << 32:
+        mulmod, dtype = _mulmod_u64, np.uint64
+    else:
+        mulmod = functools.partial(_mulmod_f64, p_inv=1 / primes.astype(np.float64))
+        dtype = np.uint64
     p = primes.astype(dtype)
 
     def residue(n: int) -> np.ndarray:
@@ -327,16 +372,47 @@ def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.
     for _ in range(int(s.max()) + 1):
         differ = x != y
         if not differ.any():
-            break
+            return t0
         t0 += differ
         x = mulmod(x, x, p)
         if not single:
             y = mulmod(y, y, p)
+    raise InternalInconsistencyError("r0^(p-1) != 1 mod some p in the segment")
+
+
+def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """classify_prime for an ascending int64 array of generic primes
+    (p odd, p <= 2^40, p not dividing ab): the arrays s, t and leg (+-1).
+
+    t follows from t0 = v2(ord r0), where a/b = eps r0^h.  The order of
+    r0^h has 2-part exponent u = max(t0 - e, 0), which is t for eps = 1;
+    for eps = -1, as -1 is the only element of order 2 in the cyclic
+    2-Sylow subgroup, t = u for u >= 2, t = 0 for u = 1 and t = 1 for
+    u = 0.  r0 is a square iff its order divides (p-1)/2, i.e. iff t0 < s.
+
+    r0_num r0_den is the kernel times a square prime to p, so
+    leg = (kernel/p).  Below _LEGENDRE_KERNEL_LIMIT it is read from
+    _legendre_table.  Then leg = -1 gives t0 = s, and leg = +1 with
+    s <= e+1 gives t0 < s <= e+1, so u = 0 whatever t0 is.  Only the
+    primes with leg = +1 and s >= e+2, about one in four, raise r0 to a
+    power (_r0_valuation).  For a larger kernel every prime does, and
+    leg = +1 iff t0 < s.
+    """
+    pm1 = primes.view(np.uint64) - np.uint64(1)
+    s = np.bitwise_count(pm1 ^ (pm1 - np.uint64(1))).astype(np.int64) - 1
+    kernel = profile.kernel
+    if kernel < _LEGENDRE_KERNEL_LIMIT:
+        leg = _legendre_table(kernel)[primes % (4 * kernel)]
+        t0 = np.where(leg < 0, s, 0)  # 0 stands for any t0 <= e
+        power = (leg > 0) & (s >= profile.e + 2)
+        if power.any():
+            t0[power] = _r0_valuation(profile, primes[power], s[power])
     else:
-        raise InternalInconsistencyError("r0^(p-1) != 1 mod some p in the segment")
+        t0 = _r0_valuation(profile, primes, s)
+        leg = np.where(t0 < s, 1, -1)
     u = np.maximum(t0 - profile.e, 0)
     t = u if profile.eps == 1 else np.where(u >= 2, u, 1 - u)
-    return s, t, np.where(t0 < s, 1, -1)
+    return s, t, leg
 
 
 def local_factor_k1(profile: BaseProfile, s: int) -> Fraction:

@@ -251,18 +251,11 @@ def check_densities(bound: int = 30) -> CheckResult:
     return checked, failures
 
 
-def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
-    """Order-parity classification vs direct search for a k <= 2p with
-    p | a^k + b^k, over every admissible pair |a|, |b| <= coeff_bound."""
-    if p_limit > 46340:
-        raise ValueError("p_limit must be <= 46340, so residue products fit int32")
-    primes = _primes_in_range(2, p_limit + 1)
-    pairs = [
-        (a, b)
-        for a in range(-coeff_bound, coeff_bound + 1)
-        for b in range(-coeff_bound, coeff_bound + 1)
-        if a != 0 and b != 0 and abs(a) != abs(b)
-    ]
+def _first_k(pairs: list[tuple[int, int]], primes: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """The least k <= bounds[j] with primes[j] | a^k + b^k, or 0 if there is
+    none, for each pair (a, b) (rows) and each prime (columns), by direct
+    search.  primes ascend below 46341, so residue products fit int32, and
+    bounds must not decrease."""
     a_col = np.array([p[0] for p in pairs], dtype=np.int32)[:, None]
     b_col = np.array([p[1] for p in pairs], dtype=np.int32)[:, None]
     P = primes.astype(np.int32)
@@ -272,10 +265,10 @@ def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
     cur_b = base_b.copy()
     first_k = np.zeros(base_a.shape, dtype=np.int32)
     col = 0
-    for k in range(1, 2 * int(primes[-1]) + 1):
-        # only the columns with k <= 2p are searched, a suffix as the
-        # primes ascend
-        while 2 * P[col] < k:
+    for k in range(1, bounds[-1] + 1):
+        # only the columns with k <= bound are searched, a suffix as the
+        # bounds ascend
+        while bounds[col] < k:
             col += 1
         ca, cb, pj, fk = cur_a[:, col:], cur_b[:, col:], P[col:], first_k[:, col:]
         if k > 1:
@@ -285,7 +278,31 @@ def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
         hit = ((ca + cb) % pj == 0) & (fk == 0)
         if hit.any():
             fk[hit] = k
-    expected = first_k > 0
+    return first_k
+
+
+def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
+    """Order-parity classification vs direct search for a k with
+    p | a^k + b^k, over every admissible pair |a|, |b| <= coeff_bound.
+
+    Searching k <= max(1, (p-1)/2) decides every case.  If p divides
+    exactly one of a and b, p never divides a^k + b^k.  If p divides both,
+    or p = 2 (a + b is even when both are odd, and a^k + b^k is odd when
+    one is), k = 1 decides.  Otherwise p | a^k + b^k iff r^k = -1 for
+    r = a/b mod p; then r^2k = 1 and r^k != 1, so ord r = d is even, and
+    as -1 is the only element of order 2 in the cyclic group (Z/pZ)*,
+    r^k = -1 iff k = d/2 mod d.  The first such k is d/2 <= (p-1)/2.
+    """
+    if p_limit > 46340:
+        raise ValueError("p_limit must be <= 46340, so residue products fit int32")
+    primes = _primes_in_range(2, p_limit + 1)
+    pairs = [
+        (a, b)
+        for a in range(-coeff_bound, coeff_bound + 1)
+        for b in range(-coeff_bound, coeff_bound + 1)
+        if a != 0 and b != 0 and abs(a) != abs(b)
+    ]
+    expected = _first_k(pairs, primes, [max(1, (p - 1) // 2) for p in primes.tolist()]) > 0
 
     checked = 0
     failures: list[str] = []

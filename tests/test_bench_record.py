@@ -65,11 +65,34 @@ def test_main_writes_the_record(tmp_path, monkeypatch):
     write_runs(tmp_path / "p", "sweep-dense", runs, names)
     write_runs(tmp_path / "c", "sweep-dense", runs, names)
     argv = ["--label", "x", "--what", "w", "--protocol", "pr", "--parent-commit", "a",
-            "--change-commit", "b", str(tmp_path / "p"), str(tmp_path / "c")]
+            "--change-commit", "b", "--sweep", "1000000000", "38,37,39", "25,26,24",
+            str(tmp_path / "p"), str(tmp_path / "c")]
     assert bench_record.main(argv) == 0
     record = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert (record["label"], record["parent_commit"], record["change_commit"]) == ("x", "a", "b")
     assert {"cores", "python", "numpy"} <= record.keys()
     assert record["workloads"]["sweep-dense"]["metrics"]["wall_s"]["pairs_won"] == 0
+    assert record["sweeps"] == {"powsumdiv sweep 2 1 1000000000 --threads 1": {
+        "unit": "s", "better": "lower",
+        "parent": {"median": 38, "min": 37, "quartiles": [37.5, 38.5]},
+        "change": {"median": 25, "min": 24, "quartiles": [24.5, 25.5]},
+        "change_over_parent": 0.657895, "pairs_won": 3}}
     (tmp_path / "empty").mkdir()
     assert bench_record.main(argv[:-1] + [str(tmp_path / "empty")]) == 2
+    # one time per side, or sides of different lengths, make no record
+    for times in (["38", "25"], ["38,37", "25"]):
+        bad = argv[:11] + times + argv[13:]
+        assert bench_record.main(bad) == 2
+
+
+def test_sweeps_are_optional(tmp_path, monkeypatch):
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = {seed: (1.0, 1.0, 0) for seed in (1, 2)}
+    write_runs(tmp_path / "p", "query-mix", runs, names)
+    write_runs(tmp_path / "c", "query-mix", runs, names)
+    argv = ["--label", "y", "--what", "w", "--protocol", "pr", "--parent-commit", "a",
+            "--change-commit", "b", str(tmp_path / "p"), str(tmp_path / "c")]
+    assert bench_record.main(argv) == 0
+    assert json.loads((tmp_path / "BENCH_y.json").read_text())["sweeps"] == {}

@@ -1,6 +1,7 @@
 """The vector classifier and the segment fold against the scalar Python-int
 reference classify_prime, over the whole supported range up to 2^40."""
 
+import math
 import signal
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from powsumdiv import cli
 from powsumdiv.arith import is_prime
 from powsumdiv.census import (
+    _LEGENDRE_KERNEL_LIMIT,
     _S_CELLS,
     _SPECIAL_T,
     MAX_X,
@@ -24,7 +26,9 @@ from powsumdiv.census import (
     _fold_segment,
     _histogram,
     _inverse,
+    _legendre_table,
     _mulmod_f53,
+    _mulmod_f64,
     _primes_in_range,
     _simple_sieve,
     _worker_count,
@@ -41,12 +45,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # b = 1 and b != 1, eps = +-1, e = 0, 1, 2, 4, Q(sqrt 2), a large |D|, a
 # near-63-bit a, eps = -1 with e >= 2 or with r0_den != 1 (where t is not
-# v2 of the order of r0^h), r0_num = 1, and the smaller term of r0 at
-# 2^16 - 1 (the largest inverse table) and 2^16 (two powers)
+# v2 of the order of r0^h), r0_num = 1, the smaller term of r0 at
+# 2^16 - 1 (the largest inverse table) and 2^16 (two powers), and the
+# kernel at 2^16 - 1 (the largest Legendre table) and 2^16 + 1 (none)
 WIDE_PAIRS = [(2, 1), (-4, 1), (8, 27), (7, 3), (16, 1),
               (-1000003, 999331), (2**62 + 135, 3), (-(2**63 - 1), 2**63 - 25),
               (-16, 1), (-81, 16), (-9, 4), (-(2**48), 1), (-1, 9),
-              (65537, 65535), (65537, 65536)]
+              (65537, 65535), (65537, 65536), (65535, 1), (65537, 1)]
 
 
 def generic_primes(profile, lo, hi):
@@ -99,6 +104,43 @@ def test_kernel_large_s():
         assert_kernel_matches_oracle(profile, primes)
 
 
+def test_legendre_table_switch():
+    assert decompose(65535, 1).kernel == _LEGENDRE_KERNEL_LIMIT - 1
+    assert decompose(65537, 1).kernel == _LEGENDRE_KERNEL_LIMIT + 1
+
+
+@pytest.mark.parametrize("a,b", [(2, 1), (-16, 1), (49, 9), (65535, 1), (65537, 1)])
+def test_kernel_legendre_routes(a, b):
+    # Q(sqrt 2), eps = -1 with e = 2, e = 1 with kernel 21, and both sides
+    # of the table switch.  Each takes every route of _classify: leg = -1
+    # (t0 = s), leg = +1 with s <= e+1 (no power) and with s >= e+2
+    profile = decompose(a, b)
+    primes = generic_primes(profile, 5 * 10**6, 5 * 10**6 + 2**15)
+    assert_kernel_matches_oracle(profile, primes)
+    s, _, leg = _classify(profile, primes)
+    routes = np.where(leg < 0, 0, np.where(s >= profile.e + 2, 2, 1))
+    assert set(routes.tolist()) == {0, 1, 2}
+    if profile.is_sqrt2:
+        # (2/p) = -1 for p = 5 mod 8 (s = 2), +1 for p = 1 mod 8 (s >= 3)
+        assert (leg[s == 2] == -1).all() and (leg[s >= 3] == 1).all()
+
+
+@pytest.mark.parametrize("kernel", [2, 5, 7, 30, 105, 231, 3599])
+def test_legendre_table_against_euler(kernel):
+    # kernels = 2, 1, 3, 2, 1, 3, 3 mod 4: the entry of every odd class
+    # prime to the kernel against Euler's criterion at a prime of that
+    # class, and 0 at every other entry
+    period = 4 * kernel
+    table = _legendre_table(kernel)
+    assert table.dtype == np.int8 and len(table) == period
+    for n, leg in enumerate(table.tolist()):
+        if n % 2 == 0 or math.gcd(n, kernel) > 1:
+            assert leg == 0, (kernel, n)
+            continue
+        p = next(q for q in range(n, n + 1000 * period, period) if q > 2 and is_prime(q))
+        assert leg == (1 if pow(kernel, (p - 1) // 2, p) == 1 else -1), (kernel, n)
+
+
 # the largest primes below 2^26, 2^32 and 2^40
 TOP_PRIMES = [2**26 - 5, 2**32 - 5, 2**40 - 87]
 
@@ -120,6 +162,20 @@ def test_mulmod_f53_is_exact():
     x, y = rng.integers(0, p, size=(2, 10**5))
     got = _mulmod_f53(x.astype(np.float64), y.astype(np.float64), np.float64(p))
     assert got.astype(np.int64).tolist() == [a * b % p for a, b in zip(x.tolist(), y.tolist())]
+
+
+def test_mulmod_f64_is_exact():
+    p = TOP_PRIMES[2]
+    assert is_prime(p)
+    rng = np.random.default_rng(0)
+    x, y = rng.integers(0, p, size=(2, 10**5))
+    # the extremes: quotients near 0 and near p, and products next to a multiple of p
+    edge = [0, 1, 2, p - 2, p - 1, (p + 1) // 2]
+    x = np.concatenate([x, np.repeat(edge, len(edge))]).astype(np.uint64)
+    y = np.concatenate([y, np.tile(edge, len(edge))]).astype(np.uint64)
+    pp = np.full(len(x), p, dtype=np.uint64)
+    got = _mulmod_f64(x, y, pp, 1 / pp.astype(np.float64))
+    assert got.tolist() == [a * b % p for a, b in zip(x.tolist(), y.tolist())]
 
 
 nonzero_63 = st.integers(-(2**63) + 1, 2**63 - 1).filter(lambda n: n != 0)

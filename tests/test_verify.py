@@ -27,3 +27,15 @@ def test_reduced_bounds_all_pass():
     checked, failures = verify.check_local_factors(
         p_limit=500, checkpoints=(100, 500))
     assert failures == []
+
+
+def test_oracle_search_bound_finds_every_first_k():
+    # check_oracle searches k <= max(1, (p-1)/2); the first hit it finds
+    # is the one a search to k <= 2p finds, for every pair and prime
+    primes = verify._primes_in_range(2, 300)
+    pairs = [(a, b) for a in range(-12, 13) for b in range(-12, 13)
+             if a and b and abs(a) != abs(b)]
+    wide = verify._first_k(pairs, primes, [2 * p for p in primes.tolist()])
+    short = verify._first_k(pairs, primes, [max(1, (p - 1) // 2) for p in primes.tolist()])
+    assert (wide > 0).any() and (wide == 0).any()
+    assert short.tolist() == wide.tolist()

@@ -1,7 +1,8 @@
 """Fold the benchmark records of a parent and a change into BENCH_<label>.json.
 
     python3 tools/bench_record.py --label L --what TEXT --protocol TEXT \\
-        --parent-commit SHA --change-commit SHA PARENT_OUT CHANGE_OUT
+        --parent-commit SHA --change-commit SHA \\
+        [--sweep X PARENT_S CHANGE_S ...] PARENT_OUT CHANGE_OUT
 
 PARENT_OUT and CHANGE_OUT are the perfbench/out/ directories of the two
 checkouts.  Each holds one <workload>-seed<n>-trace0.json record per run of
@@ -10,9 +11,11 @@ make a pair.  For every workload and every end-to-end metric that
 BENCHMARK.json declares, the record gives each side's median, minimum and
 quartiles over its paired runs, the ratio of the medians (change over
 parent), and the number of pairs the change won, ties counting for
-neither.  The core count and the Python and numpy versions are those of
-the interpreter running this script, so run it on the machine that ran
-the benchmark.  The record is written to the repository root.
+neither.  Each --sweep gives the wall times, in seconds and separated by
+commas, of ``powsumdiv sweep 2 1 X --threads 1`` on each side, run in
+alternating pairs; the record folds them the same way.  The core count
+and the Python and numpy versions are those of the interpreter running
+this script, so run it on the machine that ran the benchmark.  The record is written to the repository root.
 """
 
 import argparse
@@ -50,6 +53,18 @@ def round6(x: float) -> float:
     return float(f"{x:.6g}")
 
 
+def compare(parent: list[float], change: list[float], unit: str, better: str) -> dict:
+    """Both sides' summaries of one metric over paired runs, the ratio of
+    the medians and the number of pairs the change won."""
+    sign = 1 if better == "higher" else -1
+    return {
+        "unit": unit, "better": better,
+        "parent": summary(parent), "change": summary(change),
+        "change_over_parent": round6(statistics.median(change) / statistics.median(parent)),
+        "pairs_won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+    }
+
+
 def fold(parent: dict, change: dict, benchmark: dict) -> dict:
     """Per workload of the benchmark that has at least two pairs, the paired
     runs of both sides folded metric by metric."""
@@ -62,17 +77,10 @@ def fold(parent: dict, change: dict, benchmark: dict) -> dict:
                  "change": [change[workload, s] for s in seeds]}
         metrics = {}
         for spec in benchmark["end_to_end"]:
-            name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
-            values = {side: [r["metrics"][name]["value"] for r in runs]
-                      for side, runs in sides.items()}
-            metrics[name] = {
-                "unit": spec["unit"], "better": spec["better"],
-                **{side: summary(v) for side, v in values.items()},
-                "change_over_parent": round6(statistics.median(values["change"])
-                                             / statistics.median(values["parent"])),
-                "pairs_won": sum(sign * (c - p) > 0
-                                 for p, c in zip(values["parent"], values["change"])),
-            }
+            name = spec["name"]
+            values = [[r["metrics"][name]["value"] for r in sides[side]]
+                      for side in ("parent", "change")]
+            metrics[name] = compare(*values, spec["unit"], spec["better"])
         workloads[workload] = {
             "runs_per_side": len(seeds),
             "seeds": seeds,
@@ -82,6 +90,18 @@ def fold(parent: dict, change: dict, benchmark: dict) -> dict:
             "metrics": metrics,
         }
     return workloads
+
+
+def sweep_times(specs: list[list[str]]) -> dict:
+    """The --sweep wall times folded per command, or ValueError when a side
+    has fewer than two times or the sides differ in length."""
+    sweeps = {}
+    for x, *sides in specs:
+        parent, change = ([float(t) for t in side.split(",")] for side in sides)
+        if len(parent) < 2 or len(parent) != len(change):
+            raise ValueError(f"--sweep {x}: give two or more times per side, as many on each")
+        sweeps[f"powsumdiv sweep 2 1 {int(x)} --threads 1"] = compare(parent, change, "s", "lower")
+    return sweeps
 
 
 def render(value, levels: int = 4, indent: int = 0) -> str:
@@ -100,6 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--protocol", required=True)
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--change-commit", required=True)
+    parser.add_argument("--sweep", nargs=3, action="append", default=[],
+                        metavar=("X", "PARENT_S", "CHANGE_S"))
     parser.add_argument("parent_out", type=Path)
     parser.add_argument("change_out", type=Path)
     args = parser.parse_args(argv)
@@ -108,6 +130,11 @@ def main(argv: list[str] | None = None) -> int:
     workloads = fold(load_runs(args.parent_out), load_runs(args.change_out), benchmark)
     if not workloads:
         print("error: no workload has two or more paired runs", file=sys.stderr)
+        return 2
+    try:
+        sweeps = sweep_times(args.sweep)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     record = {
         "label": args.label,
@@ -121,6 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "workloads": workloads,
+        "sweeps": sweeps,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(render(record) + "\n")
