@@ -297,7 +297,7 @@ def _inverse(k: int, primes: np.ndarray) -> np.ndarray:
 
 # A kernel below this limit reads the Legendre symbol of r0 from a table of
 # 4 * kernel int8 entries, at most 256 KiB.  Measured on a 2-core VM,
-# building one took 0.04 ms at kernel 3599, 0.8 ms at 65521 and 5 ms at
+# building one took 0.04 ms at kernel 3599, 0.8 ms at 65521 and 5-6 ms at
 # 255255, while the table saves about 2 ms on each chunk of 2^13 primes
 # near 5e6: below 2^16 one full chunk repays the table.
 _LEGENDRE_KERNEL_LIMIT = 1 << 16
