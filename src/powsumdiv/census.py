@@ -22,13 +22,14 @@ product with the closed-form inverse (1 + j p) / k, j = -p^-1 mod k read
 from a table; otherwise its numerator and denominator are raised
 separately and squared until they agree.
 
-p divides some a^k + b^k iff t >= 1.  A sieve segment is classified at
-once in numpy (_classify); classify_prime is the scalar Python-int
-reference, which takes t from r itself and the Legendre symbol from
-Euler's criterion.  The only accumulated state is a CountAccumulator: the
-count of primes in each (s, t, Legendre) cell.  Special primes p | 2ab
-have a column of their own (t = 40, bit = "p divides the sequence"), so
-they enter pi and the exact count but no heuristic sum.
+p divides some a^k + b^k iff t >= 1.  The sieve marks odd numbers only,
+and each segment is classified by one numpy call (_classify);
+classify_prime is the scalar Python-int reference, which takes t from r
+itself and the Legendre symbol from Euler's criterion.  The only
+accumulated state is a CountAccumulator: the count of primes in each
+(s, t, Legendre) cell.  Special primes p | 2ab have a column of their own
+(t = 40, bit = "p divides the sequence"), so they enter pi and the exact
+count but no heuristic sum.
 
 Every counting function is a linear functional of that histogram:
 _evaluate weighs each nonzero cell by a dyadic rational with denominator
@@ -159,7 +160,10 @@ def _primes_in_range(lo: int, hi: int, base: np.ndarray | None = None) -> np.nda
     """Primes in [lo, hi) via a sieve segment, as an int64 array.
 
     base holds the primes up to at least isqrt(hi - 1); callers that sieve
-    many segments pass it so that it is sieved once.
+    many segments pass it so that it is sieved once.  Only odd numbers are
+    sieved: index i stands for lo0 + 2i, lo0 the least odd number >= lo,
+    but for lo = 2, lo0 = 1 and index 0, never struck, stands for 2.  The
+    odd multiples of an odd prime q >= 3 from q^2 on are q indices apart.
     """
     lo = max(lo, 2)
     if hi <= lo:
@@ -167,12 +171,18 @@ def _primes_in_range(lo: int, hi: int, base: np.ndarray | None = None) -> np.nda
     root = math.isqrt(hi - 1)
     if base is None:
         base = _simple_sieve(root)
-    mask = np.ones(hi - lo, dtype=bool)
-    for p in base[: np.searchsorted(base, root, side="right")].tolist():
-        start = max(p * p, (lo + p - 1) // p * p)
-        if start < hi:
-            mask[start - lo :: p] = False
-    return np.flatnonzero(mask) + lo
+    lo0 = 1 if lo == 2 else lo | 1
+    mask = np.ones((hi - lo0 + 1) // 2, dtype=bool)
+    q = base[1 : np.searchsorted(base, root, side="right")]
+    starts = np.maximum(q * q, ((lo0 + q - 1) // q | 1) * q)
+    for step, i in zip(q.tolist(), ((starts - lo0) >> 1).tolist()):
+        mask[i::step] = False
+    primes = np.flatnonzero(mask)  # a view, so the arithmetic goes in place
+    primes *= 2
+    primes += lo0
+    if lo == 2:
+        primes[0] = 2
+    return primes
 
 
 def _segments(x_max: int, segment_size: int) -> Iterator[tuple[int, int]]:
@@ -227,16 +237,21 @@ def classify_prime(profile: BaseProfile, p: int) -> PrimeClassification:
     return PrimeClassification(p=p, s=s, t=t, leg_r0=leg, divides=t >= 1, special=False)
 
 
-def _mulmod_f53(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x * y mod p for float64 residues of p < 2^26.
+def _mulmod_f53(x: np.ndarray, y: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
+    """x * y mod p for float64 residues of a prime p < 2^26, given
+    p_inv = 1/p in float64.
 
-    x * y < 2^52 is exact.  If (x*y)/p is not an integer its fractional
-    part lies in [1/p, 1 - 1/p], wider than 2^-26 from either end, while
-    the rounded quotient is within 2^-27 of it: its floor is exact, and so
-    are the product with p and the difference.
+    z = x * y < 2^52 is exact.  fl(z p_inv) carries two roundings of
+    relative error 2^-53 and lies within Q 2^-52 < 2^-26 of Q = z/p < p.
+    A Q that is not an integer has its fractional part in [1/p, 1 - 1/p],
+    so the floor is exact; an integer Q is 0, as p is prime.  The product
+    of the floor with p and the difference are exact too.
     """
     z = x * y
-    return z - np.floor(z / p) * p
+    q = np.floor(z * p_inv)
+    q *= p
+    z -= q
+    return z
 
 
 def _mulmod_u64(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -268,12 +283,13 @@ def _pow_many(bases: list[np.ndarray], m: np.ndarray, p: np.ndarray,
               ) -> list[np.ndarray]:
     """b ** m mod p for each array b of bases, elementwise, for odd
     exponents m, by right-to-left square-and-multiply over the bits of
-    the largest exponent; bit 0 is set, so each result starts as its base."""
+    the largest exponent (each step multiplies by b or 1); bit 0 is set, so
+    each result starts as its base."""
     out = list(bases)
     for i in range(1, int(m.max()).bit_length()):
-        bit = ((m >> np.uint64(i)) & np.uint64(1)).astype(bool)
+        bit = ((m >> np.uint64(i)) & np.uint64(1)).astype(p.dtype)
         bases = [mulmod(b, b, p) for b in bases]
-        out = [np.where(bit, mulmod(o, b, p), o) for o, b in zip(out, bases)]
+        out = [mulmod(o, bit * (b - 1) + 1, p) for o, b in zip(out, bases)]
     return out
 
 
@@ -349,12 +365,11 @@ def _r0_valuation(profile: BaseProfile, primes: np.ndarray, s: np.ndarray) -> np
     # residues and products in float64 below 2^26, else in uint64
     top = int(primes[-1])
     if top < 1 << 26:
-        mulmod, dtype = _mulmod_f53, np.float64
+        mulmod, dtype = functools.partial(_mulmod_f53, p_inv=1 / primes), np.float64
     elif top < 1 << 32:
         mulmod, dtype = _mulmod_u64, np.uint64
     else:
-        mulmod = functools.partial(_mulmod_f64, p_inv=1 / primes.astype(np.float64))
-        dtype = np.uint64
+        mulmod, dtype = functools.partial(_mulmod_f64, p_inv=1 / primes), np.uint64
     p = primes.astype(dtype)
 
     def residue(n: int) -> np.ndarray:
@@ -368,7 +383,7 @@ def _r0_valuation(profile: BaseProfile, primes: np.ndarray, s: np.ndarray) -> np
         y = 1
     else:
         x, y = _pow_many([residue(g), residue(k)], m, p, mulmod)
-    t0 = np.zeros(len(p), dtype=np.int64)
+    t0 = np.zeros(len(p), dtype=np.int8)
     for _ in range(int(s.max()) + 1):
         differ = x != y
         if not differ.any():
@@ -382,13 +397,14 @@ def _r0_valuation(profile: BaseProfile, primes: np.ndarray, s: np.ndarray) -> np
 
 def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """classify_prime for an ascending int64 array of generic primes
-    (p odd, p <= 2^40, p not dividing ab): the arrays s, t and leg (+-1).
+    (p odd, p <= 2^40, p not dividing ab): int8 arrays s, t and leg (+-1).
 
     t follows from t0 = v2(ord r0), where a/b = eps r0^h.  The order of
     r0^h has 2-part exponent u = max(t0 - e, 0), which is t for eps = 1;
     for eps = -1, as -1 is the only element of order 2 in the cyclic
     2-Sylow subgroup, t = u for u >= 2, t = 0 for u = 1 and t = 1 for
-    u = 0.  r0 is a square iff its order divides (p-1)/2, i.e. iff t0 < s.
+    u = 0, i.e. t = u xor (u < 2).  r0 is a square iff its order divides
+    (p-1)/2, i.e. iff t0 < s.
 
     r0_num r0_den is the kernel times a square prime to p, so
     leg = (kernel/p).  Below _LEGENDRE_KERNEL_LIMIT it is read from
@@ -396,22 +412,35 @@ def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.
     s <= e+1 gives t0 < s <= e+1, so u = 0 whatever t0 is.  Only the
     primes with leg = +1 and s >= e+2, about one in four, raise r0 to a
     power (_r0_valuation).  For a larger kernel every prime does, and
-    leg = +1 iff t0 < s.
+    leg = +1 iff t0 < s.  s and leg are computed in _CHUNK slices; the
+    primes that take the power are then gathered from the whole array and
+    raised in full _CHUNK slices.
     """
-    pm1 = primes.view(np.uint64) - np.uint64(1)
-    s = np.bitwise_count(pm1 ^ (pm1 - np.uint64(1))).astype(np.int64) - 1
     kernel = profile.kernel
-    if kernel < _LEGENDRE_KERNEL_LIMIT:
-        leg = _legendre_table(kernel)[primes % (4 * kernel)]
-        t0 = np.where(leg < 0, s, 0)  # 0 stands for any t0 <= e
-        power = (leg > 0) & (s >= profile.e + 2)
-        if power.any():
-            t0[power] = _r0_valuation(profile, primes[power], s[power])
+    table = _legendre_table(kernel) if kernel < _LEGENDRE_KERNEL_LIMIT else None
+    s = np.empty(len(primes), dtype=np.int8)
+    leg = np.empty(len(primes), dtype=np.int8)
+    for i in range(0, len(primes), _CHUNK):
+        chunk = primes[i : i + _CHUNK]
+        pm1 = chunk.view(np.uint64) - np.uint64(1)
+        s[i : i + _CHUNK] = np.bitwise_count(pm1 ^ (pm1 - np.uint64(1))) - 1
+        if table is not None:
+            leg[i : i + _CHUNK] = table[chunk % (4 * kernel)]
+    if table is None:
+        todo, s_todo = primes, s
     else:
-        t0 = _r0_valuation(profile, primes, s)
-        leg = np.where(t0 < s, 1, -1)
+        power = np.flatnonzero((leg > 0) & (s >= profile.e + 2))
+        todo, s_todo = primes.take(power), s.take(power)
+    t0 = np.empty(len(todo), dtype=np.int8)
+    for i in range(0, len(todo), _CHUNK):
+        t0[i : i + _CHUNK] = _r0_valuation(profile, todo[i : i + _CHUNK], s_todo[i : i + _CHUNK])
+    if table is None:
+        leg = 1 - 2 * (t0 >= s).view(np.int8)
+    else:
+        t0_power, t0 = t0, s * (leg < 0)  # 0 stands for any t0 <= e
+        t0[power] = t0_power
     u = np.maximum(t0 - profile.e, 0)
-    t = u if profile.eps == 1 else np.where(u >= 2, u, 1 - u)
+    t = u if profile.eps == 1 else u ^ (u < 2)
     return s, t, leg
 
 
@@ -442,7 +471,8 @@ def local_factor_k2(profile: BaseProfile, s: int, leg_r0: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # accumulation
 
-# Primes classified at once: bounds the kernel's temporary arrays.
+# Primes per numpy pass of _classify: bounds its int64 temporaries, while
+# the per-prime state of a whole segment is kept in int8.
 _CHUNK = 1 << 13
 
 
@@ -452,6 +482,7 @@ def _fold_segment(profile: BaseProfile, base: np.ndarray, lo: int, hi: int,
     histogram cell of each prime, split into the pieces [lo, cuts[0]),
     [cuts[0], cuts[1]), ..., [cuts[-1], hi)."""
     primes = _primes_in_range(lo, hi, base)
+    ends = np.searchsorted(primes, [*cuts, hi]).tolist()
     cells = np.empty(len(primes), dtype=np.int16)
     generic = np.ones(len(primes), dtype=bool)
     specials = [(p, div) for p, div in profile.special_primes if lo <= p < hi]
@@ -459,14 +490,9 @@ def _fold_segment(profile: BaseProfile, base: np.ndarray, lo: int, hi: int,
         at = np.searchsorted(primes, [p for p, _ in specials])
         generic[at] = False
         cells[at] = [(v2(p - 1) * _S_CELLS + _SPECIAL_T) * 2 + div for p, div in specials]
-    todo = primes[generic]
-    codes = np.empty(len(todo), dtype=np.int16)
-    for i in range(0, len(todo), _CHUNK):
-        s, t, leg = _classify(profile, todo[i : i + _CHUNK])
-        codes[i : i + _CHUNK] = (s * _S_CELLS + t) * 2 + (leg > 0)
-    cells[generic] = codes
-
-    ends = np.searchsorted(primes, [*cuts, hi]).tolist()
+    primes = primes[generic]  # one int64 array of the segment, not two, lives on
+    s, t, leg = _classify(profile, primes)
+    cells[generic] = (s.astype(np.int16) * _S_CELLS + t) * 2 + (leg > 0)
     return [cells[start:end] for start, end in zip([0, *ends], ends)]
 
 

@@ -8,6 +8,7 @@ and as decimals (10 significant digits) in CSV.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -124,7 +125,8 @@ def cmd_sweep(args) -> int:
             return 2
     else:
         checkpoints = default_checkpoints(args.checkpoints, args.x_max)
-    series = sweep(profile, args.x_max, checkpoints, threads=args.threads)
+    threads = _int_env_threads() if args.threads is None else args.threads
+    series = sweep(profile, args.x_max, checkpoints, threads=threads)
     sys.stdout.write(render_sweep(series, args.format))
     return 0
 
@@ -167,7 +169,9 @@ def _int_env_threads() -> int:
         return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once and shared by every call of main."""
     parser = argparse.ArgumentParser(
         prog="powsumdiv",
         description="Primes dividing a^k + b^k: exact counts, heuristics, densities.",
@@ -205,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-list", default="",
                    help="explicit comma-separated checkpoints (overrides --checkpoints)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=_int_env_threads(),
+    p.add_argument("--threads", type=int,
                    help="worker processes (default: POWSUMDIV_THREADS or 1)")
     p.set_defaults(func=cmd_sweep)
 

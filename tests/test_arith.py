@@ -50,13 +50,6 @@ def test_is_prime_against_sieve_and_at_the_witness_bounds():
         assert not is_prime(psi)
 
 
-def test_fermat_all_primes_to_1e4():
-    primes = [p for p in range(2, 10**4) if is_prime(p)]
-    for p in primes:
-        for g in range(1, p):
-            assert pow(g, p - 1, p) == 1
-
-
 def test_mod_inverse_examples():
     # rational_mod(1, d, p) is the inverse of d mod p
     assert rational_mod(1, 3, 7) == 5

@@ -114,6 +114,39 @@ def test_prime_stream_validation():
         list(prime_stream(2**40 + 1))
 
 
+def window_sieve(lo: int, hi: int) -> list[int]:
+    """Primes in [lo, hi) by striking every multiple, evens included, of
+    the primes up to isqrt(hi - 1) from _simple_sieve."""
+    lo = max(lo, 2)
+    flags = bytearray([1]) * max(hi - lo, 0)
+    for q in _simple_sieve(math.isqrt(hi - 1)).tolist():
+        for n in range(max(q * q, (lo + q - 1) // q * q), hi, q):
+            flags[n - lo] = 0
+    return [lo + i for i, flag in enumerate(flags) if flag]
+
+
+# the squares of the base primes 3, 5, 7, 31 and 1009, and of 65521, the
+# largest prime below 2^16
+SQUARES = [q * q for q in (3, 5, 7, 31, 1009, 65521)]
+
+
+@pytest.mark.parametrize("lo,hi", [
+    *[(lo, lo + 1) for lo in (2, 3, 4, 5, 9, 13, 14)],
+    (2, 3), (2, 4), (3, 3), (4, 4), (1, 50), (0, 2), (10, 11), (11, 100), (12, 101), (13, 99),
+    *[(sq - d, sq + 1 + d) for sq in SQUARES for d in (0, 1, 6)],
+    *[(sq + 1, sq + 40) for sq in SQUARES], *[(sq - 40, sq) for sq in SQUARES],
+    (2**32 - 2**12, 2**32 + 2**12 + 1), (2**40 - 2**12 - 1, 2**40),
+])
+def test_odd_only_sieve_against_scalar_sieve(lo, hi):
+    base = _simple_sieve(math.isqrt(max(hi - 1, 1)))
+    want = window_sieve(lo, hi)
+    assert _primes_in_range(lo, hi).tolist() == want
+    assert _primes_in_range(lo, hi, base).tolist() == want
+    if hi <= 10**6:
+        primes = _simple_sieve(hi - 1)
+        assert want == primes[primes >= lo].tolist()
+
+
 # ---------------------------------------------------------------------------
 # classification
 

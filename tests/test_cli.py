@@ -182,10 +182,23 @@ def test_verify_unknown_suite_exits_2():
     assert exc.value.code == 2
 
 
-def test_env_var_threads_default(monkeypatch):
-    monkeypatch.setenv("POWSUMDIV_THREADS", "4")
-    parser = cli.build_parser()
-    args = parser.parse_args(["sweep", "2", "1", "100"])
-    assert args.threads == 4
-    args = parser.parse_args(["sweep", "2", "1", "100", "--threads", "2"])
-    assert args.threads == 2
+def test_env_var_threads_default(capsys, monkeypatch):
+    # the parser is built once, yet POWSUMDIV_THREADS is read at each sweep
+    asked = []
+
+    def one_worker_sweep(*args, threads):
+        asked.append(threads)
+        return sweep(*args, threads=1)
+
+    sweep = cli.sweep
+    monkeypatch.setattr(cli, "sweep", one_worker_sweep)
+    argv = ["sweep", "2", "1", "100"]
+    for env, extra, want in [("4", [], 4), ("4", ["--threads", "2"], 2), ("3", [], 3),
+                             ("0", [], 1), ("many", [], 1), (None, [], 1)]:
+        if env is None:
+            monkeypatch.delenv("POWSUMDIV_THREADS")
+        else:
+            monkeypatch.setenv("POWSUMDIV_THREADS", env)
+        assert cli.main(argv + extra) == 0
+        assert asked.pop() == want, (env, extra)
+    assert capsys.readouterr().out.count("x,pi") == 6

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from powsumdiv import cli
+from powsumdiv import census, cli
 from powsumdiv.arith import is_prime
 from powsumdiv.census import (
     _LEGENDRE_KERNEL_LIMIT,
@@ -125,6 +125,21 @@ def test_kernel_legendre_routes(a, b):
         assert (leg[s == 2] == -1).all() and (leg[s >= 3] == 1).all()
 
 
+@pytest.mark.parametrize("a,b", [(2, 1), (8, 27), (-16, 1), (65537, 1)])
+def test_kernel_chunk_boundaries(monkeypatch, a, b):
+    # with 2^6-prime chunks the primes that take the power, gathered from
+    # the whole array (all of them for the kernel 65537), span many chunks
+    # and end in a partial one
+    monkeypatch.setattr(census, "_CHUNK", 1 << 6)
+    profile = decompose(a, b)
+    primes = generic_primes(profile, 6 * 10**6, 6 * 10**6 + 2**15)
+    assert_kernel_matches_oracle(profile, primes)
+    s, _, leg = _classify(profile, primes)
+    power = len(primes) if profile.kernel >= _LEGENDRE_KERNEL_LIMIT else \
+        int(((leg > 0) & (s >= profile.e + 2)).sum())
+    assert power > 3 * 64 and power % 64 and len(primes) % 64
+
+
 @pytest.mark.parametrize("kernel", [2, 5, 7, 30, 105, 231, 3599])
 def test_legendre_table_against_euler(kernel):
     # kernels = 2, 1, 3, 2, 1, 3, 3 mod 4: the entry of every odd class
@@ -157,10 +172,10 @@ def test_mulmod_f53_is_exact():
     p = TOP_PRIMES[0]
     assert is_prime(p)
     top = np.float64(p - 1)
-    assert _mulmod_f53(top, top, np.float64(p)) == (p - 1) ** 2 % p
+    assert _mulmod_f53(top, top, np.float64(p), 1 / np.float64(p)) == (p - 1) ** 2 % p
     rng = np.random.default_rng(0)
     x, y = rng.integers(0, p, size=(2, 10**5))
-    got = _mulmod_f53(x.astype(np.float64), y.astype(np.float64), np.float64(p))
+    got = _mulmod_f53(x.astype(np.float64), y.astype(np.float64), np.float64(p), 1 / np.float64(p))
     assert got.astype(np.int64).tolist() == [a * b % p for a, b in zip(x.tolist(), y.tolist())]
 
 

@@ -1,0 +1,50 @@
+"""Check that two source trees print byte-identical sweeps.
+
+    python3 tools/sweep_identity.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the src/ directories of two checkouts.  For
+each pair in PAIRS, each format (csv, json) and each worker count (1, 2)
+the script runs ``powsumdiv sweep A B 10000000 --format F --threads T``
+from both trees, one after the other, and compares stdout and the exit
+code byte for byte.  It prints one line per command and exits 0 when all
+40 agree and exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
+e = 0, 1 and 2, Q(sqrt 2), three special primes ((7,3)), the smaller term
+of r0 on both sides of 2^16, and the largest kernel with a Legendre table
+(65535) and the smallest without (65537).
+"""
+
+import os
+import subprocess
+import sys
+
+X = 10_000_000
+PAIRS = [(2, 1), (-4, 1), (8, 27), (7, 3), (-16, 1), (-81, 16),
+         (65537, 65535), (65537, 65536), (65535, 1), (65537, 1)]
+
+
+def run(src: str, argv: list[str]) -> tuple[int, bytes]:
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    done = subprocess.run([sys.executable, "-m", "powsumdiv.cli", *argv],
+                          env=env, capture_output=True, check=False)
+    return done.returncode, done.stdout
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent, change = argv
+    same = True
+    for a, b in PAIRS:
+        for fmt in ("csv", "json"):
+            for threads in ("1", "2"):
+                cmd = ["sweep", str(a), str(b), str(X), "--format", fmt, "--threads", threads]
+                want, got = run(parent, cmd), run(change, cmd)
+                ok = want == got and want[0] == 0
+                same &= ok
+                print(("same  " if ok else "DIFFER") + " powsumdiv " + " ".join(cmd), flush=True)
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
