@@ -177,7 +177,7 @@ def _primes_in_range(lo: int, hi: int, base: np.ndarray | None = None) -> np.nda
     starts = np.maximum(q * q, ((lo0 + q - 1) // q | 1) * q)
     for step, i in zip(q.tolist(), ((starts - lo0) >> 1).tolist()):
         mask[i::step] = False
-    primes = np.flatnonzero(mask)  # a view, so the arithmetic goes in place
+    primes = np.flatnonzero(mask)  # scaled in place: no second array of the segment
     primes *= 2
     primes += lo0
     if lo == 2:
