@@ -13,7 +13,6 @@ from .census import (
     CountAccumulator,
     Counts,
     InternalInconsistencyError,
-    PrimeClassification,
     SweepPoint,
     SweepSeries,
     character_count,
@@ -21,8 +20,6 @@ from .census import (
     count_exact,
     formula_count,
     heuristic_counts,
-    local_factor_k1,
-    local_factor_k2,
     ramanujan_count,
     sweep,
     tail_sum,

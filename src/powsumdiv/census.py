@@ -35,7 +35,9 @@ Every counting function is a linear functional of that histogram:
 _evaluate weighs each nonzero cell by a dyadic rational with denominator
 2^s (the local factors, the truncated 2-power Ramanujan sums, the explicit
 formula) and sums exactly, so every identity in the test suite is an exact
-equality.  Checkpointed sweeps work one sieve segment at a time and cut its
+equality.  The weights are stated once, in _weights, which the
+local-factors suite of verify checks prime by prime against the Ramanujan
+sums.  Checkpointed sweeps work one sieve segment at a time and cut its
 cell counts at the checkpoints inside it; histograms add as integers, so
 any merge schedule (1 worker or many) produces bit-identical results.
 """
@@ -57,7 +59,7 @@ from .cyclic import character_table, rational_mod
 from .density import delta_naive, delta_table
 from .profile import BaseProfile
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+SEGMENT_SIZE = 1 << 20
 MAX_X = 1 << 40
 
 CHARACTER_X_LIMIT = 2000
@@ -76,16 +78,6 @@ _N_CELLS = 2 * _S_CELLS * _S_CELLS
 class InternalInconsistencyError(ArithmeticError):
     """A proven bound failed: a character sum that does not round to an
     integer, or an order valuation that exceeds s = v2(p-1)."""
-
-
-@dataclass(frozen=True)
-class PrimeClassification:
-    p: int
-    s: int                  # v2(p-1)
-    t: int | None           # v2(ord_r(p)); None on the special path
-    leg_r0: int | None      # Legendre symbol of r0 at p; None on the special path
-    divides: bool           # p divides some a^k + b^k
-    special: bool           # p | 2ab
 
 
 @dataclass(slots=True, eq=False)
@@ -185,30 +177,31 @@ def _primes_in_range(lo: int, hi: int, base: np.ndarray | None = None) -> np.nda
     return primes
 
 
-def _segments(x_max: int, segment_size: int) -> Iterator[tuple[int, int]]:
-    """The sieve segments [lo, hi) that cover 2..x_max, aligned to segment_size."""
+def _segments(x_max: int) -> Iterator[tuple[int, int]]:
+    """The sieve segments [lo, hi) that cover 2..x_max, aligned to SEGMENT_SIZE."""
     lo = 2
     while lo <= x_max:
-        hi = min((lo // segment_size + 1) * segment_size, x_max + 1)
+        hi = min((lo // SEGMENT_SIZE + 1) * SEGMENT_SIZE, x_max + 1)
         yield lo, hi
         lo = hi
 
 
-def _check_bounds(x_max: int, segment_size: int) -> None:
+def _check_bounds(x_max: int) -> None:
     if x_max < 2:
         raise ValueError("x must be >= 2")
     if x_max > MAX_X:
         raise ValueError(f"x must be <= 2^40 = {MAX_X}")
-    if segment_size < 2 or segment_size & (segment_size - 1):
-        raise ValueError("segment_size must be a power of two")
 
 
 # ---------------------------------------------------------------------------
 # per-prime classification
 
 
-def classify_prime(profile: BaseProfile, p: int) -> PrimeClassification:
-    """Order-parity data of one prime p <= 2^40 against a profile.
+def classify_prime(profile: BaseProfile, p: int) -> tuple[int, int | None, int | None, bool]:
+    """Order-parity data (s, t, leg, divides) of one prime p <= 2^40
+    against a profile: s = v2(p-1), t = v2 of the order of r = a/b mod p,
+    leg the Legendre symbol (+-1) of r0 at p, and whether p divides some
+    a^k + b^k.  For p | 2ab, t and leg are None.
 
     This is the scalar Python-int reference for the vector classifier
     _classify.  Raises ValueError if p is not a prime in [2, 2^40].
@@ -218,10 +211,7 @@ def classify_prime(profile: BaseProfile, p: int) -> PrimeClassification:
     a, b = profile.a, profile.b
     if p == 2 or a % p == 0 or b % p == 0:
         # p | 2ab, so decompose() has already decided it
-        return PrimeClassification(
-            p=p, s=v2(p - 1) if p > 2 else 0, t=None, leg_r0=None,
-            divides=dict(profile.special_primes)[p], special=True,
-        )
+        return v2(p - 1) if p > 2 else 0, None, None, dict(profile.special_primes)[p]
     pm1 = p - 1
     s = (pm1 & -pm1).bit_length() - 1
     r = a % p * pow(b % p, -1, p) % p
@@ -234,7 +224,7 @@ def classify_prime(profile: BaseProfile, p: int) -> PrimeClassification:
     else:
         raise InternalInconsistencyError(f"r^(p-1) != 1 mod {p}")
     leg = 1 if pow(profile.r0_num * profile.r0_den % p, pm1 >> 1, p) == 1 else -1
-    return PrimeClassification(p=p, s=s, t=t, leg_r0=leg, divides=t >= 1, special=False)
+    return s, t, leg, t >= 1
 
 
 def _mulmod_f53(x: np.ndarray, y: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
@@ -444,30 +434,6 @@ def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.
     return s, t, leg
 
 
-def local_factor_k1(profile: BaseProfile, s: int) -> Fraction:
-    """Naive per-prime weight: probability that r has odd order among the
-    h-th powers, as a function of s = v2(p-1) only."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if s <= profile.e:
-        return Fraction(1 + profile.eps, 2)
-    return Fraction(1, 1 << (s - profile.e))
-
-
-def local_factor_k2(profile: BaseProfile, s: int, leg_r0: int) -> Fraction:
-    """Refined per-prime weight, using the Legendre symbol of r0 at p."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if leg_r0 not in (-1, 1):
-        raise ValueError("leg_r0 must be +-1")
-    e = profile.e
-    if s <= e:
-        return Fraction(1 + profile.eps, 2)
-    if s == e + 1:
-        return Fraction(1 + profile.eps * leg_r0, 2)
-    return Fraction(1 + leg_r0, 1 << (s - e))
-
-
 # ---------------------------------------------------------------------------
 # accumulation
 
@@ -500,25 +466,17 @@ def _histogram(cells: np.ndarray) -> CountAccumulator:
     return CountAccumulator(np.bincount(cells, minlength=_N_CELLS))
 
 
-def _evaluate(profile: BaseProfile, acc: CountAccumulator) -> Counts:
-    """Every counting function of the primes counted in acc, exactly.
+def _weights(profile: BaseProfile, s: np.ndarray, t: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """The weight of each view times 2^s, an int64 array of shape (6, n)
+    with entries in [0, 2^s], for generic primes with int64 cells
+    (s, t, bit), bit = (r0/p) == 1.
 
-    Each view weighs a generic prime's cell (s, t, leg) by a dyadic
-    rational with denominator 2^s: the local factors, the truncated
-    2-power Ramanujan sums at the group index of r, whose 2-adic valuation
-    is s - t, and the explicit formula.  Only the nonzero cells are
-    weighed, each by the integer weight * 2^s, computed in closed form.
+    The rows are k1 and k2, the naive and refined local factors; ram_e,
+    ram_e1 and ram_full, 1 - 2^-s sum_{v <= top} c_{2^v}(m) at the group
+    index m of r, v2(m) = s - t, for top = min(s, e), min(s, e+1) and s;
+    and formula, the explicit formula.  The local factors equal
+    1 - ram_e and 1 - ram_e1 (verify.check_local_factors).
     """
-    cells = np.flatnonzero(acc.cells)
-    n = acc.cells[cells]
-    s, t = np.divmod(cells >> 1, _S_CELLS)
-    bit = cells & 1
-    generic = t != _SPECIAL_T
-    divides = np.where(generic, t > 0, bit == 1)
-    pi, pi_generic = int(n.sum()), int(n[generic].sum())
-    n_exact, n_generic = int(n[divides].sum()), int(n[generic & divides].sum())
-
-    s, t, bit, n = s[generic], t[generic], bit[generic], n[generic]
     e, eps = profile.e, profile.eps
     one = np.left_shift(1, s)
     leg = 2 * bit - 1
@@ -539,8 +497,29 @@ def _evaluate(profile: BaseProfile, acc: CountAccumulator) -> Counts:
         # pi minus #{s = e+1, (r0/p) = -1} minus the sum of 2^(e+1-s) over
         # (r0/p) = 1, s > e+1
         formula = one - (s == e + 1) * (1 - bit) * one - (s > e + 1) * bit * (2 << e)
-    weights = np.stack([k1, k2, ramanujan(np.minimum(s, e)), ramanujan(np.minimum(s, e + 1)),
-                        ramanujan(s), formula])
+    return np.stack([k1, k2, ramanujan(np.minimum(s, e)), ramanujan(np.minimum(s, e + 1)),
+                     ramanujan(s), formula])
+
+
+def _evaluate(profile: BaseProfile, acc: CountAccumulator) -> Counts:
+    """Every counting function of the primes counted in acc, exactly.
+
+    Each view weighs a generic prime's cell (s, t, leg) by a dyadic
+    rational with denominator 2^s (_weights).  Only the nonzero cells are
+    weighed, each by the integer weight * 2^s, and the weighted counts are
+    summed exactly at scale 2^40.
+    """
+    cells = np.flatnonzero(acc.cells)
+    n = acc.cells[cells]
+    s, t = np.divmod(cells >> 1, _S_CELLS)
+    bit = cells & 1
+    generic = t != _SPECIAL_T
+    divides = np.where(generic, t > 0, bit == 1)
+    pi, pi_generic = int(n.sum()), int(n[generic].sum())
+    n_exact, n_generic = int(n[divides].sum()), int(n[generic & divides].sum())
+
+    s, n = s[generic], n[generic]
+    weights = _weights(profile, s, t[generic], bit[generic])
 
     # Each s row is summed in int64, then the rows are combined in Python
     # ints at scale 2^40 (s < 40).  Every weight * 2^s lies in [0, 2^s], and
@@ -556,10 +535,10 @@ def _evaluate(profile: BaseProfile, acc: CountAccumulator) -> Counts:
 
 @functools.lru_cache(maxsize=64)
 def _accumulate(profile: BaseProfile, x: int) -> Counts:
-    _check_bounds(x, DEFAULT_SEGMENT_SIZE)
+    _check_bounds(x)
     base = _simple_sieve(math.isqrt(x))
     acc = CountAccumulator()
-    for lo, hi in _segments(x, DEFAULT_SEGMENT_SIZE):
+    for lo, hi in _segments(x):
         acc.merge(_histogram(_fold_segment(profile, base, lo, hi)[0]))
     return _evaluate(profile, acc)
 
@@ -687,10 +666,6 @@ class SweepSeries:
         return out
 
 
-def _sweep_task(args) -> list[np.ndarray]:
-    return _fold_segment(*args)
-
-
 def _worker_count(threads: int, tasks: int) -> int:
     """Worker processes for a sweep: never more than its segment tasks or
     the machine's CPUs."""
@@ -702,16 +677,15 @@ def sweep(
     x_max: int,
     checkpoints: list[int],
     threads: int = 1,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> SweepSeries:
     """Single pass over the primes <= x_max with snapshots at each
     checkpoint.  Output is identical for any worker count: the work units
     (one per sieve segment, cut at the checkpoints inside it) and their
-    merge order depend only on (x_max, checkpoints, segment_size), and
+    merge order depend only on (x_max, checkpoints), and
     merging is integer addition of cell counts.  Li of every checkpoint
     comes from one batched log_integrals call.
     """
-    _check_bounds(x_max, segment_size)
+    _check_bounds(x_max)
     if threads < 1:
         raise ValueError("threads must be >= 1")
     if not checkpoints:
@@ -725,7 +699,7 @@ def sweep(
     ends = [c + 1 for c in checkpoints]
     base = _simple_sieve(math.isqrt(x_max))
     tasks = []
-    for lo, hi in _segments(x_max, segment_size):
+    for lo, hi in _segments(x_max):
         cuts = tuple(ends[bisect.bisect_right(ends, lo) : bisect.bisect_left(ends, hi)])
         tasks.append((profile, base, lo, hi, cuts))
 
@@ -746,8 +720,8 @@ def sweep(
 
     workers = _worker_count(threads, len(tasks))
     if workers == 1:
-        points = collect(_sweep_task(task) for task in tasks)
+        points = collect(_fold_segment(*task) for task in tasks)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = collect(pool.map(_sweep_task, tasks))
+            points = collect(pool.map(_fold_segment, *zip(*tasks)))
     return SweepSeries(profile=profile, points=points)

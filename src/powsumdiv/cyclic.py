@@ -109,9 +109,6 @@ class CharacterTable:
         k = self.dlog(g)
         return self._roots[j * k % self.n]
 
-    def char_order(self, j: int) -> int:
-        return self._orders[j % self.n]
-
     def group_index(self, g: int) -> int:
         """[(Z/pZ)* : <g>] = gcd(dlog(g), p-1)."""
         return math.gcd(self.dlog(g), self.n)

@@ -17,11 +17,10 @@ from .arith import divisors, v2
 from .census import (
     classify_prime,
     heuristic_counts,
-    local_factor_k1,
-    local_factor_k2,
     ramanujan_count,
     character_count,
     _primes_in_range,
+    _weights,
 )
 from .cyclic import (
     character_table,
@@ -166,49 +165,43 @@ def check_characters(p_max: int = 200, x_char: int = 500) -> CheckResult:
 def check_local_factors(p_limit: int = 10**5,
                         checkpoints: tuple[int, ...] = (10**3, 10**4, 10**5)) -> CheckResult:
     """Per-prime truncated Ramanujan sums against the naive and refined
-    local weights, using the exact group index of r (full multiplicative
-    order, factored p-1), then the summed forms at several checkpoints."""
+    local weights of census._weights, using the exact group index of r
+    (full multiplicative order, factored p-1), then the summed weights at
+    several checkpoints in [2, p_limit] against the histogram route."""
+    if not all(2 <= x <= p_limit for x in checkpoints):
+        raise ValueError(f"checkpoints must lie in [2, p_limit = {p_limit}]")
     checked = 0
     failures: list[str] = []
+    primes = _primes_in_range(2, p_limit + 1).tolist()
     for a, b in PROFILE_GRID:
         profile = decompose(a, b)
         e = profile.e
-        sums = {x: [Fraction(0), Fraction(0)] for x in checkpoints}
-        k1_acc, k2_acc = Fraction(0), Fraction(0)
-        cps = sorted(checkpoints)
-        ci = 0
-        for p in _primes_in_range(2, p_limit + 1).tolist():
-            while ci < len(cps) and p > cps[ci]:
-                sums[cps[ci]] = [k1_acc, k2_acc]
-                ci += 1
-            cls = classify_prime(profile, p)
-            if cls.special:
+        cells: list[int] = []  # p, s, t, bit and the two sums below, per prime
+        for p in primes:
+            s, t, leg, _ = classify_prime(profile, p)
+            if t is None:
                 continue
             r = rational_mod(profile.a, profile.b, p)
             index = (p - 1) // multiplicative_order(r, p)
-            s = cls.s
-            if v2(index) != s - cls.t:
+            if v2(index) != s - t:
                 failures.append(f"index valuation mismatch at ({a},{b}), p={p}")
-            lhs1 = Fraction(
-                sum(ramanujan_c(1 << v, index) for v in range(min(s, e) + 1)), 1 << s)
-            lhs2 = Fraction(
-                sum(ramanujan_c(1 << v, index) for v in range(min(s, e + 1) + 1)), 1 << s)
-            k1 = local_factor_k1(profile, s)
-            k2 = local_factor_k2(profile, s, cls.leg_r0)
-            checked += 2
-            if lhs1 != k1:
-                failures.append(f"naive weight mismatch at ({a},{b}), p={p}: {lhs1} vs {k1}")
-            if lhs2 != k2:
-                failures.append(f"refined weight mismatch at ({a},{b}), p={p}: {lhs2} vs {k2}")
-            k1_acc += k1
-            k2_acc += k2
-        while ci < len(cps):
-            sums[cps[ci]] = [k1_acc, k2_acc]
-            ci += 1
-        for x in cps:
+            # 2^s times the local factors: c_{2^v}(index) summed to v <= e, e+1
+            c = [ramanujan_c(1 << v, index) for v in range(min(s, e + 1) + 1)]
+            cells += p, s, t, leg > 0, sum(c[: e + 1]), sum(c)
+        generic, s, t, bit, *sums = np.array(cells, dtype=np.int64).reshape(-1, 6).T
+        weights = _weights(profile, s, t, bit)[:2]
+        checked += 2 * len(generic)
+        for name, want, got in zip(("naive", "refined"), sums, weights):
+            for i in np.flatnonzero(want != got).tolist():
+                failures.append(f"{name} weight mismatch at ({a},{b}), p={generic[i]}: "
+                                f"{want[i]}/2^{s[i]} vs {got[i]}/2^{s[i]}")
+        scaled = weights << (40 - s)  # at scale 2^40, as _evaluate sums
+        for x in sorted(checkpoints):
+            end = np.searchsorted(generic, x, side="right")
+            k1, k2 = (Fraction(sum(row[:end].tolist()), 1 << 40) for row in scaled)
             hc = heuristic_counts(profile, x)
             checked += 2
-            if sums[x][0] != hc.k1 or sums[x][1] != hc.k2:
+            if k1 != hc.k1 or k2 != hc.k2:
                 failures.append(f"summed weights mismatch at ({a},{b}), x={x}")
             if ramanujan_count(profile, x, "e") != hc.h1 \
                     or ramanujan_count(profile, x, "e+1") != hc.h2:
@@ -306,11 +299,10 @@ def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
 
     checked = 0
     failures: list[str] = []
-    prime_list = [int(p) for p in primes]
     for i, (a, b) in enumerate(pairs):
         profile = decompose(a, b)
-        for j, p in enumerate(prime_list):
-            got = classify_prime(profile, p).divides
+        for j, p in enumerate(primes.tolist()):
+            _, _, _, got = classify_prime(profile, p)
             checked += 1
             if got != bool(expected[i, j]):
                 failures.append(

@@ -33,12 +33,16 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _suite(num: int, name: str, fn, limit: float) -> None:
+def _suite(num: int, name: str, fn, limit: float, checks: int) -> None:
+    """Run a suite: no failures, within limit seconds, and exactly the
+    pinned number of checks, so that no change to a suite loses coverage
+    silently."""
     start = time.monotonic()
     checked, failures = fn()
     elapsed = time.monotonic() - start
-    ok = not failures and elapsed < limit
-    detail = f"{name}, {checked} checks, {len(failures)} failures, {elapsed:.1f}s (< {limit:.0f}s)"
+    ok = not failures and checked == checks and elapsed < limit
+    detail = (f"{name}, {checked} checks (want {checks}), {len(failures)} failures, "
+              f"{elapsed:.1f}s (< {limit:.0f}s)")
     if failures:
         detail += f"; first: {failures[0]}"
     report(num, ok, detail)
@@ -68,32 +72,32 @@ def test_criterion_1_table_reproduction():
 
 def test_criterion_2_refined_equals_table():
     _suite(2, "refined density = closed form, all |a|,|b| <= 30",
-           lambda: check_densities(bound=30), 5.0)
+           lambda: check_densities(bound=30), 5.0, 1744)
 
 
 def test_criterion_3_cyclic_group_oracle():
     _suite(3, "cyclic-group formulas vs enumeration, n<=300 h<=50 w<=6",
-           lambda: check_group(300, 50, 6), 30.0)
+           lambda: check_group(300, 50, 6), 30.0, 15000)
 
 
 def test_criterion_4_ramanujan_identities():
     _suite(4, "Holder/weak-form/indicator identities",
-           check_ramanujan, 10.0)
+           check_ramanujan, 10.0, 175567)
 
 
 def test_criterion_5_per_prime_weights():
     _suite(5, "truncated Ramanujan sums = local weights to 1e5, 10 profiles",
-           lambda: check_local_factors(10**5), 60.0)
+           lambda: check_local_factors(10**5), 60.0, 191870)
 
 
 def test_criterion_6_character_sums():
     _suite(6, "character order-sums and character counts",
-           lambda: check_characters(200, 500), 60.0)
+           lambda: check_characters(200, 500), 60.0, 41690)
 
 
 def test_criterion_7_parity_oracle():
     _suite(7, "order-parity criterion vs direct search, p<=2000, |a|,|b|<=12",
-           lambda: check_oracle(2000, 12), 60.0)
+           lambda: check_oracle(2000, 12), 60.0, 159984)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from powsumdiv.census import (
-    DEFAULT_SEGMENT_SIZE,
     CountAccumulator,
     InternalInconsistencyError,
     _accumulate,
@@ -19,13 +19,12 @@ from powsumdiv.census import (
     _primes_in_range,
     _segments,
     _simple_sieve,
+    _weights,
     character_count,
     classify_prime,
     count_exact,
     formula_count,
     heuristic_counts,
-    local_factor_k1,
-    local_factor_k2,
     ramanujan_count,
     sweep,
     tail_sum,
@@ -79,11 +78,11 @@ def count_direct(a: int, b: int, x: int) -> int:
 # prime stream: the sieve segments that sweeps and counts walk
 
 
-def prime_stream(x_max: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
+def prime_stream(x_max: int) -> list[int]:
     """Every prime <= x_max from the segmented sieve, as sweep visits them."""
-    _check_bounds(x_max, segment_size)
+    _check_bounds(x_max)
     base = _simple_sieve(math.isqrt(x_max))
-    return [p for lo, hi in _segments(x_max, segment_size)
+    return [p for lo, hi in _segments(x_max)
             for p in _primes_in_range(lo, hi, base).tolist()]
 
 
@@ -98,16 +97,15 @@ def test_prime_stream_counts():
     assert sum(1 for _ in prime_stream(10**7)) == 664579
 
 
-def test_prime_stream_segment_independence():
+def test_prime_stream_segment_independence(monkeypatch):
     want = list(prime_stream(10**5))
     assert want == sieve_oracle(10**5)
     for seg in (1 << 10, 1 << 14, 1 << 22):
-        assert list(prime_stream(10**5, segment_size=seg)) == want
+        monkeypatch.setattr(census, "SEGMENT_SIZE", seg)
+        assert list(prime_stream(10**5)) == want
 
 
 def test_prime_stream_validation():
-    with pytest.raises(ValueError):
-        list(prime_stream(10**5, segment_size=1000))  # not a power of two
     with pytest.raises(ValueError):
         list(prime_stream(1))
     with pytest.raises(ValueError):
@@ -152,15 +150,13 @@ def test_odd_only_sieve_against_scalar_sieve(lo, hi):
 
 def test_classify_examples():
     p21 = decompose(2, 1)
-    assert classify_prime(p21, 3).divides          # 3 | 2^1 + 1
-    assert not classify_prime(p21, 7).divides      # 2^k + 1 mod 7 cycles {3, 5, 2}
+    assert classify_prime(p21, 3)[3]               # 3 | 2^1 + 1
+    assert not classify_prime(p21, 7)[3]           # 2^k + 1 mod 7 cycles {3, 5, 2}
     assert [pow(2, k, 7) + 1 for k in (1, 2, 3)] == [3, 5, 2]
-    c = classify_prime(p21, 5)
-    assert (c.s, c.t, c.divides, c.leg_r0) == (2, 2, True, -1)
+    assert classify_prime(p21, 5) == (2, 2, -1, True)
     # 4 = 2^2 has e = 1; s = v2(10) = 1 <= e forces odd order: ord_4(11) = 5
-    assert not classify_prime(decompose(4, 1), 11).divides
-    c = classify_prime(p21, 2)
-    assert c.special and not c.divides and c.t is None and c.leg_r0 is None
+    assert not classify_prime(decompose(4, 1), 11)[3]
+    assert classify_prime(p21, 2) == (0, None, None, False)    # p | 2ab
 
 
 def test_classify_rejects_non_primes_and_out_of_range():
@@ -168,7 +164,7 @@ def test_classify_rejects_non_primes_and_out_of_range():
     for p in (-7, 0, 1, 9, 91, 2047, 2**40 + 15):
         with pytest.raises(ValueError):
             classify_prime(p21, p)
-    assert classify_prime(p21, 2**40 - 87).s == 3      # the largest prime <= 2^40
+    assert classify_prime(p21, 2**40 - 87)[0] == 3     # the largest prime <= 2^40
 
 
 def test_classify_order_loop_is_bounded(monkeypatch):
@@ -186,13 +182,12 @@ def test_classify_invariants_small_grid():
                 continue
             profile = decompose(a, b)
             for p in sieve_oracle(300):
-                c = classify_prime(profile, p)
-                want = divides_sequence_direct(a, b, p)
-                assert c.divides == want, (a, b, p)
-                if not c.special:
-                    assert 0 <= c.t <= c.s
-                    assert c.divides == (c.t >= 1)
-                    assert c.leg_r0 in (-1, 1)
+                s, t, leg, divides = classify_prime(profile, p)
+                assert divides == divides_sequence_direct(a, b, p), (a, b, p)
+                if t is not None:
+                    assert 0 <= t <= s
+                    assert divides == (t >= 1)
+                    assert leg in (-1, 1)
 
 
 def test_legendre_against_square_enumeration():
@@ -201,10 +196,10 @@ def test_legendre_against_square_enumeration():
     for p in sieve_oracle(200)[1:]:
         squares = {x * x % p for x in range(1, p)}
         for profile in profiles:
-            c = classify_prime(profile, p)
-            if not c.special:
+            _, t, leg, _ = classify_prime(profile, p)
+            if t is not None:
                 r0 = profile.r0_num * profile.r0_den % p
-                assert c.leg_r0 == (1 if r0 in squares else -1), (profile.a, profile.b, p)
+                assert leg == (1 if r0 in squares else -1), (profile.a, profile.b, p)
 
 
 def test_odd_order_forced_when_s_below_e():
@@ -213,25 +208,31 @@ def test_odd_order_forced_when_s_below_e():
     profile = decompose(4, 1)
     for p in sieve_oracle(2000):
         if p % 4 == 3:
-            c = classify_prime(profile, p)
-            assert not c.divides, p
+            assert not classify_prime(profile, p)[3], p
 
 
 # ---------------------------------------------------------------------------
 # local factors
 
-def test_local_factor_k1_examples():
-    assert local_factor_k1(decompose(2, 1), 2) == Fraction(1, 4)
-    assert local_factor_k1(decompose(-4, 1), 1) == 0        # (1 + eps)/2 branch
-    assert local_factor_k1(decompose(4, 1), 1) == 1
+def local_weights(profile, s: int, leg: int) -> tuple[int, int]:
+    """k1 and k2 times 2^s for one generic prime from _weights; they do
+    not depend on t, here 0."""
+    k1, k2 = _weights(profile, np.array([s]), np.array([0]), np.array([int(leg > 0)]))[:2, 0]
+    return int(k1), int(k2)
 
 
-def test_local_factor_k2_examples():
+def test_weights_k1_examples():
+    assert local_weights(decompose(2, 1), 2, 1)[0] == 1     # 1/4
+    assert local_weights(decompose(-4, 1), 1, 1)[0] == 0    # (1 + eps)/2 branch
+    assert local_weights(decompose(4, 1), 1, 1)[0] == 2     # 1
+
+
+def test_weights_k2_examples():
     p21 = decompose(2, 1)
-    assert local_factor_k2(p21, 1, +1) == 1                 # p = 7: s = e+1
-    assert local_factor_k2(p21, 2, -1) == 0                 # p = 5
-    assert local_factor_k2(p21, 4, +1) == Fraction(1, 8)    # p = 17
-    assert local_factor_k2(decompose(-4, 1), 1, -1) == 0    # s <= e
+    assert local_weights(p21, 1, +1)[1] == 2                # p = 7: s = e+1, 1
+    assert local_weights(p21, 2, -1)[1] == 0                # p = 5
+    assert local_weights(p21, 4, +1)[1] == 2                # p = 17: 1/8
+    assert local_weights(decompose(-4, 1), 1, -1)[1] == 0   # s <= e
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +346,16 @@ def test_sweep_monotone_and_consistent():
     assert (last["h1"], last["h2"], last["k1"], last["k2"]) == (hc.h1, hc.h2, hc.k1, hc.k2)
 
 
-def test_sweep_thread_determinism():
+def test_sweep_thread_determinism(monkeypatch):
     profile = decompose(2, 1)
     cps = [10, 97, 1000, 10**5]
     base = sweep(profile, 10**5, cps, threads=1)
     for threads in (2, 3):
         assert sweep(profile, 10**5, cps, threads=threads) == base
-        # small segments give the pool several tasks, cut at checkpoints
-        assert sweep(profile, 10**5, cps, threads=threads, segment_size=1 << 12) == base
+    # small segments give the pool several tasks, cut at checkpoints
+    monkeypatch.setattr(census, "SEGMENT_SIZE", 1 << 12)
+    for threads in (2, 3):
+        assert sweep(profile, 10**5, cps, threads=threads) == base
 
 
 def test_sweep_validation():
@@ -367,11 +370,13 @@ def test_sweep_validation():
         sweep(profile, 100, [10], threads=0)
 
 
-def test_accumulator_merge_matches_single_pass():
+def test_accumulator_merge_matches_single_pass(monkeypatch):
     profile = decompose(5, 2)
-    series = sweep(profile, 4000, [1000, 4000], segment_size=1 << 10)
+    single_pass = _accumulate(profile, 4000)
+    monkeypatch.setattr(census, "SEGMENT_SIZE", 1 << 10)
+    series = sweep(profile, 4000, [1000, 4000])
     counts = series.points[-1].counts
-    assert counts == _accumulate(profile, 4000)
+    assert counts == single_pass
     assert counts.h1 == counts.pi_generic - counts.k1
     assert counts.h2 == counts.pi_generic - counts.k2
     assert counts.tail == counts.ram_full - counts.ram_e1

@@ -33,8 +33,6 @@ from powsumdiv.census import (
     _simple_sieve,
     _worker_count,
     classify_prime,
-    local_factor_k1,
-    local_factor_k2,
     sweep,
 )
 from powsumdiv.profile import decompose
@@ -63,10 +61,7 @@ def generic_primes(profile, lo, hi):
 def assert_kernel_matches_oracle(profile, primes):
     s, t, leg = _classify(profile, primes)
     got = list(zip(s.tolist(), t.tolist(), leg.tolist()))
-    want = []
-    for p in primes.tolist():
-        c = classify_prime(profile, p)
-        want.append((c.s, c.t, c.leg_r0))
+    want = [classify_prime(profile, p)[:3] for p in primes.tolist()]
     assert got == want, (profile.a, profile.b)
 
 
@@ -252,13 +247,16 @@ def test_kernel_squaring_loop_is_bounded():
 
 def prime_views(profile, s, t, leg) -> list[Fraction]:
     """k1, k2, the three truncated Ramanujan-sum counts and the explicit
-    formula for one generic prime with cell (s, t, leg), from the local
-    factors and c_{2^v} at the group index, whose 2-adic valuation is s - t."""
+    formula for one generic prime with cell (s, t, leg), from c_{2^v} at
+    the group index, whose 2-adic valuation is s - t: the local factors
+    k1 and k2 are 1 - ram_e and 1 - ram_e1, the identity of the paper that
+    verify.check_local_factors checks prime by prime."""
     e, eps = profile.e, profile.eps
-    views = [local_factor_k1(profile, s), local_factor_k2(profile, s, leg)]
+    rams = []
     for top in (min(e, s), min(e + 1, s), s):
         total = sum(ramanujan_c_2pow(v, 1 << (s - t)) for v in range(top + 1))
-        views.append(1 - Fraction(total, 1 << s))
+        rams.append(1 - Fraction(total, 1 << s))
+    views = [1 - rams[0], 1 - rams[1], *rams]
     # pi(x; 2^(e+1), 1) minus 2^(e+1-s) where (r0/p) = 1 for eps = 1; for
     # eps = -1 every prime, minus those with s = e+1 and (r0/p) = -1, minus
     # 2^(e+1-s) where (r0/p) = 1 and s > e+1
@@ -276,14 +274,14 @@ def scalar_fold(profile, primes) -> Counts:
     ints = [0, 0, 0, 0]  # pi, n_exact, n_generic, pi_generic
     sums = [Fraction(0)] * 6
     for p in primes:
-        c = classify_prime(profile, p)
+        s, t, leg, divides = classify_prime(profile, p)
         ints[0] += 1
-        ints[1] += c.divides
-        if c.special:
+        ints[1] += divides
+        if t is None:
             continue
-        ints[2] += c.divides
+        ints[2] += divides
         ints[3] += 1
-        sums = [a + b for a, b in zip(sums, prime_views(profile, c.s, c.t, c.leg_r0))]
+        sums = [a + b for a, b in zip(sums, prime_views(profile, s, t, leg))]
     return Counts(*ints, *sums)
 
 
@@ -334,6 +332,17 @@ def test_fold_segment_every_s():
             assert fold_views(profile, base, p, p + 1) == [scalar_fold(profile, [p])], p
 
 
+def reachable_cells(profile, s) -> set[tuple[int, int]]:
+    """The (t, leg) a generic prime with v2(p-1) = s >= 1 can take, one for
+    each t0 = v2(ord r0) in [0, s]: leg = +1 iff t0 < s, and t comes from
+    u = max(t0 - e, 0) as in _classify."""
+    cells = set()
+    for t0 in range(s + 1):
+        u = max(t0 - profile.e, 0)
+        cells.add((u if profile.eps == 1 else u ^ (u < 2), 1 if t0 < s else -1))
+    return cells
+
+
 @pytest.mark.parametrize("a,b", [(2, 1), (-2, 1), (4, 1), (-4, 1), (16, 1), (8, 27),
                                  (2**32, 1), (-(2**48), 1)])
 def test_evaluate_worst_case_histogram(a, b):
@@ -349,14 +358,13 @@ def test_evaluate_worst_case_histogram(a, b):
             acc.cells[(s * _S_CELLS + _SPECIAL_T) * 2 + divides] = n
             ints[0] += n
             ints[1] += n * divides
-        for t in range(s + 1 if s else 0):
-            for leg in (-1, 1):
-                acc.cells[(s * _S_CELLS + t) * 2 + (leg > 0)] = n
-                ints[0] += n
-                ints[1] += n * (t > 0)
-                ints[2] += n * (t > 0)
-                ints[3] += n
-                sums = [a + n * w for a, w in zip(sums, prime_views(profile, s, t, leg))]
+        for t, leg in reachable_cells(profile, s) if s else ():
+            acc.cells[(s * _S_CELLS + t) * 2 + (leg > 0)] = n
+            ints[0] += n
+            ints[1] += n * (t > 0)
+            ints[2] += n * (t > 0)
+            ints[3] += n
+            sums = [a + n * w for a, w in zip(sums, prime_views(profile, s, t, leg))]
     assert _evaluate(profile, acc) == Counts(*ints, *sums)
 
 
@@ -377,9 +385,10 @@ def test_sweep_matches_golden_output(capsys, argv, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
-def test_sweep_golden_across_segment_boundaries():
+def test_sweep_golden_across_segment_boundaries(monkeypatch):
     # 65535, 65536, 65537 and 131072 sit at the edges of 2^16-wide segments
-    series = sweep(decompose(7, 3), 300000, CHECKPOINTS_7_3, segment_size=1 << 16)
+    monkeypatch.setattr(census, "SEGMENT_SIZE", 1 << 16)
+    series = sweep(decompose(7, 3), 300000, CHECKPOINTS_7_3)
     assert cli.render_sweep(series, "csv") == (GOLDEN / "sweep_7_3_checkpoint_list.csv").read_text()
 
 

@@ -39,3 +39,28 @@ def test_oracle_search_bound_finds_every_first_k():
     short = verify._first_k(pairs, primes, [max(1, (p - 1) // 2) for p in primes.tolist()])
     assert (wide > 0).any() and (wide == 0).any()
     assert short.tolist() == wide.tolist()
+
+
+def test_local_factors_rejects_checkpoints_outside_the_primes():
+    # a checkpoint above p_limit would be compared with sums over the
+    # primes <= p_limit only
+    for checkpoints in ((100, 1000), (1, 100), (0,)):
+        with pytest.raises(ValueError):
+            verify.check_local_factors(p_limit=500, checkpoints=checkpoints)
+
+
+def test_local_factors_catch_a_planted_weight_fault(monkeypatch):
+    # the per-prime Ramanujan sums do not go through _weights: a k2 row one
+    # too large at s = e+1 is caught prime by prime
+    weights = verify._weights
+
+    def planted(profile, s, t, bit):
+        rows = weights(profile, s, t, bit)
+        rows[1] += s == profile.e + 1
+        return rows
+
+    monkeypatch.setattr(verify, "_weights", planted)
+    checked, failures = verify.check_local_factors(2000, (100, 2000))
+    refined = [f for f in failures if f.startswith("refined weight mismatch")]
+    assert refined and refined[0].startswith("refined weight mismatch at (2,1), p=3:")
+    assert not any(f.startswith("naive weight mismatch") for f in failures)

@@ -5,9 +5,10 @@
 PARENT_SRC and CHANGE_SRC are the src/ directories of two checkouts.  For
 each pair in PAIRS, each format (csv, json) and each worker count (1, 2)
 the script runs ``powsumdiv sweep A B 10000000 --format F --threads T``
-from both trees, one after the other, and compares stdout and the exit
-code byte for byte.  It prints one line per command and exits 0 when all
-40 agree and exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
+from both trees, one after the other, and then ``powsumdiv verify all``,
+whose ``ok <suite>: <n> checks`` lines pin every suite's check count.  It
+compares stdout and the exit code byte for byte, prints one line per
+command and exits 0 when all 41 agree and exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
 e = 0, 1 and 2, Q(sqrt 2), three special primes ((7,3)), the smaller term
 of r0 on both sides of 2^16, and the largest kernel with a Legendre table
 (65535) and the smallest without (65537).
@@ -35,14 +36,13 @@ def main(argv: list[str]) -> int:
         return 2
     parent, change = argv
     same = True
-    for a, b in PAIRS:
-        for fmt in ("csv", "json"):
-            for threads in ("1", "2"):
-                cmd = ["sweep", str(a), str(b), str(X), "--format", fmt, "--threads", threads]
-                want, got = run(parent, cmd), run(change, cmd)
-                ok = want == got and want[0] == 0
-                same &= ok
-                print(("same  " if ok else "DIFFER") + " powsumdiv " + " ".join(cmd), flush=True)
+    commands = [["sweep", str(a), str(b), str(X), "--format", fmt, "--threads", threads]
+                for a, b in PAIRS for fmt in ("csv", "json") for threads in ("1", "2")]
+    for cmd in [*commands, ["verify", "all"]]:
+        want, got = run(parent, cmd), run(change, cmd)
+        ok = want == got and want[0] == 0
+        same &= ok
+        print(("same  " if ok else "DIFFER") + " powsumdiv " + " ".join(cmd), flush=True)
     return 0 if same else 1
 
 
