@@ -17,14 +17,15 @@ for every t0.  Only the rest, (r0/p) = +1 with s >= e+2, about one prime
 in four, raise r0 mod p to the odd part of p-1 and square at most s times
 until it is 1 (the full order is never computed and p-1 is never
 factored).  For a larger kernel every prime does, and (r0/p) = +1 iff
-t0 < s.  When the smaller term k of r0 is below 2^16, r0 mod p takes one
-product with the closed-form inverse (1 + j p) / k, j = -p^-1 mod k read
-from a table; otherwise its numerator and denominator are raised
-separately and squared until they agree.
+t0 < s.  r0 mod p is g k^-1 for the terms k < g of r0, with the
+closed-form inverse (1 + j p) / k, j = -p^-1 mod k read from a table,
+when k < 2^16, and with k^-1 = k^(p-2) (Fermat) otherwise.
 
 p divides some a^k + b^k iff t >= 1.  The sieve marks odd numbers only,
-and each segment is classified by one numpy call (_classify);
-classify_prime is the scalar Python-int reference, which takes t from r
+and one numpy call (_classify) per segment gives each prime its histogram
+cell (_fold_segment), which _decode reads back for the counts and for the
+oracle and local-factors suites of verify.  classify_prime is the scalar
+Python-int reference the kernel is tested against; it takes t from r
 itself and the Legendre symbol from Euler's criterion.  The only
 accumulated state is a CountAccumulator: the count of primes in each
 (s, t, Legendre) cell.  Special primes p | 2ab have a column of their own
@@ -208,14 +209,12 @@ def classify_prime(profile: BaseProfile, p: int) -> tuple[int, int | None, int |
     """
     if not (2 <= p <= MAX_X and is_prime(p)):
         raise ValueError(f"p must be a prime <= 2^40, got {p}")
-    a, b = profile.a, profile.b
+    a, b, s = profile.a, profile.b, v2(p - 1)
     if p == 2 or a % p == 0 or b % p == 0:
         # p | 2ab, so decompose() has already decided it
-        return v2(p - 1) if p > 2 else 0, None, None, dict(profile.special_primes)[p]
-    pm1 = p - 1
-    s = (pm1 & -pm1).bit_length() - 1
+        return s, None, None, dict(profile.special_primes)[p]
     r = a % p * pow(b % p, -1, p) % p
-    y = pow(r, pm1 >> s, p)
+    y = pow(r, (p - 1) >> s, p)
     # r^(p-1) = 1, so y reaches 1 within s squarings
     for t in range(s + 1):
         if y == 1:
@@ -223,7 +222,7 @@ def classify_prime(profile: BaseProfile, p: int) -> tuple[int, int | None, int |
         y = y * y % p
     else:
         raise InternalInconsistencyError(f"r^(p-1) != 1 mod {p}")
-    leg = 1 if pow(profile.r0_num * profile.r0_den % p, pm1 >> 1, p) == 1 else -1
+    leg = 1 if pow(profile.r0_num * profile.r0_den % p, (p - 1) >> 1, p) == 1 else -1
     return s, t, leg, t >= 1
 
 
@@ -268,18 +267,16 @@ def _mulmod_f64(x: np.ndarray, y: np.ndarray, p: np.ndarray, p_inv: np.ndarray) 
     return np.minimum(r, r - p)
 
 
-def _pow_many(bases: list[np.ndarray], m: np.ndarray, p: np.ndarray,
-              mulmod: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-              ) -> list[np.ndarray]:
-    """b ** m mod p for each array b of bases, elementwise, for odd
-    exponents m, by right-to-left square-and-multiply over the bits of
-    the largest exponent (each step multiplies by b or 1); bit 0 is set, so
-    each result starts as its base."""
-    out = list(bases)
+def _pow_many(base: np.ndarray, m: np.ndarray, p: np.ndarray, mulmod: Callable) -> np.ndarray:
+    """base ** m mod p, elementwise, for odd exponents m, by right-to-left
+    square-and-multiply over the bits of the largest exponent (each step
+    multiplies by the base or 1); bit 0 is set, so the result starts as
+    the base."""
+    out = base
     for i in range(1, int(m.max()).bit_length()):
         bit = ((m >> np.uint64(i)) & np.uint64(1)).astype(p.dtype)
-        bases = [mulmod(b, b, p) for b in bases]
-        out = [mulmod(o, bit * (b - 1) + 1, p) for o, b in zip(out, bases)]
+        base = mulmod(base, base, p)
+        out = mulmod(out, bit * (base - 1) + 1, p)
     return out
 
 
@@ -294,11 +291,17 @@ def _negated_inverses(k: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _inverse(k: int, primes: np.ndarray) -> np.ndarray:
-    """k^-1 mod p in [1, p) for an int64 array of primes p not dividing
-    k < 2^16, as (1 + j p) / k with j = -p^-1 mod k: 1 + j p is divisible
-    by k, below 2^56 for p <= 2^40, and k (1 + j p) / k = 1 mod p."""
-    return (1 + _negated_inverses(k)[primes % k] * primes) // k
+def _inverse(k: int, primes: np.ndarray, mulmod: Callable, p: np.ndarray) -> np.ndarray:
+    """k^-1 mod p in [1, p), in the dtype of p, for an int64 array of odd
+    primes not dividing k < 2^63 and their mulmod (see _r0_valuation).
+    Below _INVERSE_K_LIMIT it is (1 + j p) / k with j = -p^-1 mod k:
+    1 + j p is divisible by k, below 2^56 for p <= 2^40, and
+    k (1 + j p) / k = 1 mod p.  Otherwise it is k^(p-2) (Fermat), p - 2
+    odd as _pow_many needs."""
+    if k < _INVERSE_K_LIMIT:
+        return ((1 + _negated_inverses(k)[primes % k] * primes) // k).astype(p.dtype)
+    return _pow_many((np.int64(k) % primes).astype(p.dtype),
+                     primes.view(np.uint64) - np.uint64(2), p, mulmod)
 
 
 # A kernel below this limit reads the Legendre symbol of r0 from a table of
@@ -345,10 +348,8 @@ def _r0_valuation(profile: BaseProfile, primes: np.ndarray, s: np.ndarray) -> np
     s = v2(p-1).
 
     Let m be the odd part of p-1 and k < g the numerator and denominator of
-    r0 in either order (ord r0 = ord 1/r0).  When k < 2^16, X = (g k^-1)^m
-    with k^-1 in closed form (_inverse) and t0 is the number of squarings
-    of X until it is 1; otherwise X = g^m and Y = k^m, and t0 is the number
-    of squarings of both until they agree.  Either way t0 <= s, so the
+    r0 in either order (ord r0 = ord 1/r0).  X = (g k^-1)^m (_inverse), and
+    t0 is the number of squarings of X until it is 1.  t0 <= s, so the
     loop gives up after max(s) + 1 rounds.  Needs r0_num, r0_den < 2^63.
     """
     m = (primes.view(np.uint64) - np.uint64(1)) >> s.astype(np.uint64)
@@ -361,27 +362,16 @@ def _r0_valuation(profile: BaseProfile, primes: np.ndarray, s: np.ndarray) -> np
     else:
         mulmod, dtype = functools.partial(_mulmod_f64, p_inv=1 / primes), np.uint64
     p = primes.astype(dtype)
-
-    def residue(n: int) -> np.ndarray:
-        return (np.int64(n) % primes).astype(dtype)
-
     k, g = sorted((profile.r0_num, profile.r0_den))
-    single = k < _INVERSE_K_LIMIT
-    if single:  # Y = 1: compare X against 1
-        r0 = mulmod(residue(g), _inverse(k, primes).astype(dtype), p)
-        (x,) = _pow_many([r0], m, p, mulmod)
-        y = 1
-    else:
-        x, y = _pow_many([residue(g), residue(k)], m, p, mulmod)
+    r0 = mulmod((np.int64(g) % primes).astype(dtype), _inverse(k, primes, mulmod, p), p)
+    x = _pow_many(r0, m, p, mulmod)
     t0 = np.zeros(len(p), dtype=np.int8)
     for _ in range(int(s.max()) + 1):
-        differ = x != y
+        differ = x != 1
         if not differ.any():
             return t0
         t0 += differ
         x = mulmod(x, x, p)
-        if not single:
-            y = mulmod(y, y, p)
     raise InternalInconsistencyError("r0^(p-1) != 1 mod some p in the segment")
 
 
@@ -462,6 +452,17 @@ def _fold_segment(profile: BaseProfile, base: np.ndarray, lo: int, hi: int,
     return [cells[start:end] for start, end in zip([0, *ends], ends)]
 
 
+def _decode(cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """int64 arrays s, t and bit of histogram cells (the int16 cells of
+    _fold_segment are cast first, for _weights) and the masks generic and
+    divides (p | some a^k + b^k: t >= 1 if generic, else bit)."""
+    cells = cells.astype(np.int64, copy=False)
+    s, t = np.divmod(cells >> 1, _S_CELLS)
+    bit = cells & 1
+    generic = t != _SPECIAL_T
+    return s, t, bit, generic, np.where(generic, t > 0, bit == 1)
+
+
 def _histogram(cells: np.ndarray) -> CountAccumulator:
     return CountAccumulator(np.bincount(cells, minlength=_N_CELLS))
 
@@ -511,10 +512,7 @@ def _evaluate(profile: BaseProfile, acc: CountAccumulator) -> Counts:
     """
     cells = np.flatnonzero(acc.cells)
     n = acc.cells[cells]
-    s, t = np.divmod(cells >> 1, _S_CELLS)
-    bit = cells & 1
-    generic = t != _SPECIAL_T
-    divides = np.where(generic, t > 0, bit == 1)
+    s, t, bit, generic, divides = _decode(cells)
     pi, pi_generic = int(n.sum()), int(n[generic].sum())
     n_exact, n_generic = int(n[divides].sum()), int(n[generic & divides].sum())
 
@@ -610,8 +608,7 @@ def character_count(profile: BaseProfile, x: int) -> Fraction:
             continue
         pi_g += 1
         table = character_table(p)
-        pm1 = p - 1
-        s = (pm1 & -pm1).bit_length() - 1
+        pm1, s = p - 1, v2(p - 1)
         k_eps = 0 if profile.eps == 1 else pm1 >> 1
         k0 = table.dlog(rational_mod(profile.r0_num, profile.r0_den, p))
         base = (k_eps + h * k0) % pm1

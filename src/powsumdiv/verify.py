@@ -15,10 +15,11 @@ import numpy as np
 
 from .arith import divisors, v2
 from .census import (
-    classify_prime,
     heuristic_counts,
     ramanujan_count,
     character_count,
+    _decode,
+    _fold_segment,
     _primes_in_range,
     _weights,
 )
@@ -165,33 +166,32 @@ def check_characters(p_max: int = 200, x_char: int = 500) -> CheckResult:
 def check_local_factors(p_limit: int = 10**5,
                         checkpoints: tuple[int, ...] = (10**3, 10**4, 10**5)) -> CheckResult:
     """Per-prime truncated Ramanujan sums against the naive and refined
-    local weights of census._weights, using the exact group index of r
-    (full multiplicative order, factored p-1), then the summed weights at
+    local weights of census._weights, at the (s, t, bit) cells that one
+    _fold_segment call gives the generic primes <= p_limit.  The sums use
+    the exact group index of r (full multiplicative order, factored p-1),
+    whose 2-adic valuation must be s - t.  Then the summed weights at
     several checkpoints in [2, p_limit] against the histogram route."""
     if not all(2 <= x <= p_limit for x in checkpoints):
         raise ValueError(f"checkpoints must lie in [2, p_limit = {p_limit}]")
     checked = 0
     failures: list[str] = []
-    primes = _primes_in_range(2, p_limit + 1).tolist()
+    primes = _primes_in_range(2, p_limit + 1)
     for a, b in PROFILE_GRID:
         profile = decompose(a, b)
-        e = profile.e
-        cells: list[int] = []  # p, s, t, bit and the two sums below, per prime
-        for p in primes:
-            s, t, leg, _ = classify_prime(profile, p)
-            if t is None:
-                continue
-            r = rational_mod(profile.a, profile.b, p)
-            index = (p - 1) // multiplicative_order(r, p)
-            if v2(index) != s - t:
+        s, t, bit, generic, _ = _decode(_fold_segment(profile, primes, 2, p_limit + 1)[0])
+        generic, s, t, bit = primes[generic], s[generic], t[generic], bit[generic]
+        sums = []  # the two sums below, per generic prime
+        for p, s_p, t_p in zip(generic.tolist(), s.tolist(), t.tolist()):
+            index = (p - 1) // multiplicative_order(rational_mod(profile.a, profile.b, p), p)
+            if v2(p - 1) != s_p or v2(index) != s_p - t_p:
                 failures.append(f"index valuation mismatch at ({a},{b}), p={p}")
             # 2^s times the local factors: c_{2^v}(index) summed to v <= e, e+1
-            c = [ramanujan_c(1 << v, index) for v in range(min(s, e + 1) + 1)]
-            cells += p, s, t, leg > 0, sum(c[: e + 1]), sum(c)
-        generic, s, t, bit, *sums = np.array(cells, dtype=np.int64).reshape(-1, 6).T
+            c = [ramanujan_c(1 << v, index) for v in range(min(s_p, profile.e + 1) + 1)]
+            sums.append((sum(c[: profile.e + 1]), sum(c)))
         weights = _weights(profile, s, t, bit)[:2]
         checked += 2 * len(generic)
-        for name, want, got in zip(("naive", "refined"), sums, weights):
+        for name, want, got in zip(("naive", "refined"),
+                                   np.array(sums, dtype=np.int64).reshape(-1, 2).T, weights):
             for i in np.flatnonzero(want != got).tolist():
                 failures.append(f"{name} weight mismatch at ({a},{b}), p={generic[i]}: "
                                 f"{want[i]}/2^{s[i]} vs {got[i]}/2^{s[i]}")
@@ -275,7 +275,7 @@ def _first_k(pairs: list[tuple[int, int]], primes: np.ndarray, bounds: list[int]
 
 
 def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
-    """Order-parity classification vs direct search for a k with
+    """The segment kernel (_fold_segment) vs direct search for a k with
     p | a^k + b^k, over every admissible pair |a|, |b| <= coeff_bound.
 
     Searching k <= max(1, (p-1)/2) decides every case.  If p divides
@@ -299,15 +299,13 @@ def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
 
     checked = 0
     failures: list[str] = []
-    for i, (a, b) in enumerate(pairs):
-        profile = decompose(a, b)
-        for j, p in enumerate(primes.tolist()):
-            _, _, _, got = classify_prime(profile, p)
-            checked += 1
-            if got != bool(expected[i, j]):
-                failures.append(
-                    f"parity criterion vs search at (a,b)=({a},{b}), p={p}: "
-                    f"classified {got}, search {bool(expected[i, j])}")
+    for (a, b), want in zip(pairs, expected):
+        got = _decode(_fold_segment(decompose(a, b), primes, 2, p_limit + 1)[0])[4]
+        checked += len(primes)
+        for j in np.flatnonzero(got != want).tolist():
+            failures.append(
+                f"parity criterion vs search at (a,b)=({a},{b}), p={primes[j]}: "
+                f"classified {got[j]}, search {want[j]}")
     return checked, failures
 
 

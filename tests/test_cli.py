@@ -149,6 +149,8 @@ def test_sweep_bad_checkpoint_list(capsys):
     ["sweep", "2", "1", "100", "--checkpoint-list", "10,200"],
     ["sweep", "2", "1", "100", "--threads", "0"],
     ["sweep", "2", "1", "100", "--checkpoints", "0"],
+    ["sweep", "2", "1", str(10**400)],                               # x far above 2^40
+    ["sweep", "2", "1", "100", "--checkpoints", str(10**11)],        # unbounded loop
 ])
 def test_invalid_arguments_exit_2_with_one_line(capsys, argv):
     try:

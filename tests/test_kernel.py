@@ -1,6 +1,7 @@
 """The vector classifier and the segment fold against the scalar Python-int
 reference classify_prime, over the whole supported range up to 2^40."""
 
+import functools
 import math
 import signal
 from fractions import Fraction
@@ -22,6 +23,7 @@ from powsumdiv.census import (
     Counts,
     InternalInconsistencyError,
     _classify,
+    _decode,
     _evaluate,
     _fold_segment,
     _histogram,
@@ -29,6 +31,7 @@ from powsumdiv.census import (
     _legendre_table,
     _mulmod_f53,
     _mulmod_f64,
+    _mulmod_u64,
     _primes_in_range,
     _simple_sieve,
     _worker_count,
@@ -44,7 +47,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # b = 1 and b != 1, eps = +-1, e = 0, 1, 2, 4, Q(sqrt 2), a large |D|, a
 # near-63-bit a, eps = -1 with e >= 2 or with r0_den != 1 (where t is not
 # v2 of the order of r0^h), r0_num = 1, the smaller term of r0 at
-# 2^16 - 1 (the largest inverse table) and 2^16 (two powers), and the
+# 2^16 - 1 (the largest inverse table) and 2^16 (the Fermat inverse), and the
 # kernel at 2^16 - 1 (the largest Legendre table) and 2^16 + 1 (none)
 WIDE_PAIRS = [(2, 1), (-4, 1), (8, 27), (7, 3), (16, 1),
               (-1000003, 999331), (2**62 + 135, 3), (-(2**63 - 1), 2**63 - 25),
@@ -155,12 +158,21 @@ def test_legendre_table_against_euler(kernel):
 TOP_PRIMES = [2**26 - 5, 2**32 - 5, 2**40 - 87]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 60, 65535])
+@pytest.mark.parametrize("k", [1, 2, 3, 60, 65535, 2**16, 2**16 + 1, 2**63 - 25])
 def test_inverse_is_exact(k):
-    primes = np.array([q for top in TOP_PRIMES for q in range(top - 2000, top + 1)
-                       if is_prime(q)], dtype=np.int64)
-    for p, inv in zip(primes.tolist(), _inverse(k, primes).tolist()):
-        assert 0 < inv < p and k * inv % p == 1, (k, p)
+    # the closed form below 2^16 and Fermat's k^(p-2) from 2^16 on, in each
+    # mulmod regime of _r0_valuation: float64 residues below 2^26, uint64
+    # below 2^32, uint64 with a float quotient up to 2^40
+    for top, dtype, mulmod in zip(TOP_PRIMES, (np.float64, np.uint64, np.uint64),
+                                  (_mulmod_f53, _mulmod_u64, _mulmod_f64)):
+        primes = np.array([q for q in range(top - 2000, top + 1) if is_prime(q)], dtype=np.int64)
+        if mulmod is not _mulmod_u64:
+            mulmod = functools.partial(mulmod, p_inv=1 / primes)
+        p = primes.astype(dtype)
+        inv = _inverse(k, primes, mulmod, p)
+        assert inv.dtype == dtype
+        for q, i in zip(primes.tolist(), inv.astype(np.int64).tolist()):
+            assert 0 < i < q and k * i % q == 1, (k, q)
 
 
 def test_mulmod_f53_is_exact():
@@ -230,12 +242,15 @@ def _alarm(signum, frame):
 
 def test_kernel_squaring_loop_is_bounded():
     # were 9 passed as a prime, 2^(odd part of 8) = 2 would never square to
-    # 1 mod 9; the loop stops after s + 1 = 4 rounds instead of running forever
+    # 1 mod 9; the loop stops after s + 1 = 4 rounds instead of running
+    # forever.  For (65537, 65536), k = 2^16 takes the Fermat inverse
+    # 7^7 = 7 mod 9, so r0 = 8 * 7 = 2 mod 9 as well.
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(10)
     try:
-        with pytest.raises(InternalInconsistencyError):
-            _classify(decompose(2, 1), np.array([9], dtype=np.int64))
+        for a, b in [(2, 1), (65537, 65536)]:
+            with pytest.raises(InternalInconsistencyError):
+                _classify(decompose(a, b), np.array([9], dtype=np.int64))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -310,6 +325,23 @@ def test_fold_segment_near_2_40():
         pieces = fold_views(profile, base, lo, hi, (mid,))
         assert pieces == [scalar_fold(profile, _primes_in_range(lo, mid).tolist()),
                           scalar_fold(profile, _primes_in_range(mid, hi).tolist())]
+
+
+def test_fold_segment_matches_classify_prime_on_oracle_grid():
+    # verify's oracle suite checks the kernel's cells against direct search
+    # on this grid (|a|, |b| <= 12, p <= 2000, special primes included);
+    # kernel = reference here, so that suite still certifies classify_prime
+    primes = _primes_in_range(2, 2001)
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            if a == 0 or b == 0 or abs(a) == abs(b):
+                continue
+            profile = decompose(a, b)
+            (cells,) = _fold_segment(profile, primes, 2, 2001)
+            s, t, bit, generic, divides = (v.tolist() for v in _decode(cells))
+            got = [(s_p, t_p, 2 * bit_p - 1, div) if gen else (s_p, None, None, div)
+                   for s_p, t_p, bit_p, gen, div in zip(s, t, bit, generic, divides)]
+            assert got == [classify_prime(profile, p) for p in primes.tolist()], (a, b)
 
 
 def test_fold_segment_every_s():

@@ -64,3 +64,24 @@ def test_local_factors_catch_a_planted_weight_fault(monkeypatch):
     refined = [f for f in failures if f.startswith("refined weight mismatch")]
     assert refined and refined[0].startswith("refined weight mismatch at (2,1), p=3:")
     assert not any(f.startswith("naive weight mismatch") for f in failures)
+
+
+def test_suites_catch_a_planted_kernel_fault(monkeypatch):
+    # both suites classify through the segment kernel: a t one too small
+    # at p = 7 is caught by the oracle (for the pairs where 7 | a^k + b^k
+    # with t = 1) and by the index valuation of local-factors
+    decode = verify._decode
+
+    def planted(cells):
+        s, t, bit, generic, divides = decode(cells)
+        if generic[3] and t[3] > 0:  # primes 2, 3, 5, 7: index 3 is p = 7
+            t[3] -= 1
+            divides[3] = t[3] > 0
+        return s, t, bit, generic, divides
+
+    monkeypatch.setattr(verify, "_decode", planted)
+    _, failures = verify.check_oracle(p_limit=50, coeff_bound=3)
+    assert failures and all(", p=7: classified False, search True" in f for f in failures)
+    assert failures[0].startswith("parity criterion vs search at (a,b)=(")
+    _, failures = verify.check_local_factors(100, (100,))
+    assert "index valuation mismatch at (-2,1), p=7" in failures

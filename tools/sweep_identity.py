@@ -5,10 +5,13 @@
 PARENT_SRC and CHANGE_SRC are the src/ directories of two checkouts.  For
 each pair in PAIRS, each format (csv, json) and each worker count (1, 2)
 the script runs ``powsumdiv sweep A B 10000000 --format F --threads T``
-from both trees, one after the other, and then ``powsumdiv verify all``,
-whose ``ok <suite>: <n> checks`` lines pin every suite's check count.  It
+from both trees, one after the other; then the csv, one-worker sweeps of
+DEEP_PAIRS to 70000000, which reach past 2^26 into the uint64 mulmod
+regime with the smaller term of r0 on both sides of 2^16 (Fermat inverse
+and closed form); and last ``powsumdiv verify all``, whose
+``ok <suite>: <n> checks`` lines pin every suite's check count.  It
 compares stdout and the exit code byte for byte, prints one line per
-command and exits 0 when all 41 agree and exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
+command and exits 0 when all 43 agree and exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
 e = 0, 1 and 2, Q(sqrt 2), three special primes ((7,3)), the smaller term
 of r0 on both sides of 2^16, and the largest kernel with a Legendre table
 (65535) and the smallest without (65537).
@@ -21,6 +24,8 @@ import sys
 X = 10_000_000
 PAIRS = [(2, 1), (-4, 1), (8, 27), (7, 3), (-16, 1), (-81, 16),
          (65537, 65535), (65537, 65536), (65535, 1), (65537, 1)]
+X_DEEP = 70_000_000
+DEEP_PAIRS = [(65537, 65536), (65537, 65535)]
 
 
 def run(src: str, argv: list[str]) -> tuple[int, bytes]:
@@ -38,6 +43,8 @@ def main(argv: list[str]) -> int:
     same = True
     commands = [["sweep", str(a), str(b), str(X), "--format", fmt, "--threads", threads]
                 for a, b in PAIRS for fmt in ("csv", "json") for threads in ("1", "2")]
+    commands += [["sweep", str(a), str(b), str(X_DEEP), "--format", "csv", "--threads", "1"]
+                 for a, b in DEEP_PAIRS]
     for cmd in [*commands, ["verify", "all"]]:
         want, got = run(parent, cmd), run(change, cmd)
         ok = want == got and want[0] == 0
