@@ -3,11 +3,9 @@ primes dividing the sequence a^k + b^k."""
 
 from .arith import (
     Factorization,
-    euler_phi,
     factorize,
     log_integral,
     log_integrals,
-    moebius,
 )
 from .census import (
     CountAccumulator,

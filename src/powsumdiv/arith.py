@@ -1,13 +1,12 @@
 """Exact integer primitives: valuations, primality, factorization,
-multiplicative functions, and the logarithmic integral.
+divisors, and the logarithmic integral.
 
-Everything here is a pure function; results for the multiplicative
-functions are derived from the complete factorization, never from
-floating point.  The logarithmic integral is the one floating-point
-result: adaptive Simpson from 2 with an absolute tolerance, whose bits are
-frozen in the sweep output.  log_integral is the scalar reference and
-log_integrals the batched numpy walk that sweeps use, equal to it bit for
-bit.
+Everything here is a pure function; divisors are derived from the
+complete factorization, never from floating point.  The logarithmic
+integral is the one floating-point result: adaptive Simpson from 2 with an
+absolute tolerance, whose bits are frozen in the sweep output.
+log_integral is the scalar reference and log_integrals the batched numpy
+walk that sweeps use, equal to it bit for bit.
 """
 
 import functools
@@ -142,28 +141,6 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
         else:
             _factor_into(n, fac)
     return tuple(sorted(fac.items()))
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("phi requires n >= 1")
-    if n == 1:
-        return 1
-    out = 1
-    for p, ex in _factorize_cached(n):
-        out *= (p - 1) * p ** (ex - 1)
-    return out
-
-
-def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mu requires n >= 1")
-    if n == 1:
-        return 1
-    fac = _factorize_cached(n)
-    if any(ex > 1 for _, ex in fac):
-        return 0
-    return -1 if len(fac) & 1 else 1
 
 
 def divisors(n: int) -> list[int]:

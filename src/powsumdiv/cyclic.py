@@ -47,12 +47,23 @@ def order_valuation_count(n: int, h: int, w: int) -> int:
 
 
 def power_exponent_set(n: int, h: int) -> set[int]:
-    """Exponents (mod n) of the h-th powers: {h*k mod n}."""
-    return {h * k % n for k in range(n)}
+    """Exponents (mod n) of the h-th powers, {h*k mod n : 0 <= k < n}, by
+    enumeration."""
+    if n < 1 or h < 1:
+        raise ValueError("n and h must be >= 1")
+    return {hk % n for hk in range(0, h * n, h)}
 
 
 def multiplicative_order(g: int, p: int) -> int:
-    """Least k >= 1 with g^k == 1 mod p, for p prime and p not dividing g."""
+    """Least k >= 1 with g^k == 1 mod p, for p prime and p not dividing g.
+
+    Raises ValueError unless g^(p-1) == 1 mod p, which every unit mod a
+    prime satisfies.  Given that, the order divides p-1 and the loop strips
+    from p-1 every prime factor that the order lacks, so the result is
+    exact for any p >= 2; a composite p passes only if it is a Fermat
+    pseudoprime to base g.  Each strip proves g^order == 1, so the check
+    costs a power only when nothing was stripped.
+    """
     g %= p
     if g == 0:
         raise ValueError("g must be a unit mod p")
@@ -60,6 +71,8 @@ def multiplicative_order(g: int, p: int) -> int:
     for q, _ in _factorize_cached(p - 1):
         while order % q == 0 and pow(g, order // q, p) == 1:
             order //= q
+    if order == p - 1 and pow(g, order, p) != 1:
+        raise ValueError(f"{g}^{p - 1} != 1 mod {p}: the modulus is not prime")
     return order
 
 
@@ -94,8 +107,21 @@ class CharacterTable:
             dlog[acc] = k
             acc = acc * self.g0 % p
         self._dlog = dlog
-        self._roots = [cmath.exp(1j * _TWO_PI * k / n) for k in range(n)]
-        self._orders = [n // math.gcd(j, n) for j in range(n)]
+
+    @functools.cached_property
+    def _roots(self) -> list[complex]:
+        """e^(2*pi*i*k/(p-1)) for k in [0, p-1)."""
+        n = self.n
+        return [cmath.exp(1j * _TWO_PI * k / n) for k in range(n)]
+
+    @functools.cached_property
+    def _by_order(self) -> dict[int, list[int]]:
+        """The indices j of the characters of each order d = n/gcd(j, n), ascending."""
+        n = self.n
+        groups: dict[int, list[int]] = {}
+        for j in range(n):
+            groups.setdefault(n // math.gcd(j, n), []).append(j)
+        return groups
 
     def dlog(self, g: int) -> int:
         """Discrete logarithm of g to base g0."""
@@ -114,15 +140,14 @@ class CharacterTable:
         return math.gcd(self.dlog(g), self.n)
 
     def order_sum(self, d: int, g: int) -> complex:
-        """Sum of chi(g) over the characters of exact order d | p-1."""
+        """Sum of chi(g) over the phi(d) characters of exact order d | p-1."""
         if self.n % d != 0:
             raise ValueError(f"{d} does not divide p-1 = {self.n}")
         k = self.dlog(g)
         n, roots = self.n, self._roots
         total = 0j
-        for j, order in enumerate(self._orders):
-            if order == d:
-                total += roots[j * k % n]
+        for j in self._by_order[d]:
+            total += roots[j * k % n]
         return total
 
 

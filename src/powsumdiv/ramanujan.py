@@ -1,32 +1,34 @@
 """Ramanujan sums c_n(m) in exact integer arithmetic.
 
 c_n(m) = sum of e^(2*pi*i*k*m/n) over 1 <= k <= n with gcd(k, n) = 1.
-All values here come from Holder's identity
-    c_n(m) = phi(n) * mu(n/(n,m)) / phi(n/(n,m))
-(the division is exact), so the complex definition never enters the
-computation; it exists only as a test oracle.
+All values here come from Holder's identity in multiplicative form,
+    c_n(m) = prod over p^e || n of c_{p^e}(m),
+where c_{p^e}(m) is phi(p^e) if p^e | m, -p^(e-1) if p^(e-1) || m and 0
+otherwise, so one factorisation of n gives the value; the complex
+definition never enters the computation and exists only as a test oracle.
 """
 
-import math
 from fractions import Fraction
 
-from .arith import divisors, euler_phi, moebius, v2
+from .arith import _factorize_cached, divisors, v2
 
 
 def ramanujan_c(n: int, m: int) -> int:
-    """c_n(m) for n >= 1, m >= 0, via Holder's identity."""
+    """c_n(m) for n >= 1, m >= 0, via Holder's identity (m = 0 gives phi(n))."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if n == 1:
-        return 1
-    g = math.gcd(n, m)  # m = 0 gives g = n, i.e. c_n(0) = phi(n)
-    k = n // g
-    mu = moebius(k)
-    if mu == 0:
-        return 0
-    return mu * (euler_phi(n) // euler_phi(k))
+    out = 1
+    for p, e in _factorize_cached(n):
+        low = p ** (e - 1)
+        if m % (low * p) == 0:
+            out *= low * (p - 1)
+        elif m % low == 0:
+            out = -out * low
+        else:
+            return 0
+    return out
 
 
 def ramanujan_c_2pow(v: int, t: int) -> int:

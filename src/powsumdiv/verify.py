@@ -6,7 +6,6 @@ means the suite passed.  These back both the ``verify`` CLI subcommand
 and the acceptance tests.
 """
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Callable
@@ -51,30 +50,28 @@ CheckResult = tuple[int, list[str]]
 
 def check_group(n_max: int = 300, h_max: int = 50, w_max: int = 6) -> CheckResult:
     """Cyclic-group counting formulas vs exhaustive enumeration, plus the
-    odd-order / doubled-exponent set inclusions."""
+    odd-order / doubled-exponent set inclusions.  For each n the exponents
+    j are grouped once by the 2-adic valuation of the order n/(n, j); the
+    counts and the classes of each enumerated power set are intersections
+    with those groups."""
     checked = 0
     failures: list[str] = []
     for n in range(1, n_max + 1):
         v2n = v2(n)
+        by_w = [set() for _ in range(max(v2n, w_max, 1) + 1)]  # j by w = v2(order)
+        for j in range(n):
+            by_w[v2(n // math.gcd(n, j))].add(j)
         for h in range(1, h_max + 1):
             exps = power_exponent_set(n, h)
             checked += 1
             if len(exps) != power_subgroup_size(n, h):
                 failures.append(f"#G^h mismatch at n={n}, h={h}")
                 continue
-            by_w: dict[int, int] = {}
-            odd_order = set()
-            w1 = set()
-            for j in exps:
-                w = v2(n // math.gcd(n, j))
-                by_w[w] = by_w.get(w, 0) + 1
-                if w == 0:
-                    odd_order.add(j)
-                elif w == 1:
-                    w1.add(j)
             for w in range(w_max + 1):
-                if by_w.get(w, 0) != order_valuation_count(n, h, w):
+                if len(exps & by_w[w]) != order_valuation_count(n, h, w):
                     failures.append(f"count mismatch at n={n}, h={h}, w={w}")
+            odd_order = exps & by_w[0]
+            w1 = exps & by_w[1]
             # inclusions
             v2h = v2(h)
             if v2h >= v2n:
@@ -94,12 +91,18 @@ def check_group(n_max: int = 300, h_max: int = 50, w_max: int = 6) -> CheckResul
     return checked, failures
 
 
-def _ramanujan_direct(n: int, m: int) -> complex:
-    return sum(
-        cmath.exp(2j * math.pi * k * m / n)
-        for k in range(1, n + 1)
-        if math.gcd(k, n) == 1
-    )
+def _ramanujan_direct(n: int, m_max: int) -> list[complex]:
+    """The exponential sums of e^(2*pi*i*k*m/n) over 1 <= k <= n coprime to
+    n, for m = 0..m_max: the angles and their cosines and sines as numpy
+    arrays, added term by term in ascending k."""
+    ks = np.array([k for k in range(1, n + 1) if math.gcd(k, n) == 1])
+    theta = 2.0 * math.pi * ks[:, None] * np.arange(m_max + 1) / n
+    cos, sin = np.cos(theta), np.sin(theta)
+    re, im = np.zeros(m_max + 1), np.zeros(m_max + 1)
+    for i in range(len(ks)):
+        re += cos[i]
+        im += sin[i]
+    return [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
 
 
 def check_ramanujan() -> CheckResult:
@@ -108,8 +111,7 @@ def check_ramanujan() -> CheckResult:
     checked = 0
     failures: list[str] = []
     for n in range(1, 101):
-        for m in range(0, 101):
-            z = _ramanujan_direct(n, m)
+        for m, z in enumerate(_ramanujan_direct(n, 100)):
             c = ramanujan_c(n, m)
             checked += 1
             if abs(z.imag) > 1e-6 or abs(z.real - c) > 1e-6:
@@ -127,8 +129,7 @@ def check_ramanujan() -> CheckResult:
     for n in range(1, 201):
         for m in range(0, 401):
             checked += 1
-            want = Fraction(1) if m % n == 0 else Fraction(0)
-            if divisor_indicator(n, m) != want:
+            if divisor_indicator(n, m) != (m % n == 0):
                 failures.append(f"indicator mismatch at n={n}, m={m}")
     return checked, failures
 
@@ -245,33 +246,43 @@ def check_densities(bound: int = 30) -> CheckResult:
 
 
 def _first_k(pairs: list[tuple[int, int]], primes: np.ndarray, bounds: list[int]) -> np.ndarray:
-    """The least k <= bounds[j] with primes[j] | a^k + b^k, or 0 if there is
+    """The least k <= bounds[i] with primes[i] | a^k + b^k, or 0 if there is
     none, for each pair (a, b) (rows) and each prime (columns), by direct
-    search.  primes ascend below 46341, so residue products fit int32, and
-    bounds must not decrease."""
-    a_col = np.array([p[0] for p in pairs], dtype=np.int32)[:, None]
-    b_col = np.array([p[1] for p in pairs], dtype=np.int32)[:, None]
-    P = primes.astype(np.int32)
-    base_a = a_col % P
-    base_b = b_col % P
-    cur_a = base_a.copy()
-    cur_b = base_b.copy()
-    first_k = np.zeros(base_a.shape, dtype=np.int32)
-    col = 0
+    search: v^k mod p by repeated multiplication for each value v among
+    the pairs, and a hit where a^k == -b^k mod p.  primes ascend below
+    46341, so residue products fit int32, and bounds must not decrease.
+    The arrays are laid out (primes x values) and (primes x pairs), so the
+    primes still searched at step k, those with k <= bound, are one
+    contiguous block of rows that every step updates in place."""
+    values = sorted({v for pair in pairs for v in pair})
+    column = {v: i for i, v in enumerate(values)}
+    col_a = np.array([column[a] for a, _ in pairs])
+    col_b = np.array([column[b] for _, b in pairs])
+    P = primes.astype(np.int32)[:, None]
+    base = np.array(values, dtype=np.int32) % P
+    power, minus = base.copy(), np.empty_like(base)  # v^k and -v^k mod p
+    shape = (len(primes), len(pairs))
+    power_a, minus_b = np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32)
+    hit, fresh = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    first_k = np.zeros(shape, dtype=np.int32)
+    row = 0
     for k in range(1, bounds[-1] + 1):
-        # only the columns with k <= bound are searched, a suffix as the
-        # bounds ascend
-        while bounds[col] < k:
-            col += 1
-        ca, cb, pj, fk = cur_a[:, col:], cur_b[:, col:], P[col:], first_k[:, col:]
+        while bounds[row] < k:
+            row += 1
+        pk, pw, mn = P[row:], power[row:], minus[row:]
         if k > 1:
-            for cur, base in ((ca, base_a[:, col:]), (cb, base_b[:, col:])):
-                np.multiply(cur, base, out=cur)
-                np.remainder(cur, pj, out=cur)
-        hit = ((ca + cb) % pj == 0) & (fk == 0)
-        if hit.any():
-            fk[hit] = k
-    return first_k
+            np.multiply(pw, base[row:], out=pw)
+            np.remainder(pw, pk, out=pw)
+        np.subtract(pk, pw, out=mn)
+        np.remainder(mn, pk, out=mn)
+        pa, mb, h, f, fk = power_a[row:], minus_b[row:], hit[row:], fresh[row:], first_k[row:]
+        np.take(pw, col_a, axis=1, out=pa)
+        np.take(mn, col_b, axis=1, out=mb)
+        np.equal(pa, mb, out=h)
+        np.equal(fk, 0, out=f)
+        np.logical_and(h, f, out=h)
+        np.copyto(fk, k, where=h)
+    return first_k.T
 
 
 def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:

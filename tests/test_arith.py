@@ -15,15 +15,14 @@ from powsumdiv import arith
 from powsumdiv.arith import (
     _MR_PSI,
     _TRIAL_LIMIT,
-    euler_phi,
     factorize,
     is_prime,
     log_integral,
     log_integrals,
-    moebius,
     v2,
 )
 from powsumdiv.cyclic import rational_mod
+from powsumdiv.ramanujan import ramanujan_c
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +93,8 @@ def test_factorize_semiprimes_beyond_trial_division(p, q):
     assert factorize(p * q) == ([(p, 2)] if p == q else [(p, 1), (q, 1)])
 
 
-def test_factorize_reconstruction_and_tables_to_1e5():
-    limit = 10**5
-    # sieve oracles for the least prime factor, phi and mu
+def sieve_tables(limit: int) -> tuple[list[int], list[int], list[int]]:
+    """The least prime factor, phi and mu of every n <= limit, sieved."""
     least = [0] * (limit + 1)
     phi = list(range(limit + 1))
     mu = [1] * (limit + 1)
@@ -107,6 +105,12 @@ def test_factorize_reconstruction_and_tables_to_1e5():
             least[m] = least[m] or p
             phi[m] -= phi[m] // p
             mu[m] = 0 if m % (p * p) == 0 else -mu[m]
+    return least, phi, mu
+
+
+def test_factorize_reconstruction_and_tables_to_1e5():
+    limit = 10**5
+    least, phi, mu = sieve_tables(limit)
     for n in range(2, limit + 1):
         # trial division by the least prime factor
         want: dict[int, int] = {}
@@ -116,14 +120,27 @@ def test_factorize_reconstruction_and_tables_to_1e5():
             m //= least[m]
         assert factorize(n) == sorted(want.items()), n
     for n in range(1, limit + 1):
-        assert euler_phi(n) == phi[n] if n > 1 else True
-        assert moebius(n) == mu[n]
+        # c_n(0) = phi(n) and c_n(1) = mu(n)
+        assert ramanujan_c(n, 0) == phi[n]
+        assert ramanujan_c(n, 1) == mu[n]
 
 
 def test_phi_mu_examples():
-    assert euler_phi(8) == 4 and moebius(8) == 0
-    assert euler_phi(1) == 1 and moebius(1) == 1
-    assert euler_phi(30) == 8 and moebius(30) == -1
+    # phi and mu as the Ramanujan sums c_n(0) and c_n(1)
+    assert ramanujan_c(8, 0) == 4 and ramanujan_c(8, 1) == 0
+    assert ramanujan_c(1, 0) == 1 and ramanujan_c(1, 1) == 1
+    assert ramanujan_c(30, 0) == 8 and ramanujan_c(30, 1) == -1
+
+
+def test_ramanujan_c_against_sieved_mu_and_phi():
+    # Holder's identity in its original form: c_n(m) = mu(n/g) phi(n)/phi(n/g)
+    # with g = gcd(n, m), from the sieved tables
+    limit = 400
+    _, phi, mu = sieve_tables(limit)
+    for n in range(1, limit + 1):
+        for m in range(0, limit + 1):
+            k = n // math.gcd(n, m)
+            assert ramanujan_c(n, m) == mu[k] * phi[n] // phi[k], (n, m)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from powsumdiv.arith import divisors, is_prime, v2
+from powsumdiv.census import _primes_in_range, character_count
 from powsumdiv.cyclic import (
     CharacterTable,
     character_table,
@@ -14,6 +15,7 @@ from powsumdiv.cyclic import (
     power_exponent_set,
     power_subgroup_size,
 )
+from powsumdiv.profile import decompose
 from powsumdiv.ramanujan import ramanujan_c
 
 
@@ -30,6 +32,14 @@ def test_power_subgroup_size_examples():
     assert len({pow(k, 10, 101) for k in range(1, 101)}) == 10  # Z/100 as F_101^*
     assert len(power_exponent_set(100, 10)) == 10
     assert power_subgroup_size(100, 10) == 10
+
+
+@pytest.mark.parametrize("n,h", [(0, 3), (5, 0), (5, -1), (-4, 2)])
+def test_power_exponent_set_rejects_nonpositive_arguments(n, h):
+    with pytest.raises(ValueError):
+        power_subgroup_size(n, h)
+    with pytest.raises(ValueError):
+        power_exponent_set(n, h)
 
 
 def test_order_valuation_examples():
@@ -85,6 +95,53 @@ def test_multiplicative_order_against_brute_force():
                 acc = acc * g % p
                 k += 1
             assert multiplicative_order(g, p) == k
+
+
+@pytest.mark.parametrize("g,p", [(2, 15), (4, 9), (3, 9), (5, 6)])
+def test_multiplicative_order_rejects_a_composite_modulus(g, p):
+    # without the check the loop stripped nothing and returned p - 1:
+    # (2, 15) gave 14 (the order is 4) and (4, 9) gave 8 (the order is 3)
+    with pytest.raises(ValueError):
+        multiplicative_order(g, p)
+
+
+def test_multiplicative_order_is_exact_for_a_fermat_pseudoprime():
+    # 341 = 11 * 31 passes 2^340 == 1 mod 341, so the order is exact there
+    assert pow(2, 340, 341) == 1
+    assert multiplicative_order(2, 341) == 10
+    assert multiplicative_order(2, 341) == next(k for k in range(1, 341) if pow(2, k, 341) == 1)
+
+
+def order_sum_over_all_characters(table, d, g):
+    """order_sum by a walk over all p-1 characters in ascending j, keeping
+    those of order d; test oracle only."""
+    n = table.n
+    total = 0j
+    for j in range(n):
+        if n // math.gcd(j, n) == d:
+            total += table.chi(j, g)
+    return total
+
+
+def test_order_sum_equals_the_walk_over_all_characters():
+    # the same characters added in the same order: equal bit for bit
+    for p in _primes_in_range(3, 201).tolist():
+        table = CharacterTable(p)
+        for d in divisors(p - 1):
+            for g in range(1, p):
+                assert table.order_sum(d, g) == order_sum_over_all_characters(table, d, g), \
+                    (p, d, g)
+
+
+def test_character_count_builds_only_the_discrete_logs():
+    # count --method character reads dlog alone; the roots of unity and the
+    # characters by order are built on first use
+    character_table.cache_clear()
+    character_count(decompose(2, 1), 100)
+    table = character_table(97)
+    assert "_roots" not in vars(table) and "_by_order" not in vars(table)
+    table.order_sum(4, 3)
+    assert "_roots" in vars(table) and "_by_order" in vars(table)
 
 
 def test_character_order_sum_examples():

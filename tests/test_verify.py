@@ -1,8 +1,12 @@
 """Suite dispatch and reduced-bound runs of each checker."""
 
+import cmath
+import math
+
 import pytest
 
 from powsumdiv import verify
+from powsumdiv.cyclic import CharacterTable
 
 
 def test_run_suite_dispatch(monkeypatch):
@@ -85,3 +89,76 @@ def test_suites_catch_a_planted_kernel_fault(monkeypatch):
     assert failures[0].startswith("parity criterion vs search at (a,b)=(")
     _, failures = verify.check_local_factors(100, (100,))
     assert "index valuation mismatch at (-2,1), p=7" in failures
+
+
+def test_group_catches_a_planted_valuation_count_fault(monkeypatch):
+    # the counts by w are intersections with the exponents grouped by the
+    # valuation of their order; a formula one too large at one (n, h, w)
+    # is caught there and nowhere else
+    formula = verify.order_valuation_count
+
+    def planted(n, h, w):
+        return formula(n, h, w) + ((n, h, w) == (24, 3, 2))
+
+    monkeypatch.setattr(verify, "order_valuation_count", planted)
+    checked, failures = verify.check_group(n_max=60, h_max=10, w_max=4)
+    assert checked == 600
+    assert failures == ["count mismatch at n=24, h=3, w=2"]
+
+
+def test_group_catches_a_planted_enumeration_fault(monkeypatch):
+    # an enumerator that drops one exponent of G^h at (n, h) = (24, 2)
+    enumerate_ = verify.power_exponent_set
+
+    def planted(n, h):
+        exps = enumerate_(n, h)
+        if (n, h) == (24, 2):
+            exps.discard(max(exps))
+        return exps
+
+    monkeypatch.setattr(verify, "power_exponent_set", planted)
+    _, failures = verify.check_group(n_max=60, h_max=10, w_max=4)
+    assert "#G^h mismatch at n=24, h=2" in failures
+    assert all("n=24, h=" in f for f in failures)
+
+
+def test_characters_catch_an_order_sum_that_skips_a_character(monkeypatch):
+    # an order sum that leaves out the last character of order 6 mod 7
+    order_sum = CharacterTable.order_sum
+
+    def planted(table, d, g):
+        if (table.p, d) == (7, 6):  # the characters of order 6 are j = 1, 5
+            return table.chi(1, g)
+        return order_sum(table, d, g)
+
+    monkeypatch.setattr(CharacterTable, "order_sum", planted)
+    _, failures = verify.check_characters(p_max=30, x_char=100)
+    assert [f.split(":")[0] for f in failures] == \
+        [f"order sum mismatch at p=7, d=6, g={g}" for g in range(1, 7)]
+
+
+def test_direct_sums_equal_the_scalar_definition_bit_for_bit():
+    # the numpy sums add the same terms in the same order as the scalar
+    # definition, so check_ramanujan's failure texts print the same values
+    def scalar(n, m):
+        return sum(cmath.exp(2j * math.pi * k * m / n)
+                   for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+    for n in range(1, 101):
+        direct = verify._ramanujan_direct(n, 100)
+        assert [repr(z) for z in direct] == [repr(scalar(n, m)) for m in range(101)], n
+
+
+def test_ramanujan_catches_a_planted_holder_fault(monkeypatch):
+    # c_6(4) one too large is caught against the exponential sum (with the
+    # sum's value in the text) and by the gcd reduction
+    holder = verify.ramanujan_c
+
+    def planted(n, m):
+        return holder(n, m) + ((n, m) == (6, 4))
+
+    monkeypatch.setattr(verify, "ramanujan_c", planted)
+    _, failures = verify.check_ramanujan()
+    z = verify._ramanujan_direct(6, 4)[4]
+    assert failures == [f"direct sum mismatch at n=6, m=4: {z} vs 0",
+                        "gcd reduction fails at n=6, m=4"]
