@@ -94,7 +94,8 @@ def check_group(n_max: int = 300, h_max: int = 50, w_max: int = 6) -> CheckResul
 def _ramanujan_direct(n: int, m_max: int) -> list[complex]:
     """The exponential sums of e^(2*pi*i*k*m/n) over 1 <= k <= n coprime to
     n, for m = 0..m_max: the angles and their cosines and sines as numpy
-    arrays, added term by term in ascending k."""
+    arrays, added term by term in ascending k, the operations and order of
+    the scalar sum of cmath.exp terms."""
     ks = np.array([k for k in range(1, n + 1) if math.gcd(k, n) == 1])
     theta = 2.0 * math.pi * ks[:, None] * np.arange(m_max + 1) / n
     cos, sin = np.cos(theta), np.sin(theta)

@@ -45,6 +45,20 @@ def test_oracle_search_bound_finds_every_first_k():
     assert short.tolist() == wide.tolist()
 
 
+def test_first_k_against_a_scalar_search():
+    # the least k with p | a^k + b^k from Python integers, including the
+    # primes that divide a or b and bounds that stop short of the hit
+    primes = verify._primes_in_range(2, 200)
+    pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7)
+             if a and b and abs(a) != abs(b)]
+    bounds = [max(1, (p - 1) // 3) for p in primes.tolist()]
+    got = verify._first_k(pairs, primes, bounds)
+    for i, (a, b) in enumerate(pairs):
+        for j, (p, bound) in enumerate(zip(primes.tolist(), bounds)):
+            want = next((k for k in range(1, bound + 1) if (a**k + b**k) % p == 0), 0)
+            assert got[i, j] == want, (a, b, p)
+
+
 def test_local_factors_rejects_checkpoints_outside_the_primes():
     # a checkpoint above p_limit would be compared with sums over the
     # primes <= p_limit only
@@ -137,16 +151,18 @@ def test_characters_catch_an_order_sum_that_skips_a_character(monkeypatch):
         [f"order sum mismatch at p=7, d=6, g={g}" for g in range(1, 7)]
 
 
+def scalar_direct_sum(n: int, m: int) -> complex:
+    """c_n(m) by the exponential-sum definition, one term at a time."""
+    return sum(cmath.exp(2j * math.pi * k * m / n)
+               for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
 def test_direct_sums_equal_the_scalar_definition_bit_for_bit():
     # the numpy sums add the same terms in the same order as the scalar
     # definition, so check_ramanujan's failure texts print the same values
-    def scalar(n, m):
-        return sum(cmath.exp(2j * math.pi * k * m / n)
-                   for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
     for n in range(1, 101):
         direct = verify._ramanujan_direct(n, 100)
-        assert [repr(z) for z in direct] == [repr(scalar(n, m)) for m in range(101)], n
+        assert [repr(z) for z in direct] == [repr(scalar_direct_sum(n, m)) for m in range(101)], n
 
 
 def test_ramanujan_catches_a_planted_holder_fault(monkeypatch):
@@ -159,6 +175,5 @@ def test_ramanujan_catches_a_planted_holder_fault(monkeypatch):
 
     monkeypatch.setattr(verify, "ramanujan_c", planted)
     _, failures = verify.check_ramanujan()
-    z = verify._ramanujan_direct(6, 4)[4]
-    assert failures == [f"direct sum mismatch at n=6, m=4: {z} vs 0",
+    assert failures == [f"direct sum mismatch at n=6, m=4: {scalar_direct_sum(6, 4)} vs 0",
                         "gcd reduction fails at n=6, m=4"]
