@@ -147,12 +147,17 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     if n < 1:
         raise ValueError("divisors requires n >= 1")
+    return list(_divisors_cached(n))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _divisors_cached(n: int) -> tuple[int, ...]:
     out = [1]
     if n > 1:
         for p, ex in _factorize_cached(n):
             out = [d * p**k for d in out for k in range(ex + 1)]
     out.sort()
-    return out
+    return tuple(out)
 
 
 # Li(x) is adaptive Simpson from 2 with an absolute tolerance: trees of

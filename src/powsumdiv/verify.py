@@ -23,6 +23,7 @@ from .census import (
     _weights,
 )
 from .cyclic import (
+    CharacterTable,
     character_table,
     multiplicative_order,
     order_valuation_count,
@@ -135,6 +136,16 @@ def check_ramanujan() -> CheckResult:
     return checked, failures
 
 
+def _row_sums(table: CharacterTable) -> list[complex]:
+    """The sum of chi_j(g) over g = 1..p-1 for each character j: the table's
+    values roots[j * dlog(g) % (p-1)] added in ascending g, the terms and
+    order of sum(table.chi(j, g) for g in range(1, p)), with each dlog
+    looked up once per element instead of once per (character, element)."""
+    n, roots = table.n, table._roots
+    logs = [table.dlog(g) for g in range(1, table.p)]
+    return [sum([roots[j * k % n] for k in logs]) for j in range(n)]
+
+
 def check_characters(p_max: int = 200, x_char: int = 500) -> CheckResult:
     """Orthogonality, the order-d character sums against c_d(index), and
     the character-sum count against the Ramanujan-sum count."""
@@ -143,16 +154,16 @@ def check_characters(p_max: int = 200, x_char: int = 500) -> CheckResult:
     for p in _primes_in_range(3, p_max + 1).tolist():
         table = character_table(p)
         n = p - 1
-        for j in range(n):
-            total = sum(table.chi(j, g) for g in range(1, p))
+        for j, total in enumerate(_row_sums(table)):
             want = n if j == 0 else 0
             checked += 1
             if abs(total - want) > 1e-8:
                 failures.append(f"orthogonality fails at p={p}, j={j}")
+        index = [table.group_index(g) for g in range(1, p)]
         for d in divisors(n):
-            for g in range(1, p):
+            for g, i in enumerate(index, 1):
                 z = table.order_sum(d, g)
-                c = ramanujan_c(d, table.group_index(g))
+                c = ramanujan_c(d, i)
                 checked += 1
                 if abs(z.imag) > 1e-8 or abs(z.real - c) > 1e-8:
                     failures.append(
@@ -214,30 +225,29 @@ def check_local_factors(p_limit: int = 10**5,
 def check_densities(bound: int = 30) -> CheckResult:
     """Refined density equals the closed-form table on the whole grid;
     sign-difference formula; naive density exact iff the field is not
-    Q(sqrt 2)."""
+    Q(sqrt 2).  Each pair of the grid is decomposed once, and its refined
+    density computed once for both checks that read it."""
     checked = 0
     failures: list[str] = []
-    for a in range(-bound, bound + 1):
-        for b in range(1, bound + 1):
-            if a == 0 or abs(a) == b:
-                continue
-            profile = decompose(a, b)
-            d_table = delta_table(profile)
-            d_ref = delta_refined(profile)
-            checked += 1
-            if d_ref != d_table:
-                failures.append(f"refined != table at ({a},{b}): {d_ref} vs {d_table}")
-            if not 0 <= d_table <= 1:
-                failures.append(f"density out of range at ({a},{b})")
-            if profile.eps == -1 and d_table < Fraction(1, 2):
-                failures.append(f"negative-ratio density below 1/2 at ({a},{b})")
-            if not profile.is_sqrt2 and delta_naive(profile) != d_table:
-                failures.append(f"naive density wrong off the anomaly at ({a},{b})")
-            diff = delta_sign_difference(profile)
-            neg = decompose(-abs(a), b)
-            pos = decompose(abs(a), b)
-            if diff != delta_refined(neg) - delta_refined(pos):
-                failures.append(f"sign difference mismatch at ({a},{b})")
+    profiles = {(a, b): decompose(a, b)
+                for a in range(-bound, bound + 1) for b in range(1, bound + 1)
+                if a != 0 and abs(a) != b}
+    refined = {pair: delta_refined(profile) for pair, profile in profiles.items()}
+    for (a, b), profile in profiles.items():
+        d_table = delta_table(profile)
+        d_ref = refined[a, b]
+        checked += 1
+        if d_ref != d_table:
+            failures.append(f"refined != table at ({a},{b}): {d_ref} vs {d_table}")
+        if not 0 <= d_table <= 1:
+            failures.append(f"density out of range at ({a},{b})")
+        if profile.eps == -1 and d_table < Fraction(1, 2):
+            failures.append(f"negative-ratio density below 1/2 at ({a},{b})")
+        if not profile.is_sqrt2 and delta_naive(profile) != d_table:
+            failures.append(f"naive density wrong off the anomaly at ({a},{b})")
+        # (-|a|, b) and (|a|, b) are both on the grid
+        if delta_sign_difference(profile) != refined[-abs(a), b] - refined[abs(a), b]:
+            failures.append(f"sign difference mismatch at ({a},{b})")
     for a in (2, 4, -4, 16):
         profile = decompose(a, 1)
         checked += 1
@@ -286,6 +296,16 @@ def _first_k(pairs: list[tuple[int, int]], primes: np.ndarray, bounds: list[int]
     return first_k.T
 
 
+def _first_k_by_class(pairs: list[tuple[int, int]], primes: np.ndarray,
+                      bounds: list[int]) -> np.ndarray:
+    """_first_k of every pair, searched once for the least pair of each
+    class {(a, b), (b, a), (-a, -b), (-b, -a)}, whose first k all agree."""
+    least = [min((a, b), (b, a), (-a, -b), (-b, -a)) for a, b in pairs]
+    reps = sorted(set(least))
+    row = {rep: i for i, rep in enumerate(reps)}
+    return _first_k(reps, primes, bounds)[[row[rep] for rep in least]]
+
+
 def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
     """The segment kernel (_fold_segment) vs direct search for a k with
     p | a^k + b^k, over every admissible pair |a|, |b| <= coeff_bound.
@@ -297,9 +317,19 @@ def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
     r = a/b mod p; then r^2k = 1 and r^k != 1, so ord r = d is even, and
     as -1 is the only element of order 2 in the cyclic group (Z/pZ)*,
     r^k = -1 iff k = d/2 mod d.  The first such k is d/2 <= (p-1)/2.
+
+    The search runs once per symmetry class {(a, b), (b, a), (-a, -b),
+    (-b, -a)}: a^k + b^k is symmetric in a and b, and (-a)^k + (-b)^k =
+    (-1)^k (a^k + b^k), so for every k and p the four pairs agree on
+    whether p | a^k + b^k.  The classes have four pairs each, as a != b,
+    a != 0 and a != -b; the kernel still classifies every pair.
     """
     if p_limit > 46340:
         raise ValueError("p_limit must be <= 46340, so residue products fit int32")
+    if p_limit < 2:
+        raise ValueError("p_limit must be >= 2, so there is a prime to check")
+    if coeff_bound < 2:
+        raise ValueError("coeff_bound must be >= 2, so there is a pair with |a| != |b|")
     primes = _primes_in_range(2, p_limit + 1)
     pairs = [
         (a, b)
@@ -307,7 +337,8 @@ def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
         for b in range(-coeff_bound, coeff_bound + 1)
         if a != 0 and b != 0 and abs(a) != abs(b)
     ]
-    expected = _first_k(pairs, primes, [max(1, (p - 1) // 2) for p in primes.tolist()]) > 0
+    expected = _first_k_by_class(pairs, primes,
+                                 [max(1, (p - 1) // 2) for p in primes.tolist()]) > 0
 
     checked = 0
     failures: list[str] = []

@@ -15,6 +15,7 @@ from powsumdiv import arith
 from powsumdiv.arith import (
     _MR_PSI,
     _TRIAL_LIMIT,
+    divisors,
     factorize,
     is_prime,
     log_integral,
@@ -123,6 +124,18 @@ def test_factorize_reconstruction_and_tables_to_1e5():
         # c_n(0) = phi(n) and c_n(1) = mu(n)
         assert ramanujan_c(n, 0) == phi[n]
         assert ramanujan_c(n, 1) == mu[n]
+
+
+def test_divisors_against_enumeration():
+    # the divisor lists come from a cache; each call returns a fresh list,
+    # so a caller that changes its list leaves the cache intact
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    divisors(12).append(5)
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(12) is not divisors(12)
+    with pytest.raises(ValueError):
+        divisors(0)
 
 
 def test_phi_mu_examples():

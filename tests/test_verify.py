@@ -2,10 +2,11 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
-from powsumdiv import verify
+from powsumdiv import ramanujan, verify
 from powsumdiv.cyclic import CharacterTable
 
 
@@ -177,3 +178,89 @@ def test_ramanujan_catches_a_planted_holder_fault(monkeypatch):
     _, failures = verify.check_ramanujan()
     assert failures == [f"direct sum mismatch at n=6, m=4: {scalar_direct_sum(6, 4)} vs 0",
                         "gcd reduction fails at n=6, m=4"]
+
+
+@pytest.mark.parametrize("kwargs", [{"p_limit": 1}, {"p_limit": 0},
+                                    {"p_limit": 2000, "coeff_bound": 0},
+                                    {"p_limit": 2000, "coeff_bound": 1}])
+def test_oracle_rejects_ranges_with_no_prime_or_no_pair(kwargs):
+    # p_limit < 2 leaves no prime, coeff_bound < 2 no pair with |a| != |b|
+    with pytest.raises(ValueError):
+        verify.check_oracle(**kwargs)
+
+
+def test_oracle_class_reduction_matches_the_search_on_every_pair(monkeypatch):
+    # the search runs once per class {(a,b), (b,a), (-a,-b), (-b,-a)}; mapped
+    # back it gives every pair's first k, on primes that divide a or b too
+    primes = verify._primes_in_range(2, 300)
+    pairs = [(a, b) for a in range(-12, 13) for b in range(-12, 13)
+             if a and b and abs(a) != abs(b)]
+    bounds = [max(1, (p - 1) // 2) for p in primes.tolist()]
+    searched = []
+    first_k = verify._first_k
+
+    def spy(reps, primes, bounds):
+        searched.append(reps)
+        return first_k(reps, primes, bounds)
+
+    monkeypatch.setattr(verify, "_first_k", spy)
+    reduced = verify._first_k_by_class(pairs, primes, bounds)
+    assert len(pairs) == 528 and [len(reps) for reps in searched] == [132]
+    direct = first_k(pairs, primes, bounds)
+    assert (direct > 0).any() and (direct == 0).any()
+    assert reduced.tolist() == direct.tolist()
+
+
+@pytest.mark.parametrize("fault, js", [("root", [1, 5]), ("dlog", [1, 2, 3, 4, 5])])
+def test_characters_catch_a_planted_table_fault(monkeypatch, fault, js):
+    # orthogonality reads the table's roots and discrete logs directly: one
+    # root off by 1e-4, or two elements given the same discrete log, at
+    # p = 7 (g0 = 3), breaks the row sums of the characters that see it.
+    # (Swapping two discrete logs would permute the terms of every row
+    # sum, which orthogonality cannot see.)
+    def planted(p):
+        table = CharacterTable(p)
+        if p == 7 and fault == "root":
+            table._roots = [z * 1.0001 if k == 1 else z for k, z in enumerate(table._roots)]
+        elif p == 7:
+            table._dlog[3] = table._dlog[2]
+        return table
+
+    monkeypatch.setattr(verify, "character_table", planted)
+    _, failures = verify.check_characters(p_max=30, x_char=100)
+    assert [f for f in failures if f.startswith("orthogonality")] == \
+        [f"orthogonality fails at p=7, j={j}" for j in js]
+
+
+def test_row_sums_equal_the_chi_sums_bit_for_bit():
+    for p in verify._primes_in_range(3, 201).tolist():
+        table = CharacterTable(p)
+        want = [sum(table.chi(j, g) for g in range(1, p)) for j in range(p - 1)]
+        assert [repr(z) for z in verify._row_sums(table)] == [repr(z) for z in want], p
+
+
+def test_densities_catch_a_refined_density_planted_at_one_profile(monkeypatch):
+    # each pair's refined density is computed once and read by both checks:
+    # off at (3,2), it is caught against the table at (3,2) and in the sign
+    # difference of (-3,2) and (3,2)
+    refined = verify.delta_refined
+
+    def planted(profile):
+        return refined(profile) + ((profile.a, profile.b) == (3, 2)) * Fraction(1, 7)
+
+    monkeypatch.setattr(verify, "delta_refined", planted)
+    _, failures = verify.check_densities(bound=8)
+    table = verify.delta_table(verify.decompose(3, 2))
+    assert failures == ["sign difference mismatch at (-3,2)",
+                        f"refined != table at (3,2): {table + Fraction(1, 7)} vs {table}",
+                        "sign difference mismatch at (3,2)"]
+
+
+def test_ramanujan_catches_a_divisor_list_missing_a_divisor(monkeypatch):
+    # divisors(12) without 4 leaves c_4(m) out of the indicator's sum, which
+    # is nonzero for every even m
+    divisors = ramanujan.divisors
+    monkeypatch.setattr(ramanujan, "divisors",
+                        lambda n: [d for d in divisors(n) if (n, d) != (12, 4)])
+    _, failures = verify.check_ramanujan()
+    assert failures == [f"indicator mismatch at n=12, m={m}" for m in range(0, 401, 2)]
