@@ -1,12 +1,7 @@
 """powsumdiv: exact counts, heuristics and limiting densities for the
 primes dividing the sequence a^k + b^k."""
 
-from .arith import (
-    Factorization,
-    factorize,
-    log_integral,
-    log_integrals,
-)
+from .arith import log_integral, log_integrals
 from .census import (
     CountAccumulator,
     Counts,
@@ -30,13 +25,11 @@ from .cyclic import (
     power_subgroup_size,
 )
 from .density import (
-    DensityReport,
     cyclotomic_degree,
     delta_naive,
     delta_refined,
     delta_sign_difference,
     delta_table,
-    density_report,
 )
 from .profile import (
     BaseProfile,

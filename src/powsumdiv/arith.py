@@ -15,10 +15,6 @@ import math
 
 import numpy as np
 
-# A factorization is a list of (prime, exponent) pairs, primes strictly
-# increasing, exponents >= 1.
-Factorization = list[tuple[int, int]]
-
 # Witness set making Miller-Rabin deterministic for all n < 3.18e23,
 # in particular for the full 64-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -109,19 +105,14 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
-def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n >= 2.
+@functools.lru_cache(maxsize=1 << 16)
+def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
+    """Complete prime factorization of n >= 1 as (prime, exponent) pairs,
+    primes strictly increasing, exponents >= 1 (empty for n = 1).
 
     Trial division up to min(sqrt(n), 2**10); any remaining cofactor is
     certified prime by Miller-Rabin or split with Brent's rho.
     """
-    if n < 2:
-        raise ValueError("factorize requires n >= 2")
-    return list(_factorize_cached(n))
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
     fac: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -196,10 +187,14 @@ def _li_once(x: float, tol: float) -> float:
 
 
 def _li_arg(x) -> float:
-    # NaN fails every comparison, so the Simpson recursion would never stop
-    if not 2 <= x < math.inf:
-        raise ValueError(f"log_integral requires finite x >= 2, got {x!r}")
-    return float(x)
+    # NaN fails every comparison, so the Simpson recursion would never stop;
+    # an int past the float range passes the comparison but has no float
+    try:
+        if 2 <= x < math.inf:
+            return float(x)
+    except OverflowError:
+        pass
+    raise ValueError(f"log_integral requires finite x >= 2, got {x!r}")
 
 
 def _li_converged(prev: float, cur: float) -> bool:

@@ -23,9 +23,9 @@ from .census import (
     ramanujan_count,
     sweep,
 )
-from .density import density_report
+from .density import delta_naive, delta_refined, delta_table
 from .profile import decompose
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 CSV_HEADER = "x,pi,li,n_exact,n_generic,h1,h2,k1,k2,tail,delta,delta1"
 # The most checkpoints default_checkpoints builds (about 0.08 s for 10^5).
@@ -49,22 +49,19 @@ def cmd_profile(args) -> int:
 
 def cmd_density(args) -> int:
     profile = decompose(args.a, args.b)
-    report = density_report(profile)
+    delta, delta1 = delta_table(profile), delta_naive(profile)
+    values = (("delta", delta), ("delta1", delta1), ("delta2", delta_refined(profile)))
+    anomaly = delta1 != delta  # the naive heuristic has the wrong limit
     if args.format == "json":
-        print(json.dumps({
-            "delta": _frac(report.delta),
-            "delta_decimal": float(report.delta),
-            "delta1": _frac(report.delta1),
-            "delta1_decimal": float(report.delta1),
-            "delta2": _frac(report.delta2),
-            "delta2_decimal": float(report.delta2),
-            "anomaly": report.anomaly,
-        }, indent=2))
+        doc = {}
+        for name, value in values:
+            doc[name], doc[name + "_decimal"] = _frac(value), float(value)
+        doc["anomaly"] = anomaly
+        print(json.dumps(doc, indent=2))
     else:
-        print(f"delta  = {report.delta} ({_dec(report.delta)})")
-        print(f"delta1 = {report.delta1} ({_dec(report.delta1)})")
-        print(f"delta2 = {report.delta2} ({_dec(report.delta2)})")
-        if report.anomaly:
+        for name, value in values:
+            print(f"{name:<6} = {value} ({_dec(value)})")
+        if anomaly:
             print("sqrt2 anomaly: naive heuristic is not asymptotically exact"
                   f" (delta1 != delta)")
     return 0
@@ -153,9 +150,9 @@ def render_sweep(series, fmt: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite)
     failed = False
-    for name, (checked, failures) in results.items():
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        checked, failures = SUITES[name]()
         if failures:
             failed = True
             print(f"FAIL {name}: {len(failures)} violation(s) in {checked} checks")

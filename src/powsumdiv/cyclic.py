@@ -96,8 +96,6 @@ class CharacterTable:
     """
 
     def __init__(self, p: int):
-        if p == 2 or not is_prime(p):
-            raise ValueError("p must be an odd prime")
         self.p = p
         self.g0 = find_primitive_root(p)
         n = self.n = p - 1

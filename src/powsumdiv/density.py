@@ -16,7 +16,6 @@ Three routes to the same number:
 value differs exactly on the Q(sqrt 2) anomaly.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .profile import BaseProfile
@@ -101,23 +100,3 @@ def delta_sign_difference(profile: BaseProfile) -> Fraction:
     d1 = cyclotomic_degree(s2, e + 1)
     d2 = cyclotomic_degree(s2, e + 2)
     return 1 - Fraction(3, 1 << (e + 1)) + Fraction(2, d1) - Fraction(2, d2)
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    delta: Fraction
-    delta1: Fraction
-    delta2: Fraction
-
-    @property
-    def anomaly(self) -> bool:
-        """True when the naive heuristic has the wrong limit."""
-        return self.delta1 != self.delta
-
-
-def density_report(profile: BaseProfile) -> DensityReport:
-    return DensityReport(
-        delta=delta_table(profile),
-        delta1=delta_naive(profile),
-        delta2=delta_refined(profile),
-    )

@@ -271,28 +271,17 @@ def _first_k(pairs: list[tuple[int, int]], primes: np.ndarray, bounds: list[int]
     col_b = np.array([column[b] for _, b in pairs])
     P = primes.astype(np.int32)[:, None]
     base = np.array(values, dtype=np.int32) % P
-    power, minus = base.copy(), np.empty_like(base)  # v^k and -v^k mod p
-    shape = (len(primes), len(pairs))
-    power_a, minus_b = np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32)
-    hit, fresh = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    first_k = np.zeros(shape, dtype=np.int32)
+    power = base.copy()  # v^k mod p
+    first_k = np.zeros((len(primes), len(pairs)), dtype=np.int32)
     row = 0
     for k in range(1, bounds[-1] + 1):
         while bounds[row] < k:
             row += 1
-        pk, pw, mn = P[row:], power[row:], minus[row:]
+        p, pw, fk = P[row:], power[row:], first_k[row:]
         if k > 1:
-            np.multiply(pw, base[row:], out=pw)
-            np.remainder(pw, pk, out=pw)
-        np.subtract(pk, pw, out=mn)
-        np.remainder(mn, pk, out=mn)
-        pa, mb, h, f, fk = power_a[row:], minus_b[row:], hit[row:], fresh[row:], first_k[row:]
-        np.take(pw, col_a, axis=1, out=pa)
-        np.take(mn, col_b, axis=1, out=mb)
-        np.equal(pa, mb, out=h)
-        np.equal(fk, 0, out=f)
-        np.logical_and(h, f, out=h)
-        np.copyto(fk, k, where=h)
+            pw[:] = pw * base[row:] % p
+        hit = (pw[:, col_a] == ((p - pw) % p)[:, col_b]) & (fk == 0)
+        fk[hit] = k
     return first_k.T
 
 
@@ -360,12 +349,3 @@ SUITES: dict[str, Callable[[], CheckResult]] = {
     "densities": check_densities,
     "oracle": check_oracle,
 }
-
-
-def run_suite(name: str) -> dict[str, CheckResult]:
-    """Run one named suite, or all of them."""
-    if name == "all":
-        return {key: fn() for key, fn in SUITES.items()}
-    if name not in SUITES:
-        raise KeyError(name)
-    return {name: SUITES[name]()}

@@ -15,8 +15,8 @@ from powsumdiv import arith
 from powsumdiv.arith import (
     _MR_PSI,
     _TRIAL_LIMIT,
+    _factorize_cached,
     divisors,
-    factorize,
     is_prime,
     log_integral,
     log_integrals,
@@ -70,16 +70,16 @@ def test_mod_inverse_not_invertible():
 # factorization and multiplicative functions
 
 def test_factorize_examples():
-    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
-    assert factorize(97) == [(97, 1)]
-    fac = factorize(60466176)  # 2^10 * 3^10
+    assert list(_factorize_cached(360)) == [(2, 3), (3, 2), (5, 1)]
+    assert list(_factorize_cached(97)) == [(97, 1)]
+    fac = list(_factorize_cached(60466176))  # 2^10 * 3^10
     assert math.prod(p**e for p, e in fac) == 60466176
     assert fac == [(2, 10), (3, 10)]
 
 
 def test_factorize_rho_path():
     n = (2**31 - 1) * (2**61 - 1)  # two Mersenne primes, beyond trial range
-    assert factorize(n) == [(2**31 - 1, 1), (2**61 - 1, 1)]
+    assert list(_factorize_cached(n)) == [(2**31 - 1, 1), (2**61 - 1, 1)]
 
 
 @pytest.mark.parametrize("p,q", [
@@ -91,7 +91,7 @@ def test_factorize_rho_path():
 ])
 def test_factorize_semiprimes_beyond_trial_division(p, q):
     assert _TRIAL_LIMIT < p <= q and is_prime(p) and is_prime(q)
-    assert factorize(p * q) == ([(p, 2)] if p == q else [(p, 1), (q, 1)])
+    assert list(_factorize_cached(p * q)) == ([(p, 2)] if p == q else [(p, 1), (q, 1)])
 
 
 def sieve_tables(limit: int) -> tuple[list[int], list[int], list[int]]:
@@ -119,7 +119,7 @@ def test_factorize_reconstruction_and_tables_to_1e5():
         while m > 1:
             want[least[m]] = want.get(least[m], 0) + 1
             m //= least[m]
-        assert factorize(n) == sorted(want.items()), n
+        assert list(_factorize_cached(n)) == sorted(want.items()), n
     for n in range(1, limit + 1):
         # c_n(0) = phi(n) and c_n(1) = mu(n)
         assert ramanujan_c(n, 0) == phi[n]
@@ -158,7 +158,7 @@ def test_ramanujan_c_against_sieved_mu_and_phi():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=2, max_value=10**12))
 def test_factorize_reconstruction_property(n):
-    fac = factorize(n)
+    fac = _factorize_cached(n)
     assert math.prod(p**e for p, e in fac) == n
     assert all(is_prime(p) for p, _ in fac)
 
@@ -195,10 +195,11 @@ def _alarm(signum, frame):
     raise TimeoutError("log_integral did not return")
 
 
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf,
+                               pytest.param(10**400, id="10**400")])
 def test_log_integral_rejects_non_finite(x):
     # NaN fails every comparison, so without the check the Simpson
-    # recursion never stops
+    # recursion never stops; an int past the float range has no float
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(5)
     try:

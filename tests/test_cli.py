@@ -5,6 +5,14 @@ import json
 import pytest
 
 from powsumdiv import cli
+from powsumdiv.census import (
+    character_count,
+    count_exact,
+    formula_count,
+    heuristic_counts,
+    ramanujan_count,
+)
+from powsumdiv.profile import decompose
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +82,34 @@ def test_count_ramanujan_equals_exact_minus_specials(capsys):
     doc = json.loads(ram_out)
     # 2 is the only special prime of (2,1) and it does not divide
     assert doc["decimal"] == float(exact_out.strip())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("method, count", [
+    ("exact", count_exact),
+    ("h1", lambda profile, x: heuristic_counts(profile, x).h1),
+    ("h2", lambda profile, x: heuristic_counts(profile, x).h2),
+    ("formula", formula_count),
+    ("ramanujan", lambda profile, x: ramanujan_count(profile, x, "full")),
+    ("character", character_count),
+])
+def test_count_prints_the_library_value(capsys, method, count, fmt):
+    value = count(decompose(2, 1), 500)
+    code, out, _ = run_cli(capsys, "count", "2", "1", "500", "--method", method,
+                           "--format", fmt)
+    assert code == 0
+    if fmt == "text":
+        assert out == (f"{value}\n" if isinstance(value, int)
+                       else f"{value} ({float(value):.10g})\n")
+        return
+    doc = json.loads(out)
+    assert {k: doc.pop(k) for k in ("method", "a", "b", "x")} == \
+        {"method": method, "a": 2, "b": 1, "x": 500}
+    if isinstance(value, int):
+        assert doc == {"value": value}
+    else:
+        assert doc == {"value": f"{value.numerator}/{value.denominator}",
+                       "decimal": float(value)}
 
 
 def test_count_character_oversize_exits_2(capsys):
@@ -171,11 +207,25 @@ def test_verify_ok(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_suite",
-                        lambda name: {"fake": (3, ["broken identity"])})
+    monkeypatch.setitem(cli.SUITES, "group", lambda: (3, ["broken identity"]))
     code, out, _ = run_cli(capsys, "verify", "group")
     assert code == 1
-    assert "FAIL fake" in out and "broken identity" in out
+    assert "FAIL group" in out and "broken identity" in out
+
+
+def test_verify_runs_every_suite_or_the_named_one(capsys, monkeypatch):
+    # `verify all` runs the suites in SUITES order, a named suite runs alone,
+    # and at most 10 counterexamples are printed per failing suite
+    for i, name in enumerate(cli.SUITES):
+        failures = [f"bad {j}" for j in range(12)] if name == "densities" else []
+        monkeypatch.setitem(cli.SUITES, name, lambda n=i + 1, f=failures: (n, f))
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 1
+    assert out.splitlines() == [
+        "ok group: 1 checks", "ok ramanujan: 2 checks", "ok characters: 3 checks",
+        "ok local-factors: 4 checks", "FAIL densities: 12 violation(s) in 5 checks",
+        *[f"  counterexample: bad {j}" for j in range(10)], "ok oracle: 6 checks"]
+    assert run_cli(capsys, "verify", "characters") == (0, "ok characters: 3 checks\n", "")
 
 
 def test_verify_unknown_suite_exits_2():

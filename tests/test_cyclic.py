@@ -15,8 +15,9 @@ from powsumdiv.cyclic import (
     power_exponent_set,
     power_subgroup_size,
 )
+from powsumdiv.density import _degree_gap_sum
 from powsumdiv.profile import decompose
-from powsumdiv.ramanujan import ramanujan_c
+from powsumdiv.ramanujan import ramanujan_c, ramanujan_c_2pow
 
 
 def enumerated_valuation_count(n, h, w):
@@ -161,6 +162,23 @@ def test_character_order_sum_examples():
 def test_character_order_sum_rejects_bad_order():
     with pytest.raises(ValueError):
         character_table(7).order_sum(4, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: order_valuation_count(0, 1, 0),      # n < 1
+    lambda: order_valuation_count(4, 1, -1),     # w < 0
+    lambda: multiplicative_order(7, 7),          # not a unit
+    lambda: character_table(7).dlog(0),
+    lambda: ramanujan_c(3, -1),
+    lambda: ramanujan_c_2pow(2, -1),
+    lambda: _degree_gap_sum(False, 0),
+    lambda: CharacterTable(2),                   # not an odd prime
+    lambda: CharacterTable(9),
+], ids=["valuation-n", "valuation-w", "order", "dlog", "c", "c-2pow", "gap-sum",
+        "table-2", "table-9"])
+def test_out_of_range_arguments_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_character_table_small_primes():

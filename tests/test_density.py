@@ -10,7 +10,6 @@ from powsumdiv.density import (
     delta_refined,
     delta_sign_difference,
     delta_table,
-    density_report,
 )
 from powsumdiv.profile import decompose
 
@@ -110,14 +109,15 @@ def test_range_and_negative_ratio_bound():
             if a == 0 or abs(a) == b:
                 continue
             profile = decompose(a, b)
-            report = density_report(profile)
-            for value in (report.delta, report.delta1, report.delta2):
+            delta = delta_table(profile)
+            for value in (delta, delta_naive(profile), delta_refined(profile)):
                 assert 0 <= value <= 1
-            assert report.delta2 == report.delta
+            assert delta_refined(profile) == delta
             if profile.eps == -1:
-                assert report.delta >= F(1, 2)
+                assert delta >= F(1, 2)
 
 
 def test_anomaly_flag():
-    assert density_report(decompose(2, 1)).anomaly
-    assert not density_report(decompose(3, 1)).anomaly
+    # the naive heuristic has the wrong limit exactly on the anomaly
+    assert delta_naive(decompose(2, 1)) != delta_table(decompose(2, 1))
+    assert delta_naive(decompose(3, 1)) == delta_table(decompose(3, 1))

@@ -16,15 +16,15 @@ def test_run_prints_the_sweep():
 
 def test_exits_1_on_any_difference(monkeypatch, capsys):
     # stand-in trees: "same" agrees with "parent" on every command; "odd"
-    # differs in one json sweep; "broken" agrees but exits 1
+    # differs in the json sweeps of one pair; "broken" agrees but exits 1
     def fake_run(src, argv):
-        odd = src == "odd" and argv[1:3] == ["7", "3"] and "json" in argv
+        odd = src == "odd" and argv[:3] == ["sweep", "7", "3"] and "json" in argv
         return (1 if src == "broken" else 0), b"odd" if odd else " ".join(argv).encode()
 
     monkeypatch.setattr(sweep_identity, "run", fake_run)
     assert sweep_identity.main(["parent", "same"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 43 and all(line.startswith("same ") for line in out)
+    assert len(out) == 81 and all(line.startswith("same ") for line in out)
     assert out[-1] == "same   powsumdiv verify all"
     assert sweep_identity.main(["parent", "odd"]) == 1
     assert sum(line.startswith("DIFFER") for line in capsys.readouterr().out.splitlines()) == 2

@@ -1,4 +1,4 @@
-"""Suite dispatch and reduced-bound runs of each checker."""
+"""Reduced-bound runs of each checker and the faults they catch."""
 
 import cmath
 import math
@@ -8,16 +8,6 @@ import pytest
 
 from powsumdiv import ramanujan, verify
 from powsumdiv.cyclic import CharacterTable
-
-
-def test_run_suite_dispatch(monkeypatch):
-    fakes = {"group": lambda: (1, []), "densities": lambda: (2, ["bad"])}
-    monkeypatch.setattr(verify, "SUITES", fakes)
-    out = verify.run_suite("all")
-    assert out == {"group": (1, []), "densities": (2, ["bad"])}
-    assert verify.run_suite("group") == {"group": (1, [])}
-    with pytest.raises(KeyError):
-        verify.run_suite("nosuch")
 
 
 def test_reduced_bounds_all_pass():
@@ -152,6 +142,58 @@ def test_characters_catch_an_order_sum_that_skips_a_character(monkeypatch):
         [f"order sum mismatch at p=7, d=6, g={g}" for g in range(1, 7)]
 
 
+def _swap_at(point, exps):
+    """A power_exponent_set that returns exps, of the same size, at (n, h) = point."""
+    return lambda f: lambda n, h: set(exps) if (n, h) == point else f(n, h)
+
+
+def _off_at(point, delta, key=lambda profile, *rest: (profile.a, profile.b, *rest)):
+    """A closed form whose value is delta too large where key(*args) == point."""
+    return lambda f: lambda *args: f(*args) + (delta if key(*args) == point else 0)
+
+
+_SMALL_SUITES = {
+    "group": lambda: verify.check_group(n_max=60, h_max=10, w_max=4),
+    "ramanujan": verify.check_ramanujan,
+    "characters": lambda: verify.check_characters(p_max=30, x_char=100),
+    "local-factors": lambda: verify.check_local_factors(500, (100, 500)),
+    "densities": lambda: verify.check_densities(bound=8),
+}
+
+
+_PLANTED = [
+    # the group inclusions read no closed form, only the enumerated power
+    # sets: one of them has an exponent swapped for another, at the same size
+    ("group", "power_exponent_set", _swap_at((4, 4), {1}),
+     "odd-order violation at n=4, h=4"),
+    ("group", "power_exponent_set", _swap_at((4, 2), {1, 2}), "G_0 not in G^2h at n=4, h=1"),
+    ("group", "power_exponent_set", _swap_at((2, 2), {1}), "G_1 not in G^h-G^2h at n=2, h=1"),
+    ("group", "power_exponent_set", _swap_at((4, 2), {0, 1}), "G_1 not in G^2h at n=4, h=1"),
+    ("group", "power_exponent_set", _swap_at((6, 2), {2, 3, 4}), "G_1 nonempty at n=6, h=2"),
+    ("ramanujan", "ramanujan_c_2pow", _off_at((3, 5), 1, key=lambda v, t: (v, t)),
+     "weak form mismatch at v=3, t=5"),
+    ("characters", "character_count", _off_at((3, 1, 100), 1),
+     "character count mismatch for (a,b)=(3,1)"),
+    ("local-factors", "ramanujan_count", _off_at((2, 1, 100, "e"), 1),
+     "truncated count mismatch at (2,1), x=100"),
+    ("densities", "delta_table", _off_at((3, 2), 1), "density out of range at (3,2)"),
+    ("densities", "delta_table", _off_at((-3, 2), Fraction(-1, 2)),
+     "negative-ratio density below 1/2 at (-3,2)"),
+    ("densities", "delta_naive", _off_at((3, 2), Fraction(1, 7)),
+     "naive density wrong off the anomaly at (3,2)"),
+    ("densities", "delta_naive", _off_at((2, 1), Fraction(1, 24)),  # 2/3 -> 17/24
+     "anomaly missing at r=2"),
+]
+
+
+@pytest.mark.parametrize("suite, name, plant, text", _PLANTED,
+                         ids=[text.split(" at ")[0].split(" for ")[0] for *_, text in _PLANTED])
+def test_suites_report_each_planted_fault(monkeypatch, suite, name, plant, text):
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    _, failures = _SMALL_SUITES[suite]()
+    assert text in failures
+
+
 def scalar_direct_sum(n: int, m: int) -> complex:
     """c_n(m) by the exponential-sum definition, one term at a time."""
     return sum(cmath.exp(2j * math.pi * k * m / n)
@@ -182,9 +224,11 @@ def test_ramanujan_catches_a_planted_holder_fault(monkeypatch):
 
 @pytest.mark.parametrize("kwargs", [{"p_limit": 1}, {"p_limit": 0},
                                     {"p_limit": 2000, "coeff_bound": 0},
-                                    {"p_limit": 2000, "coeff_bound": 1}])
+                                    {"p_limit": 2000, "coeff_bound": 1},
+                                    {"p_limit": 46341}])
 def test_oracle_rejects_ranges_with_no_prime_or_no_pair(kwargs):
-    # p_limit < 2 leaves no prime, coeff_bound < 2 no pair with |a| != |b|
+    # p_limit < 2 leaves no prime, coeff_bound < 2 no pair with |a| != |b|,
+    # and p_limit > 46340 lets residue products overflow int32
     with pytest.raises(ValueError):
         verify.check_oracle(**kwargs)
 

@@ -1,4 +1,5 @@
-"""Check that two source trees print byte-identical sweeps.
+"""Check that two source trees print byte-identical sweeps, densities,
+counts and verify reports.
 
     python3 tools/sweep_identity.py PARENT_SRC CHANGE_SRC
 
@@ -8,10 +9,13 @@ the script runs ``powsumdiv sweep A B 10000000 --format F --threads T``
 from both trees, one after the other; then the csv, one-worker sweeps of
 DEEP_PAIRS to 70000000, which reach past 2^26 into the uint64 mulmod
 regime with the smaller term of r0 on both sides of 2^16 (Fermat inverse
-and closed form); and last ``powsumdiv verify all``, whose
+and closed form); then ``powsumdiv density A B`` in text and json for
+each pair in PAIRS; ``powsumdiv count A B 2000 --method M`` for each
+pair in COUNT_PAIRS and each of the six methods; ``powsumdiv verify S``
+for each single suite; and last ``powsumdiv verify all``, whose
 ``ok <suite>: <n> checks`` lines pin every suite's check count.  It
 compares stdout and the exit code byte for byte, prints one line per
-command and exits 0 when all 43 agree and exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
+command and exits 0 when all 81 agree and exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
 e = 0, 1 and 2, Q(sqrt 2), three special primes ((7,3)), the smaller term
 of r0 on both sides of 2^16, and the largest kernel with a Legendre table
 (65535) and the smallest without (65537).
@@ -26,6 +30,10 @@ PAIRS = [(2, 1), (-4, 1), (8, 27), (7, 3), (-16, 1), (-81, 16),
          (65537, 65535), (65537, 65536), (65535, 1), (65537, 1)]
 X_DEEP = 70_000_000
 DEEP_PAIRS = [(65537, 65536), (65537, 65535)]
+X_COUNT = 2000
+COUNT_PAIRS = [(2, 1), (8, 27)]
+METHODS = ("exact", "h1", "h2", "formula", "ramanujan", "character")
+SUITES = ("group", "ramanujan", "characters", "local-factors", "densities", "oracle")
 
 
 def run(src: str, argv: list[str]) -> tuple[int, bytes]:
@@ -45,6 +53,11 @@ def main(argv: list[str]) -> int:
                 for a, b in PAIRS for fmt in ("csv", "json") for threads in ("1", "2")]
     commands += [["sweep", str(a), str(b), str(X_DEEP), "--format", "csv", "--threads", "1"]
                  for a, b in DEEP_PAIRS]
+    commands += [["density", str(a), str(b), "--format", fmt]
+                 for a, b in PAIRS for fmt in ("text", "json")]
+    commands += [["count", str(a), str(b), str(X_COUNT), "--method", method]
+                 for a, b in COUNT_PAIRS for method in METHODS]
+    commands += [["verify", suite] for suite in SUITES]
     for cmd in [*commands, ["verify", "all"]]:
         want, got = run(parent, cmd), run(change, cmd)
         ok = want == got and want[0] == 0
