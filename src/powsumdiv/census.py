@@ -149,21 +149,24 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _primes_in_range(lo: int, hi: int, base: np.ndarray | None = None) -> np.ndarray:
+_base_primes = functools.lru_cache(maxsize=1)(_simple_sieve)
+
+
+def _primes_in_range(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi) via a sieve segment, as an int64 array.
 
-    base holds the primes up to at least isqrt(hi - 1); callers that sieve
-    many segments pass it so that it is sieved once.  Only odd numbers are
-    sieved: index i stands for lo0 + 2i, lo0 the least odd number >= lo,
-    but for lo = 2, lo0 = 1 and index 0, never struck, stands for 2.  The
-    odd multiples of an odd prime q >= 3 from q^2 on are q indices apart.
+    The base primes come from _base_primes at the power of two above
+    isqrt(hi - 1): consecutive segments share that cached array, which
+    is only read.  Only odd numbers are sieved: index i stands for
+    lo0 + 2i, lo0 the least odd number >= lo, but for lo = 2, lo0 = 1 and
+    index 0, never struck, stands for 2.  The odd multiples of an odd
+    prime q >= 3 from q^2 on are q indices apart.
     """
     lo = max(lo, 2)
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
     root = math.isqrt(hi - 1)
-    if base is None:
-        base = _simple_sieve(root)
+    base = _base_primes(1 << root.bit_length())
     lo0 = 1 if lo == 2 else lo | 1
     mask = np.ones((hi - lo0 + 1) // 2, dtype=bool)
     q = base[1 : np.searchsorted(base, root, side="right")]
@@ -432,12 +435,12 @@ def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.
 _CHUNK = 1 << 13
 
 
-def _fold_segment(profile: BaseProfile, base: np.ndarray, lo: int, hi: int,
+def _fold_segment(profile: BaseProfile, lo: int, hi: int,
                   cuts: tuple[int, ...] = ()) -> list[np.ndarray]:
     """Classify every prime of the sieve segment [lo, hi) once: the int16
     histogram cell of each prime, split into the pieces [lo, cuts[0]),
     [cuts[0], cuts[1]), ..., [cuts[-1], hi)."""
-    primes = _primes_in_range(lo, hi, base)
+    primes = _primes_in_range(lo, hi)
     ends = np.searchsorted(primes, [*cuts, hi]).tolist()
     cells = np.empty(len(primes), dtype=np.int16)
     generic = np.ones(len(primes), dtype=bool)
@@ -534,10 +537,9 @@ def _evaluate(profile: BaseProfile, acc: CountAccumulator) -> Counts:
 @functools.lru_cache(maxsize=64)
 def _accumulate(profile: BaseProfile, x: int) -> Counts:
     _check_bounds(x)
-    base = _simple_sieve(math.isqrt(x))
     acc = CountAccumulator()
     for lo, hi in _segments(x):
-        acc.merge(_histogram(_fold_segment(profile, base, lo, hi)[0]))
+        acc.merge(_histogram(_fold_segment(profile, lo, hi)[0]))
     return _evaluate(profile, acc)
 
 
@@ -564,7 +566,7 @@ def formula_count(profile: BaseProfile, x: int) -> Fraction:
     return _accumulate(profile, x).formula
 
 
-_TRUNCATIONS = ("full", "e", "e+1")
+_TRUNCATIONS = {"full": "ram_full", "e": "ram_e", "e+1": "ram_e1"}
 
 
 def ramanujan_count(profile: BaseProfile, x: int, truncation: Truncation = "full") -> Fraction:
@@ -575,9 +577,8 @@ def ramanujan_count(profile: BaseProfile, x: int, truncation: Truncation = "full
     "e" and "e+1" reproduce H1 and H2.
     """
     if truncation not in _TRUNCATIONS:
-        raise ValueError(f"truncation must be one of {_TRUNCATIONS}")
-    counts = _accumulate(profile, x)
-    return {"full": counts.ram_full, "e": counts.ram_e, "e+1": counts.ram_e1}[truncation]
+        raise ValueError(f"truncation must be one of {tuple(_TRUNCATIONS)}")
+    return getattr(_accumulate(profile, x), _TRUNCATIONS[truncation])
 
 
 def tail_sum(profile: BaseProfile, x: int) -> Fraction:
@@ -626,6 +627,10 @@ def character_count(profile: BaseProfile, x: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # checkpointed sweeps
 
+# The frozen column order of a sweep row, in CSV and JSON alike.
+COLUMNS = ("x", "pi", "li", "n_exact", "n_generic", "h1", "h2", "k1", "k2", "tail",
+           "delta", "delta1")
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -640,27 +645,12 @@ class SweepSeries:
     points: tuple[SweepPoint, ...]
 
     def rows(self) -> list[dict]:
-        """One dict per checkpoint with the frozen column set."""
+        """One dict per checkpoint, keyed by COLUMNS in order."""
         delta = delta_table(self.profile)
         delta1 = delta_naive(self.profile)
-        out = []
-        for pt in self.points:
-            counts = pt.counts
-            out.append({
-                "x": pt.x,
-                "pi": counts.pi,
-                "li": pt.li,
-                "n_exact": counts.n_exact,
-                "n_generic": counts.n_generic,
-                "h1": counts.h1,
-                "h2": counts.h2,
-                "k1": counts.k1,
-                "k2": counts.k2,
-                "tail": counts.tail,
-                "delta": delta,
-                "delta1": delta1,
-            })
-        return out
+        return [dict(zip(COLUMNS, (pt.x, c.pi, pt.li, c.n_exact, c.n_generic, c.h1, c.h2, c.k1,
+                                   c.k2, c.tail, delta, delta1), strict=True))
+                for pt in self.points for c in [pt.counts]]
 
 
 def _worker_count(threads: int, tasks: int) -> int:
@@ -694,11 +684,10 @@ def sweep(
 
     # a checkpoint c closes the piece that ends before c + 1
     ends = [c + 1 for c in checkpoints]
-    base = _simple_sieve(math.isqrt(x_max))
     tasks = []
     for lo, hi in _segments(x_max):
         cuts = tuple(ends[bisect.bisect_right(ends, lo) : bisect.bisect_left(ends, hi)])
-        tasks.append((profile, base, lo, hi, cuts))
+        tasks.append((profile, lo, hi, cuts))
 
     def collect(results) -> tuple[SweepPoint, ...]:
         # Li first: with workers it overlaps their folds, and its
@@ -707,7 +696,7 @@ def sweep(
         acc = CountAccumulator()
         counts: list[Counts] = []
         closes = set(ends)
-        for (_, _, _, hi, cuts), pieces in zip(tasks, results):
+        for (_, _, hi, cuts), pieces in zip(tasks, results):
             for end, cells in zip((*cuts, hi), pieces):
                 acc.merge(_histogram(cells))
                 if end in closes:

@@ -15,6 +15,8 @@ import sys
 from fractions import Fraction
 
 from .census import (
+    COLUMNS,
+    _TRUNCATIONS,
     _check_bounds,
     character_count,
     count_exact,
@@ -27,7 +29,7 @@ from .density import delta_naive, delta_refined, delta_table
 from .profile import decompose
 from .verify import SUITES
 
-CSV_HEADER = "x,pi,li,n_exact,n_generic,h1,h2,k1,k2,tail,delta,delta1"
+CSV_HEADER = ",".join(COLUMNS)
 # The most checkpoints default_checkpoints builds (about 0.08 s for 10^5).
 MAX_CHECKPOINTS = 10**5
 
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=int)
     p.add_argument("--method", default="exact",
                    choices=("exact", "h1", "h2", "formula", "ramanujan", "character"))
-    p.add_argument("--truncation", default="full", choices=("full", "e", "e+1"),
+    p.add_argument("--truncation", default="full", choices=tuple(_TRUNCATIONS),
                    help="inner-sum cutoff for --method ramanujan")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_count)

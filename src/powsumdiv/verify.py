@@ -191,7 +191,7 @@ def check_local_factors(p_limit: int = 10**5,
     primes = _primes_in_range(2, p_limit + 1)
     for a, b in PROFILE_GRID:
         profile = decompose(a, b)
-        s, t, bit, generic, _ = _decode(_fold_segment(profile, primes, 2, p_limit + 1)[0])
+        s, t, bit, generic, _ = _decode(_fold_segment(profile, 2, p_limit + 1)[0])
         generic, s, t, bit = primes[generic], s[generic], t[generic], bit[generic]
         sums = []  # the two sums below, per generic prime
         for p, s_p, t_p in zip(generic.tolist(), s.tolist(), t.tolist()):
@@ -332,7 +332,7 @@ def check_oracle(p_limit: int = 2000, coeff_bound: int = 12) -> CheckResult:
     checked = 0
     failures: list[str] = []
     for (a, b), want in zip(pairs, expected):
-        got = _decode(_fold_segment(decompose(a, b), primes, 2, p_limit + 1)[0])[4]
+        got = _decode(_fold_segment(decompose(a, b), 2, p_limit + 1)[0])[4]
         checked += len(primes)
         for j in np.flatnonzero(got != want).tolist():
             failures.append(

@@ -32,9 +32,7 @@ from powsumdiv.census import (
 from powsumdiv import arith, census
 from powsumdiv.arith import log_integral
 from powsumdiv.profile import decompose
-
-PROFILE_GRID = [(2, 1), (-2, 1), (4, 1), (-4, 1), (8, 27),
-                (3, 1), (-3, 1), (16, 1), (5, 2), (-5, 2)]
+from powsumdiv.verify import PROFILE_GRID
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +79,7 @@ def count_direct(a: int, b: int, x: int) -> int:
 def prime_stream(x_max: int) -> list[int]:
     """Every prime <= x_max from the segmented sieve, as sweep visits them."""
     _check_bounds(x_max)
-    base = _simple_sieve(math.isqrt(x_max))
-    return [p for lo, hi in _segments(x_max)
-            for p in _primes_in_range(lo, hi, base).tolist()]
+    return [p for lo, hi in _segments(x_max) for p in _primes_in_range(lo, hi).tolist()]
 
 
 def test_prime_stream_small():
@@ -126,6 +122,10 @@ def window_sieve(lo: int, hi: int) -> list[int]:
 # the squares of the base primes 3, 5, 7, 31 and 1009, and of 65521, the
 # largest prime below 2^16
 SQUARES = [q * q for q in (3, 5, 7, 31, 1009, 65521)]
+# windows whose isqrt(hi - 1) is 2^k - 1, 2^k and 2^k + 1: the first takes
+# its base primes from the cached sieve to 2^k, the others from the one to
+# 2^(k+1)
+ROOT_EDGES = [(r * r - 40, r * r + 1) for k in (10, 16, 20) for r in (2**k - 1, 2**k, 2**k + 1)]
 
 
 @pytest.mark.parametrize("lo,hi", [
@@ -133,16 +133,26 @@ SQUARES = [q * q for q in (3, 5, 7, 31, 1009, 65521)]
     (2, 3), (2, 4), (3, 3), (4, 4), (1, 50), (0, 2), (10, 11), (11, 100), (12, 101), (13, 99),
     *[(sq - d, sq + 1 + d) for sq in SQUARES for d in (0, 1, 6)],
     *[(sq + 1, sq + 40) for sq in SQUARES], *[(sq - 40, sq) for sq in SQUARES],
-    (2**32 - 2**12, 2**32 + 2**12 + 1), (2**40 - 2**12 - 1, 2**40),
+    (2**32 - 2**12, 2**32 + 2**12 + 1), (2**40 - 2**12 - 1, 2**40), *ROOT_EDGES,
 ])
 def test_odd_only_sieve_against_scalar_sieve(lo, hi):
-    base = _simple_sieve(math.isqrt(max(hi - 1, 1)))
     want = window_sieve(lo, hi)
     assert _primes_in_range(lo, hi).tolist() == want
-    assert _primes_in_range(lo, hi, base).tolist() == want
     if hi <= 10**6:
         primes = _simple_sieve(hi - 1)
         assert want == primes[primes >= lo].tolist()
+
+
+def test_sieve_windows_agree_across_base_cache_evictions():
+    # the windows need base sieves to 2^5 and to 2^20, so each call evicts
+    # the one-entry cache the other filled
+    windows = [(100, 1000), (2**40 - 2**12 - 1, 2**40)]
+    want = [window_sieve(lo, hi) for lo, hi in windows]
+    census._base_primes.cache_clear()
+    for _ in range(3):
+        for (lo, hi), primes in zip(windows, want):
+            assert _primes_in_range(lo, hi).tolist() == primes
+    assert census._base_primes.cache_info().misses == 6
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +368,39 @@ def test_sweep_thread_determinism(monkeypatch):
         assert sweep(profile, 10**5, cps, threads=threads) == base
 
 
+def test_sweep_tasks_carry_no_array(monkeypatch):
+    # a task is pickled for a worker: it holds the profile, the segment
+    # and its cuts, and the worker sieves its own base primes
+    tasks = []
+
+    class RecordingPool:
+        """An in-process stand-in for ProcessPoolExecutor that records the
+        arguments of every task it is given."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            tasks.extend(zip(*iterables))
+            return [fn(*task) for task in zip(*iterables)]
+
+    profile = decompose(8, 27)
+    cps = [10, 97, 1000, 10**5]
+    monkeypatch.setattr(census, "SEGMENT_SIZE", 1 << 12)
+    want = sweep(profile, 10**5, cps, threads=1)
+    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    assert sweep(profile, 10**5, cps, threads=2) == want
+    assert len(tasks) == len(list(census._segments(10**5)))
+    assert not any(isinstance(arg, np.ndarray) for task in tasks for arg in task)
+
+
 def test_sweep_validation():
     profile = decompose(2, 1)
     with pytest.raises(ValueError):
@@ -380,9 +423,9 @@ def test_accumulator_merge_matches_single_pass(monkeypatch):
     assert counts.h1 == counts.pi_generic - counts.k1
     assert counts.h2 == counts.pi_generic - counts.k2
     assert counts.tail == counts.ram_full - counts.ram_e1
-    single = _histogram(_fold_segment(profile, _simple_sieve(63), 2, 4001)[0])
+    single = _histogram(_fold_segment(profile, 2, 4001)[0])
     merged = CountAccumulator()
-    for piece in _fold_segment(profile, _simple_sieve(63), 2, 4001, (5, 1001, 2048)):
+    for piece in _fold_segment(profile, 2, 4001, (5, 1001, 2048)):
         merged.merge(_histogram(piece))
     merged.merge(CountAccumulator())
     assert (merged.cells == single.cells).all()

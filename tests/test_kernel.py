@@ -33,7 +33,6 @@ from powsumdiv.census import (
     _mulmod_f64,
     _mulmod_u64,
     _primes_in_range,
-    _simple_sieve,
     _worker_count,
     classify_prime,
     sweep,
@@ -300,29 +299,27 @@ def scalar_fold(profile, primes) -> Counts:
     return Counts(*ints, *sums)
 
 
-def fold_views(profile, base, lo, hi, cuts=()) -> list[Counts]:
+def fold_views(profile, lo, hi, cuts=()) -> list[Counts]:
     return [_evaluate(profile, _histogram(cells))
-            for cells in _fold_segment(profile, base, lo, hi, cuts)]
+            for cells in _fold_segment(profile, lo, hi, cuts)]
 
 
 @pytest.mark.parametrize("a,b", PROFILE_GRID + [(7, 3), (-1000003, 999331)])
 def test_fold_segment_matches_scalar_fold(a, b):
     profile = decompose(a, b)
-    base = _simple_sieve(2**10)
     cuts = (3, 8, 100, 1001, 2000)
-    pieces = fold_views(profile, base, 2, 3001, cuts)
+    pieces = fold_views(profile, 2, 3001, cuts)
     edges = [2, *cuts, 3001]
     for lo, hi, piece in zip(edges, edges[1:], pieces):
         assert piece == scalar_fold(profile, _primes_in_range(lo, hi).tolist()), (lo, hi)
 
 
 def test_fold_segment_near_2_40():
-    base = _simple_sieve(2**20)
     for a, b in [(2, 1), (7, 3), (-(2**63 - 1), 2**63 - 25)]:
         profile = decompose(a, b)
         lo, hi = 43 * 2**32 + 1 - 2**11, 43 * 2**32 + 1 + 2**11
         mid = 43 * 2**32 + 2
-        pieces = fold_views(profile, base, lo, hi, (mid,))
+        pieces = fold_views(profile, lo, hi, (mid,))
         assert pieces == [scalar_fold(profile, _primes_in_range(lo, mid).tolist()),
                           scalar_fold(profile, _primes_in_range(mid, hi).tolist())]
 
@@ -337,7 +334,7 @@ def test_fold_segment_matches_classify_prime_on_oracle_grid():
             if a == 0 or b == 0 or abs(a) == abs(b):
                 continue
             profile = decompose(a, b)
-            (cells,) = _fold_segment(profile, primes, 2, 2001)
+            (cells,) = _fold_segment(profile, 2, 2001)
             s, t, bit, generic, divides = (v.tolist() for v in _decode(cells))
             got = [(s_p, t_p, 2 * bit_p - 1, div) if gen else (s_p, None, None, div)
                    for s_p, t_p, bit_p, gen, div in zip(s, t, bit, generic, divides)]
@@ -348,7 +345,6 @@ def test_fold_segment_every_s():
     # the least prime k 2^s + 1 (k odd) for each s that has one below 2^40
     # (all but s = 34, 35, 37, 38, 39), so every s row of the cell
     # histogram is decoded
-    base = _simple_sieve(2**20)
     windows = []
     for s in range(1, 40):
         p = next((k * 2**s + 1 for k in range(1, 2**(40 - s), 2)
@@ -361,7 +357,7 @@ def test_fold_segment_every_s():
         for p in windows:
             if any(p == q for q, _ in profile.special_primes):
                 continue
-            assert fold_views(profile, base, p, p + 1) == [scalar_fold(profile, [p])], p
+            assert fold_views(profile, p, p + 1) == [scalar_fold(profile, [p])], p
 
 
 def reachable_cells(profile, s) -> set[tuple[int, int]]:

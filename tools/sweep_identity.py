@@ -11,11 +11,14 @@ DEEP_PAIRS to 70000000, which reach past 2^26 into the uint64 mulmod
 regime with the smaller term of r0 on both sides of 2^16 (Fermat inverse
 and closed form); then ``powsumdiv density A B`` in text and json for
 each pair in PAIRS; ``powsumdiv count A B 2000 --method M`` for each
-pair in COUNT_PAIRS and each of the six methods; ``powsumdiv verify S``
-for each single suite; and last ``powsumdiv verify all``, whose
-``ok <suite>: <n> checks`` lines pin every suite's check count.  It
-compares stdout and the exit code byte for byte, prints one line per
-command and exits 0 when all 81 agree and exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
+pair in COUNT_PAIRS and each of the six methods; the commands of
+SEGMENT_EDGES, which walk three sieve segments (the cached base primes
+grow from 1024 to 2048 between the first two) and put checkpoints on and
+beside the segment edges; ``powsumdiv verify S`` for each single suite;
+and last ``powsumdiv verify all``, whose ``ok <suite>: <n> checks`` lines
+pin every suite's check count.  It compares stdout and the exit code byte
+for byte, prints one line per command and exits 0 when all 84 agree and
+exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
 e = 0, 1 and 2, Q(sqrt 2), three special primes ((7,3)), the smaller term
 of r0 on both sides of 2^16, and the largest kernel with a Legendre table
 (65535) and the smallest without (65537).
@@ -33,6 +36,12 @@ DEEP_PAIRS = [(65537, 65536), (65537, 65535)]
 X_COUNT = 2000
 COUNT_PAIRS = [(2, 1), (8, 27)]
 METHODS = ("exact", "h1", "h2", "formula", "ramanujan", "character")
+SEGMENT_EDGES = [
+    ["count", "2", "1", "3000000", "--method", "exact"],
+    ["count", "7", "3", "3000000", "--method", "h2"],
+    ["sweep", "8", "27", "3145728",
+     "--checkpoint-list", "1048575,1048576,2097151,2097152,3145728"],
+]
 SUITES = ("group", "ramanujan", "characters", "local-factors", "densities", "oracle")
 
 
@@ -57,6 +66,7 @@ def main(argv: list[str]) -> int:
                  for a, b in PAIRS for fmt in ("text", "json")]
     commands += [["count", str(a), str(b), str(X_COUNT), "--method", method]
                  for a, b in COUNT_PAIRS for method in METHODS]
+    commands += SEGMENT_EDGES
     commands += [["verify", suite] for suite in SUITES]
     for cmd in [*commands, ["verify", "all"]]:
         want, got = run(parent, cmd), run(change, cmd)
