@@ -38,15 +38,18 @@ _evaluate weighs each nonzero cell by a dyadic rational with denominator
 formula) and sums exactly, so every identity in the test suite is an exact
 equality.  The weights are stated once, in _weights, which the
 local-factors suite of verify checks prime by prime against the Ramanujan
-sums.  Checkpointed sweeps work one sieve segment at a time and cut its
-cell counts at the checkpoints inside it; histograms add as integers, so
-any merge schedule (1 worker or many) produces bit-identical results.
+sums.  Counts and sweeps share one checkpointed fold (_census): it works
+one sieve segment at a time up to the last checkpoint and cuts the
+segment's cell counts at the checkpoints inside it; histograms add as
+integers, so any merge schedule (1 worker or many) produces bit-identical
+results.
 """
 
 import bisect
 import cmath
 import functools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -62,6 +65,9 @@ from .profile import BaseProfile
 
 SEGMENT_SIZE = 1 << 20
 MAX_X = 1 << 40
+# The most checkpoints a sweep takes (cli.default_checkpoints builds 10^5
+# in about 0.08 s).
+MAX_CHECKPOINTS = 10**5
 
 CHARACTER_X_LIMIT = 2000
 
@@ -519,28 +525,59 @@ def _evaluate(profile: BaseProfile, acc: CountAccumulator) -> Counts:
     pi, pi_generic = int(n.sum()), int(n[generic].sum())
     n_exact, n_generic = int(n[divides].sum()), int(n[generic & divides].sum())
 
-    s, n = s[generic], n[generic]
-    weights = _weights(profile, s, t[generic], bit[generic])
-
-    # Each s row is summed in int64, then the rows are combined in Python
-    # ints at scale 2^40 (s < 40).  Every weight * 2^s lies in [0, 2^s], and
-    # a row s cell counts primes p = 1 mod 2^s below 2^40, at most 2^(40-s):
-    # a row sum stays below 82 * 2^40 < 2^47 even with every one of its 82
-    # cells at that bound.
-    rows = np.flatnonzero(np.diff(s, prepend=-1))  # cells are in s-major order
-    shifts = (40 - s[rows]).tolist()
-    views = [Fraction(sum(total << k for total, k in zip(row, shifts)), 1 << 40)
-             for row in np.add.reduceat(weights * n, rows, axis=1).tolist()]
+    # Every weight * 2^s lies in [0, 2^s]: at scale 2^40 (s < 40) it is at
+    # most 2^40, so int64 holds it, and the weighted counts are summed in
+    # Python ints.
+    s, n = s[generic], n[generic].tolist()
+    weights = _weights(profile, s, t[generic], bit[generic]) << (40 - s)
+    views = [Fraction(sum(map(operator.mul, row, n)), 1 << 40) for row in weights.tolist()]
     return Counts(pi, n_exact, n_generic, pi_generic, *views)
+
+
+def _worker_count(threads: int, tasks: int) -> int:
+    """Worker processes for a fold: never more than its segment tasks or
+    the machine's CPUs."""
+    return min(threads, tasks, os.cpu_count() or 1)
+
+
+def _census(profile: BaseProfile, checkpoints: list[int], threads: int = 1) -> list[Counts]:
+    """Every count at each of the strictly ascending checkpoints in
+    [2, 2^40], from one fold of the sieve segments up to the last one.
+
+    A task is one segment, cut at the checkpoints inside it, and its
+    pieces are merged in segment order, so the tasks and their merge order
+    depend only on the checkpoints and the result is identical for any
+    worker count: merging is integer addition of cell counts.
+    """
+    # a checkpoint c closes the piece that ends before c + 1
+    ends = [c + 1 for c in checkpoints]
+    closes = set(ends)
+    tasks = []
+    for lo, hi in _segments(checkpoints[-1]):
+        cuts = tuple(ends[bisect.bisect_right(ends, lo) : bisect.bisect_left(ends, hi)])
+        tasks.append((profile, lo, hi, cuts))
+
+    def collect(results) -> list[Counts]:
+        acc = CountAccumulator()
+        counts: list[Counts] = []
+        for (_, _, hi, cuts), pieces in zip(tasks, results):
+            for end, cells in zip((*cuts, hi), pieces):
+                acc.merge(_histogram(cells))
+                if end in closes:
+                    counts.append(_evaluate(profile, acc))
+        return counts
+
+    workers = _worker_count(threads, len(tasks))
+    if workers == 1:
+        return collect(_fold_segment(*task) for task in tasks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return collect(pool.map(_fold_segment, *zip(*tasks)))
 
 
 @functools.lru_cache(maxsize=64)
 def _accumulate(profile: BaseProfile, x: int) -> Counts:
     _check_bounds(x)
-    acc = CountAccumulator()
-    for lo, hi in _segments(x):
-        acc.merge(_histogram(_fold_segment(profile, lo, hi)[0]))
-    return _evaluate(profile, acc)
+    return _census(profile, [x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -653,61 +690,22 @@ class SweepSeries:
                 for pt in self.points for c in [pt.counts]]
 
 
-def _worker_count(threads: int, tasks: int) -> int:
-    """Worker processes for a sweep: never more than its segment tasks or
-    the machine's CPUs."""
-    return min(threads, tasks, os.cpu_count() or 1)
-
-
-def sweep(
-    profile: BaseProfile,
-    x_max: int,
-    checkpoints: list[int],
-    threads: int = 1,
-) -> SweepSeries:
-    """Single pass over the primes <= x_max with snapshots at each
-    checkpoint.  Output is identical for any worker count: the work units
-    (one per sieve segment, cut at the checkpoints inside it) and their
-    merge order depend only on (x_max, checkpoints), and
-    merging is integer addition of cell counts.  Li of every checkpoint
-    comes from one batched log_integrals call.
+def sweep(profile: BaseProfile, checkpoints: list[int], threads: int = 1) -> SweepSeries:
+    """Every count at each checkpoint, from a single pass over the primes
+    up to the last one (_census): output is identical for any worker
+    count.  The checkpoints are strictly ascending, at most
+    MAX_CHECKPOINTS of them, in [2, 2^40].  Li of every checkpoint comes
+    from one batched log_integrals call.
     """
-    _check_bounds(x_max)
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if not checkpoints:
-        raise ValueError("at least one checkpoint required")
+    if not 1 <= len(checkpoints) <= MAX_CHECKPOINTS:
+        raise ValueError(f"checkpoint count must lie in [1, {MAX_CHECKPOINTS}]")
     if sorted(checkpoints) != list(checkpoints) or len(set(checkpoints)) != len(checkpoints):
         raise ValueError("checkpoints must be strictly ascending")
-    if checkpoints[0] < 2 or checkpoints[-1] > x_max:
-        raise ValueError("checkpoints must lie in [2, x_max]")
-
-    # a checkpoint c closes the piece that ends before c + 1
-    ends = [c + 1 for c in checkpoints]
-    tasks = []
-    for lo, hi in _segments(x_max):
-        cuts = tuple(ends[bisect.bisect_right(ends, lo) : bisect.bisect_left(ends, hi)])
-        tasks.append((profile, lo, hi, cuts))
-
-    def collect(results) -> tuple[SweepPoint, ...]:
-        # Li first: with workers it overlaps their folds, and its
-        # temporaries are freed before the fold's are made
-        lis = log_integrals(checkpoints)
-        acc = CountAccumulator()
-        counts: list[Counts] = []
-        closes = set(ends)
-        for (_, _, hi, cuts), pieces in zip(tasks, results):
-            for end, cells in zip((*cuts, hi), pieces):
-                acc.merge(_histogram(cells))
-                if end in closes:
-                    counts.append(_evaluate(profile, acc))
-        return tuple(SweepPoint(x=x, counts=c, li=li)
-                     for x, c, li in zip(checkpoints, counts, lis, strict=True))
-
-    workers = _worker_count(threads, len(tasks))
-    if workers == 1:
-        points = collect(_fold_segment(*task) for task in tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = collect(pool.map(_fold_segment, *zip(*tasks)))
-    return SweepSeries(profile=profile, points=points)
+    if checkpoints[0] < 2 or checkpoints[-1] > MAX_X:
+        raise ValueError(f"checkpoints must lie in [2, 2^40 = {MAX_X}]")
+    # Li first: its temporaries are freed before the fold's are made
+    lis = log_integrals(checkpoints)
+    points = zip(checkpoints, _census(profile, checkpoints, threads), lis, strict=True)
+    return SweepSeries(profile=profile, points=tuple(SweepPoint(x, c, li) for x, c, li in points))

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .census import (
     COLUMNS,
+    MAX_CHECKPOINTS,
     _TRUNCATIONS,
     _check_bounds,
     character_count,
@@ -30,8 +31,6 @@ from .profile import decompose
 from .verify import SUITES
 
 CSV_HEADER = ",".join(COLUMNS)
-# The most checkpoints default_checkpoints builds (about 0.08 s for 10^5).
-MAX_CHECKPOINTS = 10**5
 
 
 def _dec(value) -> str:
@@ -69,23 +68,22 @@ def cmd_density(args) -> int:
     return 0
 
 
+# Each count --method, as a call of the counting function it prints.
+METHODS = {
+    "exact": lambda profile, args: count_exact(profile, args.x),
+    "h1": lambda profile, args: heuristic_counts(profile, args.x).h1,
+    "h2": lambda profile, args: heuristic_counts(profile, args.x).h2,
+    "formula": lambda profile, args: formula_count(profile, args.x),
+    "ramanujan": lambda profile, args: ramanujan_count(profile, args.x, args.truncation),
+    "character": lambda profile, args: character_count(profile, args.x),
+}
+
+
 def cmd_count(args) -> int:
     profile = decompose(args.a, args.b)
-    method = args.method
-    if method == "exact":
-        value = count_exact(profile, args.x)
-    elif method == "h1":
-        value = heuristic_counts(profile, args.x).h1
-    elif method == "h2":
-        value = heuristic_counts(profile, args.x).h2
-    elif method == "formula":
-        value = formula_count(profile, args.x)
-    elif method == "ramanujan":
-        value = ramanujan_count(profile, args.x, args.truncation)
-    else:
-        value = character_count(profile, args.x)
+    value = METHODS[args.method](profile, args)
     if args.format == "json":
-        doc = {"method": method, "a": args.a, "b": args.b, "x": args.x}
+        doc = {"method": args.method, "a": args.a, "b": args.b, "x": args.x}
         if isinstance(value, int):
             doc["value"] = value
         else:
@@ -120,17 +118,18 @@ def default_checkpoints(count: int, x_max: int) -> list[int]:
 
 def cmd_sweep(args) -> int:
     profile = decompose(args.a, args.b)
+    _check_bounds(args.x_max)
     if args.checkpoint_list:
         try:
             checkpoints = [int(tok) for tok in args.checkpoint_list.split(",")]
         except ValueError:
-            print("error: --checkpoint-list must be comma-separated integers",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--checkpoint-list must be comma-separated integers") from None
+        if checkpoints[-1] > args.x_max:
+            raise ValueError("checkpoints must lie in [2, x_max]")
     else:
         checkpoints = default_checkpoints(args.checkpoints, args.x_max)
     threads = _int_env_threads() if args.threads is None else args.threads
-    series = sweep(profile, args.x_max, checkpoints, threads=threads)
+    series = sweep(profile, checkpoints, threads=threads)
     sys.stdout.write(render_sweep(series, args.format))
     return 0
 
@@ -197,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("x", type=int)
-    p.add_argument("--method", default="exact",
-                   choices=("exact", "h1", "h2", "formula", "ramanujan", "character"))
+    p.add_argument("--method", default="exact", choices=tuple(METHODS))
     p.add_argument("--truncation", default="full", choices=tuple(_TRUNCATIONS),
                    help="inner-sum cutoff for --method ramanujan")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -110,8 +110,8 @@ CHECKPOINTS = [10**5, 10**6, X_BIG]
 @pytest.fixture(scope="module")
 def big_sweeps():
     start = time.monotonic()
-    s21 = sweep(decompose(2, 1), X_BIG, CHECKPOINTS, threads=1)
-    s31 = sweep(decompose(3, 1), X_BIG, CHECKPOINTS, threads=1)
+    s21 = sweep(decompose(2, 1), CHECKPOINTS, threads=1)
+    s31 = sweep(decompose(3, 1), CHECKPOINTS, threads=1)
     single_time = time.monotonic() - start
     return {"s21": s21, "s31": s31, "single_time": single_time}
 
@@ -150,7 +150,7 @@ def test_criterion_9_thread_determinism():
     outputs = {}
     start = time.monotonic()
     for threads in (1, 2, 8):
-        series = sweep(profile, X_BIG, cps, threads=threads)
+        series = sweep(profile, cps, threads=threads)
         outputs[threads] = render_sweep(series, "csv").encode()
     elapsed = time.monotonic() - start
     identical = outputs[1] == outputs[2] == outputs[8]

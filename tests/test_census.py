@@ -318,7 +318,7 @@ def test_character_count_rejects_large_x():
 
 def test_sweep_examples():
     p21 = decompose(2, 1)
-    series = sweep(p21, 30, [10, 30])
+    series = sweep(p21, [10, 30])
     assert [pt.counts.n_exact for pt in series.points] == [2, 7]
     assert [pt.x for pt in series.points] == [10, 30]
     for pt in series.points:
@@ -332,20 +332,20 @@ def test_sweep_li_column_matches_golden_bits(monkeypatch):
 
     monkeypatch.setattr(arith, "_adaptive_simpson", scalar_li)
     grid = list(range(1000, 2 * 10**6 + 1, 1000))
-    series = sweep(decompose(2, 1), 2 * 10**6, grid)
+    series = sweep(decompose(2, 1), grid)
     golden = (Path(__file__).parent / "golden" / "li_sweep_dense.txt").read_text().split()
     assert [repr(pt.li) for pt in series.points] == golden
 
 
 def test_sweep_closed_interval_checkpoints():
     # a checkpoint that is itself a dividing prime must include it
-    series = sweep(decompose(2, 1), 5, [4, 5])
+    series = sweep(decompose(2, 1), [4, 5])
     assert [pt.counts.n_exact for pt in series.points] == [1, 2]
 
 
 def test_sweep_monotone_and_consistent():
     profile = decompose(8, 27)
-    series = sweep(profile, 10**4, [10, 100, 1000, 10**4])
+    series = sweep(profile, [10, 100, 1000, 10**4])
     rows = series.rows()
     for key in ("pi", "n_exact", "n_generic", "h1", "h2", "k1", "k2"):
         values = [row[key] for row in rows]
@@ -359,13 +359,13 @@ def test_sweep_monotone_and_consistent():
 def test_sweep_thread_determinism(monkeypatch):
     profile = decompose(2, 1)
     cps = [10, 97, 1000, 10**5]
-    base = sweep(profile, 10**5, cps, threads=1)
+    base = sweep(profile, cps, threads=1)
     for threads in (2, 3):
-        assert sweep(profile, 10**5, cps, threads=threads) == base
+        assert sweep(profile, cps, threads=threads) == base
     # small segments give the pool several tasks, cut at checkpoints
     monkeypatch.setattr(census, "SEGMENT_SIZE", 1 << 12)
     for threads in (2, 3):
-        assert sweep(profile, 10**5, cps, threads=threads) == base
+        assert sweep(profile, cps, threads=threads) == base
 
 
 def test_sweep_tasks_carry_no_array(monkeypatch):
@@ -393,10 +393,10 @@ def test_sweep_tasks_carry_no_array(monkeypatch):
     profile = decompose(8, 27)
     cps = [10, 97, 1000, 10**5]
     monkeypatch.setattr(census, "SEGMENT_SIZE", 1 << 12)
-    want = sweep(profile, 10**5, cps, threads=1)
+    want = sweep(profile, cps, threads=1)
     monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-    assert sweep(profile, 10**5, cps, threads=2) == want
+    assert sweep(profile, cps, threads=2) == want
     assert len(tasks) == len(list(census._segments(10**5)))
     assert not any(isinstance(arg, np.ndarray) for task in tasks for arg in task)
 
@@ -404,20 +404,20 @@ def test_sweep_tasks_carry_no_array(monkeypatch):
 def test_sweep_validation():
     profile = decompose(2, 1)
     with pytest.raises(ValueError):
-        sweep(profile, 100, [])
+        sweep(profile, [])
     with pytest.raises(ValueError):
-        sweep(profile, 100, [50, 20])
+        sweep(profile, [50, 20])
     with pytest.raises(ValueError):
-        sweep(profile, 100, [50, 200])
+        sweep(profile, [10, 2**40 + 1])
     with pytest.raises(ValueError):
-        sweep(profile, 100, [10], threads=0)
+        sweep(profile, [10], threads=0)
 
 
 def test_accumulator_merge_matches_single_pass(monkeypatch):
     profile = decompose(5, 2)
     single_pass = _accumulate(profile, 4000)
     monkeypatch.setattr(census, "SEGMENT_SIZE", 1 << 10)
-    series = sweep(profile, 4000, [1000, 4000])
+    series = sweep(profile, [1000, 4000])
     counts = series.points[-1].counts
     assert counts == single_pass
     assert counts.h1 == counts.pi_generic - counts.k1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from powsumdiv import cli
+from powsumdiv import census, cli
 from powsumdiv.census import (
     character_count,
     count_exact,
@@ -171,6 +171,35 @@ def test_sweep_bad_checkpoint_list(capsys):
     code, _, err = run_cli(capsys, "sweep", "2", "1", "100",
                            "--checkpoint-list", "10,abc")
     assert code == 2 and "comma-separated" in err
+
+
+def test_sweep_folds_only_to_its_last_checkpoint(monkeypatch, capsys):
+    folded = []
+    fold = census._fold_segment
+
+    def recording_fold(profile, lo, hi, cuts=()):
+        folded.append((lo, hi))
+        return fold(profile, lo, hi, cuts)
+
+    monkeypatch.delenv("POWSUMDIV_THREADS", raising=False)
+    monkeypatch.setattr(census, "_fold_segment", recording_fold)
+    assert cli.main(["sweep", "2", "1", "10000000", "--checkpoint-list", "1000"]) == 0
+    assert folded == [(2, 1001)]
+    assert capsys.readouterr().out.splitlines()[1].startswith("1000,168,")
+
+
+def test_checkpoint_cap_covers_the_checkpoint_list(monkeypatch, capsys):
+    # the cap is checked before any fold: a fold here fails at once
+    def no_fold(*args):
+        raise AssertionError("folded a segment")
+
+    monkeypatch.setattr(census, "_fold_segment", no_fold)
+    too_many = list(range(2, census.MAX_CHECKPOINTS + 3))
+    with pytest.raises(ValueError, match="checkpoint count"):
+        census.sweep(decompose(2, 1), too_many)
+    argv = ["sweep", "2", "1", str(too_many[-1]), "--checkpoint-list", ",".join(map(str, too_many))]
+    assert run_cli(capsys, *argv) == \
+        (2, "", f"error: checkpoint count must lie in [1, {census.MAX_CHECKPOINTS}]\n")
 
 
 @pytest.mark.parametrize("argv", [

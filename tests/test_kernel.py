@@ -416,7 +416,7 @@ def test_sweep_matches_golden_output(capsys, argv, golden):
 def test_sweep_golden_across_segment_boundaries(monkeypatch):
     # 65535, 65536, 65537 and 131072 sit at the edges of 2^16-wide segments
     monkeypatch.setattr(census, "SEGMENT_SIZE", 1 << 16)
-    series = sweep(decompose(7, 3), 300000, CHECKPOINTS_7_3)
+    series = sweep(decompose(7, 3), CHECKPOINTS_7_3)
     assert cli.render_sweep(series, "csv") == (GOLDEN / "sweep_7_3_checkpoint_list.csv").read_text()
 
 

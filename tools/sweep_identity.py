@@ -13,11 +13,12 @@ and closed form); then ``powsumdiv density A B`` in text and json for
 each pair in PAIRS; ``powsumdiv count A B 2000 --method M`` for each
 pair in COUNT_PAIRS and each of the six methods; the commands of
 SEGMENT_EDGES, which walk three sieve segments (the cached base primes
-grow from 1024 to 2048 between the first two) and put checkpoints on and
-beside the segment edges; ``powsumdiv verify S`` for each single suite;
+grow from 1024 to 2048 between the first two), put checkpoints on and
+beside the segment edges and sweep to 10^8 with every checkpoint in the
+first segment; ``powsumdiv verify S`` for each single suite;
 and last ``powsumdiv verify all``, whose ``ok <suite>: <n> checks`` lines
 pin every suite's check count.  It compares stdout and the exit code byte
-for byte, prints one line per command and exits 0 when all 84 agree and
+for byte, prints one line per command and exits 0 when all 85 agree and
 exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
 e = 0, 1 and 2, Q(sqrt 2), three special primes ((7,3)), the smaller term
 of r0 on both sides of 2^16, and the largest kernel with a Legendre table
@@ -41,6 +42,7 @@ SEGMENT_EDGES = [
     ["count", "7", "3", "3000000", "--method", "h2"],
     ["sweep", "8", "27", "3145728",
      "--checkpoint-list", "1048575,1048576,2097151,2097152,3145728"],
+    ["sweep", "2", "1", "100000000", "--checkpoint-list", "1000,50000"],
 ]
 SUITES = ("group", "ramanujan", "characters", "local-factors", "densities", "oracle")
 
