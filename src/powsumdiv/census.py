@@ -54,7 +54,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Literal, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,6 @@ MAX_X = 1 << 40
 MAX_CHECKPOINTS = 10**5
 
 CHARACTER_X_LIMIT = 2000
-
-Truncation = Literal["full", "e", "e+1"]
 
 # A prime's cell in the histogram is (s * _S_CELLS + t) * 2 + bit.  For a
 # generic prime t <= s = v2(p-1) < 40 (p <= 2^40) and bit is (r0/p) == 1;
@@ -606,7 +604,7 @@ def formula_count(profile: BaseProfile, x: int) -> Fraction:
 _TRUNCATIONS = {"full": "ram_full", "e": "ram_e", "e+1": "ram_e1"}
 
 
-def ramanujan_count(profile: BaseProfile, x: int, truncation: Truncation = "full") -> Fraction:
+def ramanujan_count(profile: BaseProfile, x: int, truncation: str = "full") -> Fraction:
     """pi_generic(x) minus the truncated double sum of 2-power Ramanujan
     sums of the group index of r.
 

@@ -54,10 +54,13 @@ WIDE_PAIRS = [(2, 1), (-4, 1), (8, 27), (7, 3), (16, 1),
               (65537, 65535), (65537, 65536), (65535, 1), (65537, 1)]
 
 
-def generic_primes(profile, lo, hi):
+def without_special(profile, primes):
     special = [p for p, _ in profile.special_primes]
-    primes = _primes_in_range(lo, hi)
     return primes[~np.isin(primes, special)]
+
+
+def generic_primes(profile, lo, hi):
+    return without_special(profile, _primes_in_range(lo, hi))
 
 
 def assert_kernel_matches_oracle(profile, primes):
@@ -85,18 +88,20 @@ def test_kernel_all_primes_below_1e5(a, b):
     (2**40 - 2**16, 2**40),             # just below 2^40
 ])
 def test_kernel_wide_segments(lo, hi):
+    window = _primes_in_range(lo, hi)
     for a, b in WIDE_PAIRS:
         profile = decompose(a, b)
-        assert_kernel_matches_oracle(profile, generic_primes(profile, lo, hi))
+        assert_kernel_matches_oracle(profile, without_special(profile, window))
 
 
 def test_kernel_large_s():
     # p = 43 * 2^32 + 1 has s = 32: t and the Legendre symbol take the
     # longest squaring chains
     p = 43 * 2**32 + 1
+    window = _primes_in_range(p - 2**12, p + 2**12)
     for a, b in WIDE_PAIRS:
         profile = decompose(a, b)
-        primes = generic_primes(profile, p - 2**12, p + 2**12)
+        primes = without_special(profile, window)
         assert p in primes.tolist()
         assert_kernel_matches_oracle(profile, primes)
 
