@@ -1,6 +1,6 @@
 """The counting core: stream primes with a segmented sieve, classify each
 one against a BaseProfile, and derive every counting function exactly from
-one histogram.
+the count of primes in each (s, t, Legendre) cell.
 
 Per generic prime p (p not dividing 2ab) the classification computes
 
@@ -22,37 +22,37 @@ closed-form inverse (1 + j p) / k, j = -p^-1 mod k read from a table,
 when k < 2^16, and with k^-1 = k^(p-2) (Fermat) otherwise.
 
 p divides some a^k + b^k iff t >= 1.  The sieve marks odd numbers only,
-and one numpy call (_classify) per segment gives each prime its histogram
-cell (_fold_segment), which _decode reads back for the counts and for the
+and one numpy call (_classify) per segment gives each prime its cell
+(_fold_segment), which _decode reads back for the tallies and for the
 oracle and local-factors suites of verify.  classify_prime is the scalar
 Python-int reference the kernel is tested against; it takes t from r
-itself and the Legendre symbol from Euler's criterion.  The only
-accumulated state is a CountAccumulator: the count of primes in each
-(s, t, Legendre) cell.  Special primes p | 2ab have a column of their own
-(t = 40, bit = "p divides the sequence"), so they enter pi and the exact
-count but no heuristic sum.
+itself and the Legendre symbol from Euler's criterion.  Special primes
+p | 2ab have a column of their own (t = 40, bit = "p divides the
+sequence"), so they enter pi and the exact count but no heuristic sum.
 
-Every counting function is a linear functional of that histogram:
-_evaluate weighs each nonzero cell by a dyadic rational with denominator
+Every counting function is a linear functional of the cell counts: each
+view weighs a generic prime's cell by a dyadic rational with denominator
 2^s (the local factors, the truncated 2-power Ramanujan sums, the explicit
-formula) and sums exactly, so every identity in the test suite is an exact
-equality.  The weights are stated once, in _weights, which the
-local-factors suite of verify checks prime by prime against the Ramanujan
-sums.  Counts and sweeps share one checkpointed fold (_census): it works
-one sieve segment at a time up to the last checkpoint and cuts the
-segment's cell counts at the checkpoints inside it; histograms add as
-integers, so any merge schedule (1 worker or many) produces bit-identical
-results.
+formula), so every identity in the test suite is an exact equality.  The
+weights are stated once, in _weights, which the local-factors suite of
+verify checks prime by prime against the Ramanujan sums.  _tally weighs
+the nonzero cells of one piece of a segment once and sums all ten counts
+as integers, the views at scale 2^40; the only accumulated state is a
+CountAccumulator of those ten totals.  Counts and sweeps share one
+checkpointed fold (_census): it works one sieve segment at a time up to
+the last checkpoint and cuts the segment's cells at the checkpoints
+inside it; tallies add as integers, so any merge schedule (1 worker or
+many) produces bit-identical results.
 """
 
 import bisect
 import cmath
+import collections
 import functools
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
@@ -64,6 +64,9 @@ from .density import delta_naive, delta_table
 from .profile import BaseProfile
 
 SEGMENT_SIZE = 1 << 20
+# Segment tasks in flight per worker: enough to keep it busy while the parent
+# merges, and a sweep to 2^40 (2^20 tasks) holds only a handful of futures.
+_TASKS_PER_WORKER = 4
 MAX_X = 1 << 40
 # The most checkpoints a sweep takes (cli.default_checkpoints builds 10^5
 # in about 0.08 s).
@@ -71,13 +74,12 @@ MAX_CHECKPOINTS = 10**5
 
 CHARACTER_X_LIMIT = 2000
 
-# A prime's cell in the histogram is (s * _S_CELLS + t) * 2 + bit.  For a
+# A prime's cell is (s * _S_CELLS + t) * 2 + bit.  For a
 # generic prime t <= s = v2(p-1) < 40 (p <= 2^40) and bit is (r0/p) == 1;
 # a special prime takes the otherwise unused t = _SPECIAL_T, with bit
 # "p divides the sequence" (s = 0 for p = 2).
 _S_CELLS = 41
 _SPECIAL_T = _S_CELLS - 1
-_N_CELLS = 2 * _S_CELLS * _S_CELLS
 
 
 class InternalInconsistencyError(ArithmeticError):
@@ -85,22 +87,8 @@ class InternalInconsistencyError(ArithmeticError):
     integer, or an order valuation that exceeds s = v2(p-1)."""
 
 
-@dataclass(slots=True, eq=False)
-class CountAccumulator:
-    """The number of primes in each (s, t, bit) cell, an int64 array of
-    _N_CELLS counts; merge order never matters."""
-
-    cells: np.ndarray = field(default_factory=lambda: np.zeros(_N_CELLS, dtype=np.int64))
-
-    def merge(self, other: "CountAccumulator") -> None:
-        self.cells += other.cells
-
-    def copy(self) -> "CountAccumulator":
-        return CountAccumulator(self.cells.copy())
-
-
 class Counts(NamedTuple):
-    """Every counting function at one x, evaluated exactly from a histogram.
+    """Every counting function at one x, evaluated exactly from the tallies.
 
     pi and n_exact count every prime, the other views the generic ones
     only.  ram_e, ram_e1 and ram_full are ramanujan_count at truncation
@@ -135,6 +123,20 @@ class Counts(NamedTuple):
         negative.
         """
         return self.ram_full - self.ram_e1
+
+
+@dataclass(slots=True, eq=False)
+class CountAccumulator:
+    """The ten Counts fields of the primes tallied so far (_tally), as
+    Python ints, the views at scale 2^40; merge order never matters."""
+
+    totals: tuple[int, ...] = (0,) * len(Counts._fields)
+
+    def merge(self, other: "CountAccumulator") -> None:
+        self.totals = tuple(a + b for a, b in zip(self.totals, other.totals, strict=True))
+
+    def copy(self) -> "CountAccumulator":
+        return CountAccumulator(self.totals)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +444,8 @@ _CHUNK = 1 << 13
 def _fold_segment(profile: BaseProfile, lo: int, hi: int,
                   cuts: tuple[int, ...] = ()) -> list[np.ndarray]:
     """Classify every prime of the sieve segment [lo, hi) once: the int16
-    histogram cell of each prime, split into the pieces [lo, cuts[0]),
-    [cuts[0], cuts[1]), ..., [cuts[-1], hi)."""
+    (s, t, bit) cell of each prime, split into the pieces [lo, cuts[0]),
+    [cuts[0], cuts[1]), ..., [cuts[-1], hi), which _tally weighs."""
     primes = _primes_in_range(lo, hi)
     ends = np.searchsorted(primes, [*cuts, hi]).tolist()
     cells = np.empty(len(primes), dtype=np.int16)
@@ -460,7 +462,7 @@ def _fold_segment(profile: BaseProfile, lo: int, hi: int,
 
 
 def _decode(cells: np.ndarray) -> tuple[np.ndarray, ...]:
-    """int64 arrays s, t and bit of histogram cells (the int16 cells of
+    """int64 arrays s, t and bit of cells (the int16 cells of
     _fold_segment are cast first, for _weights) and the masks generic and
     divides (p | some a^k + b^k: t >= 1 if generic, else bit)."""
     cells = cells.astype(np.int64, copy=False)
@@ -468,10 +470,6 @@ def _decode(cells: np.ndarray) -> tuple[np.ndarray, ...]:
     bit = cells & 1
     generic = t != _SPECIAL_T
     return s, t, bit, generic, np.where(generic, t > 0, bit == 1)
-
-
-def _histogram(cells: np.ndarray) -> CountAccumulator:
-    return CountAccumulator(np.bincount(cells, minlength=_N_CELLS))
 
 
 def _weights(profile: BaseProfile, s: np.ndarray, t: np.ndarray, bit: np.ndarray) -> np.ndarray:
@@ -509,27 +507,30 @@ def _weights(profile: BaseProfile, s: np.ndarray, t: np.ndarray, bit: np.ndarray
                      ramanujan(s), formula])
 
 
-def _evaluate(profile: BaseProfile, acc: CountAccumulator) -> Counts:
-    """Every counting function of the primes counted in acc, exactly.
+def _tally(profile: BaseProfile, cells: np.ndarray) -> CountAccumulator:
+    """The ten Counts fields of one piece's int16 cells: a row per field
+    over the nonzero cells times their counts.  The rows are 0/1 for pi,
+    n_exact, n_generic and pi_generic, and _weights at scale 2^40 for the
+    views, 0 on special cells.  A weight * 2^s lies in [0, 2^s], so at
+    scale 2^40 (s < 40) it is at most 2^40, and a piece holds fewer than
+    2^19 primes: every int64 sum stays below 2^59."""
+    n = np.bincount(cells)
+    nonzero = np.flatnonzero(n)
+    s, t, bit, generic, divides = _decode(nonzero)
+    views = _weights(profile, s, t, bit) << (40 - s)
+    rows = np.vstack([np.ones_like(s), divides, generic & divides, generic, views * generic])
+    return CountAccumulator(tuple((rows @ n[nonzero]).tolist()))
 
-    Each view weighs a generic prime's cell (s, t, leg) by a dyadic
-    rational with denominator 2^s (_weights).  Only the nonzero cells are
-    weighed, each by the integer weight * 2^s, and the weighted counts are
-    summed exactly at scale 2^40.
-    """
-    cells = np.flatnonzero(acc.cells)
-    n = acc.cells[cells]
-    s, t, bit, generic, divides = _decode(cells)
-    pi, pi_generic = int(n.sum()), int(n[generic].sum())
-    n_exact, n_generic = int(n[divides].sum()), int(n[generic & divides].sum())
 
-    # Every weight * 2^s lies in [0, 2^s]: at scale 2^40 (s < 40) it is at
-    # most 2^40, so int64 holds it, and the weighted counts are summed in
-    # Python ints.
-    s, n = s[generic], n[generic].tolist()
-    weights = _weights(profile, s, t[generic], bit[generic]) << (40 - s)
-    views = [Fraction(sum(map(operator.mul, row, n)), 1 << 40) for row in weights.tolist()]
-    return Counts(pi, n_exact, n_generic, pi_generic, *views)
+def _evaluate(acc: CountAccumulator) -> Counts:
+    """Every counting function of the primes tallied in acc, exactly."""
+    ints, views = acc.totals[:4], acc.totals[4:]
+    return Counts(*ints, *(Fraction(v, 1 << 40) for v in views))
+
+
+def _tally_segment(profile: BaseProfile, lo: int, hi: int, cuts: tuple[int, ...]) -> list:
+    """The tally of each piece of the sieve segment [lo, hi) cut at cuts."""
+    return [_tally(profile, cells) for cells in _fold_segment(profile, lo, hi, cuts)]
 
 
 def _worker_count(threads: int, tasks: int) -> int:
@@ -538,38 +539,53 @@ def _worker_count(threads: int, tasks: int) -> int:
     return min(threads, tasks, os.cpu_count() or 1)
 
 
+def _in_order(pool: ProcessPoolExecutor, tasks: Iterator[tuple], window: int) -> Iterator:
+    """(task, _tally_segment(*task)) for each task, in order, with at most
+    window tasks submitted to the pool and not yet yielded."""
+    pending = collections.deque()
+    for task in tasks:
+        if len(pending) == window:
+            done, future = pending.popleft()
+            yield done, future.result()
+        pending.append((task, pool.submit(_tally_segment, *task)))
+    for task, future in pending:
+        yield task, future.result()
+
+
 def _census(profile: BaseProfile, checkpoints: list[int], threads: int = 1) -> list[Counts]:
     """Every count at each of the strictly ascending checkpoints in
     [2, 2^40], from one fold of the sieve segments up to the last one.
 
-    A task is one segment, cut at the checkpoints inside it, and its
-    pieces are merged in segment order, so the tasks and their merge order
-    depend only on the checkpoints and the result is identical for any
-    worker count: merging is integer addition of cell counts.
+    A task is one segment, cut at the checkpoints inside it, and the
+    tallies of its pieces are merged in segment order, so the tasks and
+    their merge order depend only on the checkpoints and the result is
+    identical for any worker count: merging is integer addition.  Tasks
+    are made as they are submitted, at most _TASKS_PER_WORKER per worker
+    ahead of the merge.
     """
     # a checkpoint c closes the piece that ends before c + 1
     ends = [c + 1 for c in checkpoints]
     closes = set(ends)
-    tasks = []
-    for lo, hi in _segments(checkpoints[-1]):
-        cuts = tuple(ends[bisect.bisect_right(ends, lo) : bisect.bisect_left(ends, hi)])
-        tasks.append((profile, lo, hi, cuts))
+    tasks = ((profile, lo, hi, tuple(ends[bisect.bisect_right(ends, lo) :
+                                          bisect.bisect_left(ends, hi)]))
+             for lo, hi in _segments(checkpoints[-1]))
 
     def collect(results) -> list[Counts]:
         acc = CountAccumulator()
         counts: list[Counts] = []
-        for (_, _, hi, cuts), pieces in zip(tasks, results):
-            for end, cells in zip((*cuts, hi), pieces):
-                acc.merge(_histogram(cells))
+        for (_, _, hi, cuts), tallies in results:
+            for end, tally in zip((*cuts, hi), tallies):
+                acc.merge(tally)
                 if end in closes:
-                    counts.append(_evaluate(profile, acc))
+                    counts.append(_evaluate(acc))
         return counts
 
-    workers = _worker_count(threads, len(tasks))
+    # the number of segments _segments yields
+    workers = _worker_count(threads, checkpoints[-1] // SEGMENT_SIZE + 1)
     if workers == 1:
-        return collect(_fold_segment(*task) for task in tasks)
+        return collect((task, _tally_segment(*task)) for task in tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return collect(pool.map(_fold_segment, *zip(*tasks)))
+        return collect(_in_order(pool, tasks, _TASKS_PER_WORKER * workers))
 
 
 @functools.lru_cache(maxsize=64)

@@ -183,7 +183,7 @@ def check_local_factors(p_limit: int = 10**5,
     _fold_segment call gives the generic primes <= p_limit.  The sums use
     the exact group index of r (full multiplicative order, factored p-1),
     whose 2-adic valuation must be s - t.  Then the summed weights at
-    several checkpoints in [2, p_limit] against the histogram route."""
+    several checkpoints in [2, p_limit] against the tallied counts."""
     if not all(2 <= x <= p_limit for x in checkpoints):
         raise ValueError(f"checkpoints must lie in [2, p_limit = {p_limit}]")
     checked = 0
@@ -208,7 +208,7 @@ def check_local_factors(p_limit: int = 10**5,
             for i in np.flatnonzero(want != got).tolist():
                 failures.append(f"{name} weight mismatch at ({a},{b}), p={generic[i]}: "
                                 f"{want[i]}/2^{s[i]} vs {got[i]}/2^{s[i]}")
-        scaled = weights << (40 - s)  # at scale 2^40, as _evaluate sums
+        scaled = weights << (40 - s)  # at scale 2^40, as _tally sums
         for x in sorted(checkpoints):
             end = np.searchsorted(generic, x, side="right")
             k1, k2 = (Fraction(sum(row[:end].tolist()), 1 << 40) for row in scaled)

@@ -1,6 +1,7 @@
 """Census: prime streaming, classification, and the exact identities
 between every counting route."""
 
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -15,10 +16,10 @@ from powsumdiv.census import (
     _check_bounds,
     _evaluate,
     _fold_segment,
-    _histogram,
     _primes_in_range,
     _segments,
     _simple_sieve,
+    _tally,
     _weights,
     character_count,
     classify_prime,
@@ -370,12 +371,22 @@ def test_sweep_thread_determinism(monkeypatch):
 
 def test_sweep_tasks_carry_no_array(monkeypatch):
     # a task is pickled for a worker: it holds the profile, the segment
-    # and its cuts, and the worker sieves its own base primes
+    # and its cuts, and the worker sieves its own base primes; tasks are
+    # submitted only as results are taken, a bounded window ahead
     tasks = []
+    in_flight = [0, 0]  # submitted and not yet taken: now, most
+
+    class Future:
+        def __init__(self, fn, args):
+            self.fn, self.args = fn, args
+
+        def result(self):
+            in_flight[0] -= 1
+            return self.fn(*self.args)
 
     class RecordingPool:
         """An in-process stand-in for ProcessPoolExecutor that records the
-        arguments of every task it is given."""
+        arguments of every task it is given and how many are in flight."""
 
         def __init__(self, max_workers):
             pass
@@ -386,9 +397,11 @@ def test_sweep_tasks_carry_no_array(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            tasks.extend(zip(*iterables))
-            return [fn(*task) for task in zip(*iterables)]
+        def submit(self, fn, *args):
+            tasks.append(args)
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight[1], in_flight[0])
+            return Future(fn, args)
 
     profile = decompose(8, 27)
     cps = [10, 97, 1000, 10**5]
@@ -399,6 +412,8 @@ def test_sweep_tasks_carry_no_array(monkeypatch):
     assert sweep(profile, cps, threads=2) == want
     assert len(tasks) == len(list(census._segments(10**5)))
     assert not any(isinstance(arg, np.ndarray) for task in tasks for arg in task)
+    # threads=2 on two CPUs gives two workers
+    assert in_flight == [0, 2 * census._TASKS_PER_WORKER] and len(tasks) > in_flight[1]
 
 
 def test_sweep_validation():
@@ -423,13 +438,16 @@ def test_accumulator_merge_matches_single_pass(monkeypatch):
     assert counts.h1 == counts.pi_generic - counts.k1
     assert counts.h2 == counts.pi_generic - counts.k2
     assert counts.tail == counts.ram_full - counts.ram_e1
-    single = _histogram(_fold_segment(profile, 2, 4001)[0])
-    merged = CountAccumulator()
-    for piece in _fold_segment(profile, 2, 4001, (5, 1001, 2048)):
-        merged.merge(_histogram(piece))
-    merged.merge(CountAccumulator())
-    assert (merged.cells == single.cells).all()
+    single = _tally(profile, _fold_segment(profile, 2, 4001)[0])
+    pieces = [_tally(profile, piece) for piece in _fold_segment(profile, 2, 4001, (5, 1001, 2048))]
+    for order in itertools.permutations(pieces):
+        merged = CountAccumulator()
+        for tally in order:
+            merged.merge(tally)
+        merged.merge(CountAccumulator())
+        assert merged.totals == single.totals
     copy = merged.copy()
     merged.merge(single)
-    assert (copy.cells == single.cells).all()
-    assert _evaluate(profile, copy) == counts
+    assert copy.totals == single.totals
+    assert merged.totals == tuple(2 * v for v in single.totals)
+    assert _evaluate(copy) == counts

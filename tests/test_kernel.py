@@ -19,20 +19,19 @@ from powsumdiv.census import (
     _S_CELLS,
     _SPECIAL_T,
     MAX_X,
-    CountAccumulator,
     Counts,
     InternalInconsistencyError,
     _classify,
     _decode,
     _evaluate,
     _fold_segment,
-    _histogram,
     _inverse,
     _legendre_table,
     _mulmod_f53,
     _mulmod_f64,
     _mulmod_u64,
     _primes_in_range,
+    _tally,
     _worker_count,
     classify_prime,
     sweep,
@@ -261,7 +260,7 @@ def test_kernel_squaring_loop_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# the fold and the views: cell histogram to every counting function
+# the fold and the views: cell counts to every counting function
 
 
 def prime_views(profile, s, t, leg) -> list[Fraction]:
@@ -288,7 +287,7 @@ def prime_views(profile, s, t, leg) -> list[Fraction]:
 
 
 def scalar_fold(profile, primes) -> Counts:
-    """Reference for _evaluate: every view summed one prime at a time in
+    """Reference for _tally: every view summed one prime at a time in
     Fractions from classify_prime and prime_views."""
     ints = [0, 0, 0, 0]  # pi, n_exact, n_generic, pi_generic
     sums = [Fraction(0)] * 6
@@ -305,8 +304,7 @@ def scalar_fold(profile, primes) -> Counts:
 
 
 def fold_views(profile, lo, hi, cuts=()) -> list[Counts]:
-    return [_evaluate(profile, _histogram(cells))
-            for cells in _fold_segment(profile, lo, hi, cuts)]
+    return [_evaluate(_tally(profile, cells)) for cells in _fold_segment(profile, lo, hi, cuts)]
 
 
 @pytest.mark.parametrize("a,b", PROFILE_GRID + [(7, 3), (-1000003, 999331)])
@@ -348,8 +346,8 @@ def test_fold_segment_matches_classify_prime_on_oracle_grid():
 
 def test_fold_segment_every_s():
     # the least prime k 2^s + 1 (k odd) for each s that has one below 2^40
-    # (all but s = 34, 35, 37, 38, 39), so every s row of the cell
-    # histogram is decoded
+    # (all but s = 34, 35, 37, 38, 39), so every s row of the cells is
+    # decoded
     windows = []
     for s in range(1, 40):
         p = next((k * 2**s + 1 for k in range(1, 2**(40 - s), 2)
@@ -379,26 +377,42 @@ def reachable_cells(profile, s) -> set[tuple[int, int]]:
 @pytest.mark.parametrize("a,b", [(2, 1), (-2, 1), (4, 1), (-4, 1), (16, 1), (8, 27),
                                  (2**32, 1), (-(2**48), 1)])
 def test_evaluate_worst_case_histogram(a, b):
-    # every reachable cell of row s holds 2^(40-s) primes, more than there
-    # are primes p = 1 mod 2^s below 2^40: the int64 row sums stay exact
+    # the worst-case cell histogram of one piece, which holds fewer than
+    # 2^19 primes (a segment of 2^20 numbers): 2^19 - 1 cells spread evenly
+    # over every reachable cell of every row s < 40, so the Ramanujan
+    # views' int64 sums in _tally come near 2^59 and stay exact
     profile = decompose(a, b)
-    acc = CountAccumulator()
+    reachable = []  # (code, special divides or None, s, t, leg)
+    for s in range(40):
+        for divides in (False, True):  # a special prime's cell
+            reachable.append(((s * _S_CELLS + _SPECIAL_T) * 2 + divides, divides, s, None, None))
+        for t, leg in sorted(reachable_cells(profile, s)) if s else ():
+            reachable.append(((s * _S_CELLS + t) * 2 + (leg > 0), None, s, t, leg))
+    share, extra = divmod(2**19 - 1, len(reachable))
+    counts = [share + (i < extra) for i in range(len(reachable))]
+    cells = np.repeat([code for code, *_ in reachable], counts).astype(np.int16)
+    np.random.default_rng(0).shuffle(cells)
+    assert len(cells) == 2**19 - 1
     ints = [0, 0, 0, 0]  # pi, n_exact, n_generic, pi_generic
     sums = [Fraction(0)] * 6
-    for s in range(40):
-        n = 2**40 >> s
-        for divides in (False, True):  # a special prime's cell
-            acc.cells[(s * _S_CELLS + _SPECIAL_T) * 2 + divides] = n
-            ints[0] += n
+    for (_, divides, s, t, leg), n in zip(reachable, counts):
+        ints[0] += n
+        if t is None:
             ints[1] += n * divides
-        for t, leg in reachable_cells(profile, s) if s else ():
-            acc.cells[(s * _S_CELLS + t) * 2 + (leg > 0)] = n
-            ints[0] += n
-            ints[1] += n * (t > 0)
-            ints[2] += n * (t > 0)
-            ints[3] += n
-            sums = [a + n * w for a, w in zip(sums, prime_views(profile, s, t, leg))]
-    assert _evaluate(profile, acc) == Counts(*ints, *sums)
+            continue
+        ints[1] += n * (t > 0)
+        ints[2] += n * (t > 0)
+        ints[3] += n
+        sums = [a + n * w for a, w in zip(sums, prime_views(profile, s, t, leg))]
+    tally = _tally(profile, cells)
+    assert _evaluate(tally) == Counts(*ints, *sums)
+    # the merged Python-int totals stay exact past 2^63
+    acc, k = tally.copy(), 1
+    while max(acc.totals) < 2**63:
+        acc.merge(acc.copy())
+        k *= 2
+    assert acc.totals == tuple(k * v for v in tally.totals)
+    assert _evaluate(acc) == Counts(*(k * v for v in ints), *(k * v for v in sums))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ pair in COUNT_PAIRS and each of the six methods; the commands of
 SEGMENT_EDGES, which walk three sieve segments (the cached base primes
 grow from 1024 to 2048 between the first two), put checkpoints on and
 beside the segment edges and sweep to 10^8 with every checkpoint in the
-first segment; ``powsumdiv verify S`` for each single suite;
-and last ``powsumdiv verify all``, whose ``ok <suite>: <n> checks`` lines
-pin every suite's check count.  It compares stdout and the exit code byte
-for byte, prints one line per command and exits 0 when all 85 agree and
+first segment; DENSE, the benchmark's dense json sweep of (-4, 1) to
+2 * 10^6 with a checkpoint every 1000, which cuts two segments into
+2,001 pieces; ``powsumdiv verify S`` for each single suite; and last
+``powsumdiv verify all``, whose ``ok <suite>: <n> checks`` lines pin
+every suite's check count.  It compares stdout and the exit code byte
+for byte, prints one line per command and exits 0 when all 86 agree and
 exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
 e = 0, 1 and 2, Q(sqrt 2), three special primes ((7,3)), the smaller term
 of r0 on both sides of 2^16, and the largest kernel with a Legendre table
@@ -44,6 +46,8 @@ SEGMENT_EDGES = [
      "--checkpoint-list", "1048575,1048576,2097151,2097152,3145728"],
     ["sweep", "2", "1", "100000000", "--checkpoint-list", "1000,50000"],
 ]
+DENSE = ["sweep", "-4", "1", "2000000", "--checkpoint-list",
+         ",".join(map(str, range(1000, 2_000_001, 1000))), "--format", "json"]
 SUITES = ("group", "ramanujan", "characters", "local-factors", "densities", "oracle")
 
 
@@ -68,7 +72,7 @@ def main(argv: list[str]) -> int:
                  for a, b in PAIRS for fmt in ("text", "json")]
     commands += [["count", str(a), str(b), str(X_COUNT), "--method", method]
                  for a, b in COUNT_PAIRS for method in METHODS]
-    commands += SEGMENT_EDGES
+    commands += [*SEGMENT_EDGES, DENSE]
     commands += [["verify", suite] for suite in SUITES]
     for cmd in [*commands, ["verify", "all"]]:
         want, got = run(parent, cmd), run(change, cmd)
