@@ -6,7 +6,12 @@ complete factorization, never from floating point.  The logarithmic
 integral is the one floating-point result: adaptive Simpson from 2 with an
 absolute tolerance, whose bits are frozen in the sweep output.
 log_integral is the scalar reference and log_integrals the batched numpy
-walk that sweeps use, equal to it bit for bit.
+walk that sweeps use, equal to it bit for bit.  Every log in either is
+libm's ``log``: ``math.log`` in the scalar recursion and, in the batch, the
+real part of numpy's complex log, which calls the C library's ``clog``.
+That route is checked against ``math.log`` on a canary once per process
+and replaced by a ``math.log`` map if any bit differs.  Plain ``np.log``
+is never used: it can differ from libm in the last bit.
 """
 
 import functools
@@ -232,13 +237,17 @@ def log_integrals(xs) -> list[float]:
     A sweep calls this once for all of its checkpoints.  The Simpson trees
     of up to _LI_GROUP points are walked level by level in numpy, and each
     node's value is added bottom-up in the same pairs as the recursion.
-    Every log is ``math.log``, never ``np.log``, which can differ from libm
+    Every log is libm's ``log``, as in log_integral: the real part of
+    numpy's complex log, which glibc's ``clog`` computes as ``log(x)`` for
+    real x >= 2, checked once per process against ``math.log`` on a canary
+    of doubles (_LOG_CANARY), with a ``math.log`` map as the fallback on
+    any mismatch.  Plain ``np.log`` is never used: it can differ from libm
     in the last bit (it does on about 1e-4 of the doubles below 4096, where
-    every tree has nodes, and more rarely above).  One walk at the finer tolerance of a step serves both
-    estimates: a node's inputs do not depend on the tolerance and the split
-    test is monotone in it, so the coarser tree is a subtree of the finer
-    one.  Memory is bounded by _LI_GROUP and _LI_NODE_BUDGET; time grows
-    with x as for log_integral.  Raises ValueError for a non-finite x or
+    every tree has nodes, and more rarely above).  One walk at the finer
+    tolerance of a step serves both estimates: a node's inputs do not
+    depend on the tolerance and the split test is monotone in it, so the
+    coarser tree is a subtree of the finer one.  Memory is bounded by
+    _LI_GROUP and _LI_NODE_BUDGET; time grows with x as for log_integral.  Raises ValueError for a non-finite x or
     x < 2.
     """
     xs = [_li_arg(x) for x in xs]
@@ -259,9 +268,46 @@ def log_integrals(xs) -> list[float]:
     return out
 
 
-def _logs(v: np.ndarray) -> np.ndarray:
+# Doubles on which numpy's own float log differs from libm's log in the last
+# bit (found in uniform samples over [2, 4096), [4096, 2^26) and
+# [2^26, 2^40)), then 2, 3, 1e6 and 2^40 - 1.  _log_route reads libm's log
+# through clog only if clog gives math.log's bits on every one of them.
+_LOG_CANARY = (
+    "0x1.7da90ae05c828p+11", "0x1.7d22f5601e01cp+9", "0x1.4499f04e2894cp+11",
+    "0x1.57c01a4da247cp+9", "0x1.897a63eb90b29p+8", "0x1.4cb785da8afe3p+9",
+    "0x1.37ce28c2d6153p+9", "0x1.3bb1d614fb7f5p+11", "0x1.8f917715b9869p+11",
+    "0x1.9240e932a53d4p+11", "0x1.d1751bffdccf2p+10", "0x1.21a8a53b7d530p+10",
+    "0x1.f138d2c8957a7p+20", "0x1.c612c60505da1p+23",
+    "0x1.ef8d0f7d7b04cp+36", "0x1.a5ba596db3122p+39",
+    "0x1.0000000000000p+1", "0x1.8000000000000p+1",
+    "0x1.e848000000000p+19", "0x1.fffffffffe000p+39",
+)
+
+
+def _clog_logs(v: np.ndarray) -> np.ndarray:
+    # numpy's complex log calls the C library's clog, and glibc takes its
+    # real part as log(hypot(x, 0)) = log(x) for real x >= 2
+    return np.log(v.astype(np.complex128)).real
+
+
+def _math_logs(v: np.ndarray) -> np.ndarray:
     # a memoryview yields one float at a time: no list of temporaries
     return np.fromiter(map(math.log, memoryview(v)), dtype=np.float64, count=len(v))
+
+
+@functools.cache
+def _log_route():
+    """_clog_logs if it gives math.log's bits on every canary double, else
+    _math_logs.  Decided on the first call, once per process."""
+    canary = [float.fromhex(h) for h in _LOG_CANARY]
+    if _clog_logs(np.array(canary)).tolist() == [math.log(x) for x in canary]:
+        return _clog_logs
+    return _math_logs
+
+
+def _logs(v: np.ndarray) -> np.ndarray:
+    """math.log of each element of v, bit for bit."""
+    return _log_route()(v)
 
 
 def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:

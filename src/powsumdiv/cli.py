@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import sys
 from fractions import Fraction
 
@@ -224,6 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # SIGTERM takes SIGINT's path: the KeyboardInterrupt unwinds the worker
+    # pool's `with`, which shuts the workers down, where SIGTERM's default
+    # action would end this process and leave them running
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -232,6 +237,8 @@ def main(argv=None) -> int:
         # usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Arithmetic kernel: spec examples plus sieve/enumeration cross-checks."""
 
 import math
+import os
 import random
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -251,3 +254,42 @@ def test_log_integrals_bit_identical_to_scalar(monkeypatch, budget):
         assert value.hex() == log_integral(x).hex(), x
     assert log_integrals([]) == []
     assert log_integrals([2]) == [0.0]
+
+
+@pytest.fixture
+def fresh_log_route():
+    # the route is decided once per process: decide it again in the test,
+    # and again after it
+    arith._log_route.cache_clear()
+    yield
+    arith._log_route.cache_clear()
+
+
+def test_logs_fall_back_to_math_log_on_a_canary_mismatch(monkeypatch, fresh_log_route):
+    flipped = float.fromhex(arith._LOG_CANARY[0])
+    clog_logs = arith._clog_logs
+
+    def planted(v):
+        out = clog_logs(v).copy()
+        out.view(np.int64)[v == flipped] ^= 1
+        return out
+
+    monkeypatch.setattr(arith, "_clog_logs", planted)
+    v = np.array([flipped, 2.0, 777.0, 3053.28, 2.0**40 - 1])
+    expected = [math.log(x) for x in v.tolist()]
+    assert planted(v).tolist() != expected
+    assert arith._logs(v).tolist() == expected
+    points = _differential_points()
+    for x, value in zip(points, log_integrals(points)):
+        assert value.hex() == log_integral(x).hex(), x
+
+
+def test_importing_the_cli_leaves_the_log_canary_unread():
+    # the canary is read at the first Li, so that commands without Li and
+    # the set-up of every command do not pay for it
+    src = Path(arith.__file__).resolve().parents[1]
+    code = ("import powsumdiv.cli, powsumdiv.arith as a; "
+            "print(a._log_route.cache_info().misses)")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0"]

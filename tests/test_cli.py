@@ -1,6 +1,12 @@
 """CLI surface: formats, exit codes, determinism of emitted payloads."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +151,67 @@ def test_sweep_thread_determinism(capsys):
     _, out1, _ = run_cli(capsys, *args, "--threads", "1")
     _, out2, _ = run_cli(capsys, *args, "--threads", "2")
     assert out1 == out2
+
+
+def _children(pid: int) -> list[int]:
+    """The pids of pid's child processes, from each of its threads."""
+    return [int(child) for task in Path(f"/proc/{pid}/task").iterdir()
+            for child in (task / "children").read_text().split()]
+
+
+def _running(pid: int) -> bool:
+    # a zombie has exited and waits only to be reaped
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _wait_until(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return condition()
+
+
+def test_sigterm_stops_the_sweep_workers():
+    x = str(2**38)
+    src = Path(cli.__file__).resolve().parents[1]
+    # the workers inherit stdout and stderr: no pipe, which a surviving
+    # worker would hold open
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powsumdiv.cli", "sweep", "2", "1", x,
+         "--checkpoint-list", x, "--threads", "2"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+
+    def started() -> bool:
+        nonlocal workers
+        if proc.poll() is None:
+            workers = _children(proc.pid)
+        return len(workers) == 2 or proc.poll() is not None
+
+    try:
+        assert _wait_until(started, 60) and len(workers) == 2
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+        assert _wait_until(lambda: not any(map(_running, workers)), 5)
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_main_restores_the_sigterm_handler(capsys):
+    previous = signal.getsignal(signal.SIGTERM)
+    assert run_cli(capsys, "profile", "8", "27")[0] == 0
+    assert signal.getsignal(signal.SIGTERM) is previous
+    assert run_cli(capsys, "profile", "2", "2")[0] == 2
+    assert signal.getsignal(signal.SIGTERM) is previous
 
 
 def test_sweep_json_mirrors_csv_keys(capsys):
