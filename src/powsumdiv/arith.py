@@ -238,17 +238,17 @@ def log_integrals(xs) -> list[float]:
     of up to _LI_GROUP points are walked level by level in numpy, and each
     node's value is added bottom-up in the same pairs as the recursion.
     Every log is libm's ``log``, as in log_integral: the real part of
-    numpy's complex log, which glibc's ``clog`` computes as ``log(x)`` for
-    real x >= 2, checked once per process against ``math.log`` on a canary
-    of doubles (_LOG_CANARY), with a ``math.log`` map as the fallback on
-    any mismatch.  Plain ``np.log`` is never used: it can differ from libm
-    in the last bit (it does on about 1e-4 of the doubles below 4096, where
-    every tree has nodes, and more rarely above).  One walk at the finer
-    tolerance of a step serves both estimates: a node's inputs do not
-    depend on the tolerance and the split test is monotone in it, so the
-    coarser tree is a subtree of the finer one.  Memory is bounded by
-    _LI_GROUP and _LI_NODE_BUDGET; time grows with x as for log_integral.  Raises ValueError for a non-finite x or
-    x < 2.
+    numpy's complex log, whose glibc ``clog`` returns ``log(x)`` for real
+    x >= 2.  That route is checked once per process against ``math.log``
+    on a canary of doubles (_LOG_CANARY), with a ``math.log`` map as the
+    fallback on any mismatch.  Plain ``np.log`` is never used: it can
+    differ from libm in the last bit (it does on about 1e-4 of the doubles
+    below 4096, where every tree has nodes, and more rarely above).  One
+    walk at the finer tolerance of a step serves both estimates: a node's
+    inputs do not depend on the tolerance and the split test is monotone in
+    it, so the coarser tree is a subtree of the finer one.  Memory is bounded by
+    _LI_GROUP and _LI_NODE_BUDGET; time grows with x as for log_integral.
+    Raises ValueError for a non-finite x or x < 2.
     """
     xs = [_li_arg(x) for x in xs]
     out = [0.0] * len(xs)
@@ -285,8 +285,8 @@ _LOG_CANARY = (
 
 
 def _clog_logs(v: np.ndarray) -> np.ndarray:
-    # numpy's complex log calls the C library's clog, and glibc takes its
-    # real part as log(hypot(x, 0)) = log(x) for real x >= 2
+    # numpy's complex log calls the C library's clog, whose real part glibc
+    # computes as log(hypot(x, 0)) = log(x) for real x >= 2
     return np.log(v.astype(np.complex128)).real
 
 

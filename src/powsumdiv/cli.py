@@ -130,7 +130,16 @@ def cmd_sweep(args) -> int:
     else:
         checkpoints = default_checkpoints(args.checkpoints, args.x_max)
     threads = _int_env_threads() if args.threads is None else args.threads
-    series = sweep(profile, checkpoints, threads=threads)
+    # SIGTERM takes SIGINT's path: the KeyboardInterrupt unwinds the worker
+    # pool's `with`, which shuts the workers down, where SIGTERM's default
+    # action would end this process and leave them running.  Set only
+    # around the one call that starts workers: setting a handler costs
+    # microseconds that the cheapest commands would feel.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        series = sweep(profile, checkpoints, threads=threads)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     sys.stdout.write(render_sweep(series, args.format))
     return 0
 
@@ -225,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # SIGTERM takes SIGINT's path: the KeyboardInterrupt unwinds the worker
-    # pool's `with`, which shuts the workers down, where SIGTERM's default
-    # action would end this process and leave them running
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -237,8 +242,6 @@ def main(argv=None) -> int:
         # usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

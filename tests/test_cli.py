@@ -206,12 +206,21 @@ def test_sigterm_stops_the_sweep_workers():
                 os.kill(pid, signal.SIGKILL)
 
 
-def test_main_restores_the_sigterm_handler(capsys):
+def test_sweep_takes_sigterm_as_sigint_and_restores_it(monkeypatch, capsys):
+    during = []
+
+    def recording_sweep(*args, **kwargs):
+        during.append(signal.getsignal(signal.SIGTERM))
+        return census.sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep", recording_sweep)
     previous = signal.getsignal(signal.SIGTERM)
-    assert run_cli(capsys, "profile", "8", "27")[0] == 0
+    assert run_cli(capsys, "sweep", "2", "1", "1000", "--checkpoint-list", "10,1000")[0] == 0
     assert signal.getsignal(signal.SIGTERM) is previous
-    assert run_cli(capsys, "profile", "2", "2")[0] == 2
+    # a sweep that raises restores it too
+    assert run_cli(capsys, "sweep", "2", "1", "1000", "--checkpoint-list", "1000,10")[0] == 2
     assert signal.getsignal(signal.SIGTERM) is previous
+    assert during == [signal.default_int_handler] * 2
 
 
 def test_sweep_json_mirrors_csv_keys(capsys):

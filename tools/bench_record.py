@@ -2,7 +2,7 @@
 
     python3 tools/bench_record.py --label L --what TEXT --protocol TEXT \\
         --parent-commit SHA --change-commit SHA \\
-        [--sweep X PARENT_S CHANGE_S ...] PARENT_OUT CHANGE_OUT
+        [--sweep ARGS PARENT_S CHANGE_S ...] PARENT_OUT CHANGE_OUT
 
 PARENT_OUT and CHANGE_OUT are the perfbench/out/ directories of the two
 checkouts.  Each holds one <workload>-seed<n>-trace0.json record per run of
@@ -12,8 +12,9 @@ BENCHMARK.json declares, the record gives each side's median, minimum and
 quartiles over its paired runs, the ratio of the medians (change over
 parent), and the number of pairs the change won, ties counting for
 neither.  Each --sweep gives the wall times, in seconds and separated by
-commas, of ``powsumdiv sweep 2 1 X --threads 1`` on each side, run in
-alternating pairs; the record folds them the same way.  The core count
+commas, of ``powsumdiv ARGS`` on each side, run in alternating pairs; the
+record folds them the same way, under ARGS as given (which may abridge a
+long checkpoint list).  The core count
 and the Python and numpy versions are those of the interpreter running
 this script, so run it on the machine that ran the benchmark.  The record is written to the repository root.
 """
@@ -96,11 +97,11 @@ def sweep_times(specs: list[list[str]]) -> dict:
     """The --sweep wall times folded per command, or ValueError when a side
     has fewer than two times or the sides differ in length."""
     sweeps = {}
-    for x, *sides in specs:
+    for args, *sides in specs:
         parent, change = ([float(t) for t in side.split(",")] for side in sides)
         if len(parent) < 2 or len(parent) != len(change):
-            raise ValueError(f"--sweep {x}: give two or more times per side, as many on each")
-        sweeps[f"powsumdiv sweep 2 1 {int(x)} --threads 1"] = compare(parent, change, "s", "lower")
+            raise ValueError(f"--sweep {args}: give two or more times per side, as many on each")
+        sweeps[f"powsumdiv {args}"] = compare(parent, change, "s", "lower")
     return sweeps
 
 
@@ -121,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--change-commit", required=True)
     parser.add_argument("--sweep", nargs=3, action="append", default=[],
-                        metavar=("X", "PARENT_S", "CHANGE_S"))
+                        metavar=("ARGS", "PARENT_S", "CHANGE_S"))
     parser.add_argument("parent_out", type=Path)
     parser.add_argument("change_out", type=Path)
     args = parser.parse_args(argv)
