@@ -65,7 +65,8 @@ def test_main_writes_the_record(tmp_path, monkeypatch):
     write_runs(tmp_path / "p", "sweep-dense", runs, names)
     write_runs(tmp_path / "c", "sweep-dense", runs, names)
     argv = ["--label", "x", "--what", "w", "--protocol", "pr", "--parent-commit", "a",
-            "--change-commit", "b", "--sweep", "sweep 2 1 1000000000 --threads 1", "38,37,39", "25,26,24",
+            "--change-commit", "b",
+            "--sweep", "sweep 2 1 1000000000 --threads 1", "38,37,39", "25,26,24",
             str(tmp_path / "p"), str(tmp_path / "c")]
     assert bench_record.main(argv) == 0
     record = json.loads((tmp_path / "BENCH_x.json").read_text())

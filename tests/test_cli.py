@@ -186,15 +186,12 @@ def test_sigterm_stops_the_sweep_workers():
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     workers = []
-
-    def started() -> bool:
-        nonlocal workers
-        if proc.poll() is None:
-            workers = _children(proc.pid)
-        return len(workers) == 2 or proc.poll() is not None
-
     try:
-        assert _wait_until(started, 60) and len(workers) == 2
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        assert len(workers) == 2
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=10)
         assert _wait_until(lambda: not any(map(_running, workers)), 5)

@@ -14,9 +14,10 @@ parent), and the number of pairs the change won, ties counting for
 neither.  Each --sweep gives the wall times, in seconds and separated by
 commas, of ``powsumdiv ARGS`` on each side, run in alternating pairs; the
 record folds them the same way, under ARGS as given (which may abridge a
-long checkpoint list).  The core count
-and the Python and numpy versions are those of the interpreter running
-this script, so run it on the machine that ran the benchmark.  The record is written to the repository root.
+long checkpoint list).  The core count and the Python and numpy versions
+are those of the interpreter running this script, so run it on the
+machine that ran the benchmark.  The record is written to the repository
+root.
 """
 
 import argparse
