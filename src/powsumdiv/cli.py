@@ -10,7 +10,6 @@ and as decimals (10 significant digits) in CSV.
 import argparse
 import functools
 import json
-import os
 import signal
 import sys
 from fractions import Fraction
@@ -120,7 +119,7 @@ def default_checkpoints(count: int, x_max: int) -> list[int]:
 def cmd_sweep(args) -> int:
     profile = decompose(args.a, args.b)
     _check_bounds(args.x_max)
-    if args.checkpoint_list:
+    if args.checkpoint_list is not None:
         try:
             checkpoints = [int(tok) for tok in args.checkpoint_list.split(",")]
         except ValueError:
@@ -129,19 +128,27 @@ def cmd_sweep(args) -> int:
             raise ValueError("checkpoints must lie in [2, x_max]")
     else:
         checkpoints = default_checkpoints(args.checkpoints, args.x_max)
-    threads = _int_env_threads() if args.threads is None else args.threads
-    # SIGTERM takes SIGINT's path: the KeyboardInterrupt unwinds the worker
-    # pool's `with`, which shuts the workers down, where SIGTERM's default
-    # action would end this process and leave them running.  Set only
-    # around the one call that starts workers: setting a handler costs
-    # microseconds that the cheapest commands would feel.
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # _Terminated unwinds the pool's `with` (SIGTERM's default would orphan the
+    # workers), then SIGTERM is resent.  Set only here: setting one costs microseconds.
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
-        series = sweep(profile, checkpoints, threads=threads)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+        try:
+            series = sweep(profile, checkpoints, threads=args.threads)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+    except _Terminated:
+        signal.raise_signal(signal.SIGTERM)
+        raise
     sys.stdout.write(render_sweep(series, args.format))
     return 0
+
+
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM arrived during a sweep."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
 
 
 def render_sweep(series, fmt: str) -> str:
@@ -172,14 +179,6 @@ def cmd_verify(args) -> int:
         else:
             print(f"ok {name}: {checked} checks")
     return 1 if failed else 0
-
-
-def _int_env_threads() -> int:
-    raw = os.environ.get("POWSUMDIV_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @functools.cache
@@ -218,11 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x_max", type=int)
     p.add_argument("--checkpoints", type=int, default=20,
                    help=f"number of geometrically spaced checkpoints (at most {MAX_CHECKPOINTS})")
-    p.add_argument("--checkpoint-list", default="",
+    p.add_argument("--checkpoint-list",
                    help="explicit comma-separated checkpoints (overrides --checkpoints)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int,
-                   help="worker processes (default: POWSUMDIV_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a property suite")

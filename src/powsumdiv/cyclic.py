@@ -129,7 +129,8 @@ class CharacterTable:
         return self._dlog[g]
 
     def chi(self, j: int, g: int) -> complex:
-        """chi_j(g) as a unit complex number."""
+        """chi_j(g) as a unit complex number: the one-character reference that
+        tests hold verify._row_sums and the character laws to."""
         k = self.dlog(g)
         return self._roots[j * k % self.n]
 
