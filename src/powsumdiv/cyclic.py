@@ -13,7 +13,9 @@ import cmath
 import functools
 import math
 
-from .arith import _factorize_cached, is_prime, v2
+import numpy as np
+
+from .arith import _TRIAL_LIMIT, _factorize_cached, is_prime, v2
 
 _TWO_PI = 2.0 * math.pi
 
@@ -54,26 +56,106 @@ def power_exponent_set(n: int, h: int) -> set[int]:
     return {hk % n for hk in range(0, h * n, h)}
 
 
-def multiplicative_order(g: int, p: int) -> int:
-    """Least k >= 1 with g^k == 1 mod p, for p prime and p not dividing g.
+# the largest p with p^2 < 2^63: every residue product mod such p fits int64
+P_MAX = math.isqrt((1 << 63) - 1)
 
-    Raises ValueError unless g^(p-1) == 1 mod p, which every unit mod a
-    prime satisfies.  Given that, the order divides p-1 and the loop strips
-    from p-1 every prime factor that the order lacks, so the result is
-    exact for any p >= 2; a composite p passes only if it is a Fermat
-    pseudoprime to base g.  Each strip proves g^order == 1, so the check
-    costs a power only when nothing was stripped.
+
+def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod mod, lane by lane, by right-to-left square-and-multiply
+    over int64 arrays with 2 <= mod <= P_MAX and exp >= 0."""
+    out = np.ones_like(mod)
+    base, exp = base % mod, exp.copy()
+    for _ in range(int(exp.max(initial=0)).bit_length()):
+        out = np.where(exp & 1, out * base % mod, out)
+        base = base * base % mod
+        exp >>= 1
+    return out
+
+
+def _prime_factor_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct prime factors of each n >= 1 of an int64 array, one row
+    per lane, ascending and padded with 1, and how many there are per lane.
+
+    Trial division by 2 and the odd d up to min(sqrt(max n), 2^10) over the
+    whole array, as arith._factorize_cached does for one n: a composite d
+    divides nothing, as its prime factors were divided out before it.  A
+    cofactor left below (limit+1)^2 is prime; one above is factored by
+    _factorize_cached, lane by lane."""
+    rem = n.copy()
+    table = np.ones((n.size, 15), dtype=np.int64)  # 2*3*...*47 > 2^63 has 15 primes
+    counts = np.zeros(n.size, dtype=np.int64)
+
+    def add(lanes, q):
+        table[lanes, counts[lanes]] = q
+        counts[lanes] += 1
+
+    limit = min(math.isqrt(int(n.max(initial=1))), _TRIAL_LIMIT)
+    for d in (2, *range(3, limit + 1, 2)):
+        lanes = np.flatnonzero(rem % d == 0)
+        if lanes.size:
+            add(lanes, d)
+        while lanes.size:
+            rem[lanes] //= d
+            lanes = lanes[rem[lanes] % d == 0]
+    prime = (rem > 1) & (rem < (limit + 1) ** 2)
+    add(np.flatnonzero(prime), rem[prime])
+    for i in np.flatnonzero(rem >= (limit + 1) ** 2).tolist():
+        for q, _ in _factorize_cached(int(rem[i])):
+            add(i, q)
+    return table[:, :counts.max(initial=0)], counts
+
+
+def multiplicative_order(g, p):
+    """Least k >= 1 with g^k == 1 mod p, lane by lane over int64 arrays g
+    and p (scalars broadcast), for p prime and p not dividing g.  A Python
+    int pair gives a Python int.
+
+    Raises ValueError unless 2 <= p <= P_MAX, g is a unit and
+    g^(p-1) == 1 mod p, which every unit mod a prime satisfies; the message
+    names the first offending lane.  Given that, the order divides p-1:
+    from order = p-1, each prime q of the full factorisation of p-1 is
+    stripped while g^(order/q) == 1, so the result is exact for any p >= 2,
+    and a composite p passes only if it is a Fermat pseudoprime to base g.
+    Each round takes one power on every lane still stripping, with
+    exponents that differ lane by lane.  Each strip proves g^order == 1,
+    so the check costs a power only on the lanes where nothing was
+    stripped.
     """
-    g %= p
-    if g == 0:
-        raise ValueError("g must be a unit mod p")
+    try:
+        g, p = np.broadcast_arrays(np.asarray(g, dtype=np.int64), np.asarray(p, dtype=np.int64))
+    except OverflowError:
+        raise ValueError(f"g and p must fit int64, and p must be <= {P_MAX}") from None
+    shape, g, p = g.shape, g.ravel(), p.ravel()
+    bad = np.flatnonzero((p < 2) | (p > P_MAX))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"p must lie in [2, {P_MAX}], so residue products fit int64: "
+                         f"p = {p[i]} at lane {i}")
+    g = g % p
+    bad = np.flatnonzero(g == 0)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"g must be a unit mod p: g = {g[i]}, p = {p[i]} at lane {i}")
     order = p - 1
-    for q, _ in _factorize_cached(p - 1):
-        while order % q == 0 and pow(g, order // q, p) == 1:
-            order //= q
-    if order == p - 1 and pow(g, order, p) != 1:
-        raise ValueError(f"{g}^{p - 1} != 1 mod {p}: the modulus is not prime")
-    return order
+    factors, counts = _prime_factor_table(order)
+    slot = np.zeros_like(counts)   # the index of the prime each lane strips
+    live = np.flatnonzero(counts)
+    while live.size:
+        q = factors[live, slot[live]]
+        hit = _pow_mod(g[live], order[live] // q, p[live]) == 1
+        order[live[hit]] //= q[hit]
+        # a lane moves on to its next prime once q no longer divides its order,
+        # so each round divides its order by q >= 2 or moves it on: at most
+        # log2(p) + 15 rounds per lane
+        slot[live[~hit | (order[live] % q != 0)]] += 1
+        live = live[slot[live] < counts[live]]
+    whole = np.flatnonzero(order == p - 1)
+    bad = whole[_pow_mod(g[whole], order[whole], p[whole]) != 1]
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{g[i]}^{p[i] - 1} != 1 mod {p[i]}: the modulus is not prime "
+                         f"(lane {i})")
+    return int(order[0]) if not shape else order.reshape(shape)
 
 
 def find_primitive_root(p: int) -> int:

@@ -10,24 +10,29 @@ definition never enters the computation and exists only as a test oracle.
 
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import _factorize_cached, divisors, v2
 
 
-def ramanujan_c(n: int, m: int) -> int:
-    """c_n(m) for n >= 1, m >= 0, via Holder's identity (m = 0 gives phi(n))."""
+def ramanujan_c(n: int, m):
+    """c_n(m) for n >= 1, m >= 0, via Holder's identity (m = 0 gives phi(n)).
+
+    m is a Python int, which gives a Python int, or an int64 array, which
+    gives an int64 array lane by lane: each prime power p^e || n multiplies
+    in its factor through the masks p^e | m and p^(e-1) | m, which the same
+    expressions compute for either type.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if m < 0:
+    array = isinstance(m, np.ndarray)
+    if (m < 0).any() if array else m < 0:
         raise ValueError("m must be >= 0")
-    out = 1
+    out = np.ones_like(m) if array else 1
     for p, e in _factorize_cached(n):
         low = p ** (e - 1)
-        if m % (low * p) == 0:
-            out *= low * (p - 1)
-        elif m % low == 0:
-            out = -out * low
-        else:
-            return 0
+        full, part = m % (low * p) == 0, m % low == 0
+        out *= full * (low * (p - 1)) - (part ^ full) * low
     return out
 
 
@@ -54,8 +59,13 @@ def ramanujan_c_2pow(v: int, t: int) -> int:
     return 0
 
 
-def divisor_indicator(n: int, m: int) -> Fraction:
-    """(1/n) * sum of c_d(m) over d | n: exactly 1 if n | m, else 0."""
+def divisor_indicator(n: int, m):
+    """(1/n) * sum of c_d(m) over d | n: exactly 1 if n | m, else 0.
+
+    For an int64 array m it returns the sums themselves, n times the
+    indicator, as an int64 array, so that they stay exact integers.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Fraction(sum(ramanujan_c(d, m) for d in divisors(n)), n)
+    total = sum(ramanujan_c(d, m) for d in divisors(n))
+    return total if isinstance(m, np.ndarray) else Fraction(total, n)

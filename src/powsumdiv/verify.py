@@ -23,13 +23,14 @@ from .census import (
     _weights,
 )
 from .cyclic import (
+    P_MAX,
     CharacterTable,
+    _pow_mod,
     character_table,
     multiplicative_order,
     order_valuation_count,
     power_exponent_set,
     power_subgroup_size,
-    rational_mod,
 )
 from .density import (
     delta_naive,
@@ -109,30 +110,33 @@ def _ramanujan_direct(n: int, m_max: int) -> list[complex]:
 
 def check_ramanujan() -> CheckResult:
     """Holder's identity vs the exponential sum, its weak 2-power form,
-    the gcd reduction, and the divisor indicator."""
+    the gcd reduction, and the divisor indicator.  Each block takes
+    Holder's identity for one n over the whole range of m in one call."""
     checked = 0
     failures: list[str] = []
     for n in range(1, 101):
+        c = ramanujan_c(n, np.arange(101)).tolist()
         for m, z in enumerate(_ramanujan_direct(n, 100)):
-            c = ramanujan_c(n, m)
             checked += 1
-            if abs(z.imag) > 1e-6 or abs(z.real - c) > 1e-6:
-                failures.append(f"direct sum mismatch at n={n}, m={m}: {z} vs {c}")
+            if abs(z.imag) > 1e-6 or abs(z.real - c[m]) > 1e-6:
+                failures.append(f"direct sum mismatch at n={n}, m={m}: {z} vs {c[m]}")
+    ms = np.arange(201)
     for n in range(1, 201):
-        for m in range(0, 201):
-            checked += 1
-            if ramanujan_c(n, m) != ramanujan_c(n, math.gcd(n, m)):
-                failures.append(f"gcd reduction fails at n={n}, m={m}")
+        checked += len(ms)
+        for m in np.flatnonzero(ramanujan_c(n, ms) != ramanujan_c(n, np.gcd(n, ms))).tolist():
+            failures.append(f"gcd reduction fails at n={n}, m={m}")
     for v in range(0, 11):
+        c = ramanujan_c(1 << v, np.arange(4097)).tolist()
         for t in range(0, 4097):
             checked += 1
-            if ramanujan_c_2pow(v, t) != ramanujan_c(1 << v, t):
+            if ramanujan_c_2pow(v, t) != c[t]:
                 failures.append(f"weak form mismatch at v={v}, t={t}")
+    ms = np.arange(401)
     for n in range(1, 201):
-        for m in range(0, 401):
-            checked += 1
-            if divisor_indicator(n, m) != (m % n == 0):
-                failures.append(f"indicator mismatch at n={n}, m={m}")
+        checked += len(ms)
+        # the sums of c_d(m) over d | n, against n if n | m and 0 otherwise
+        for m in np.flatnonzero(divisor_indicator(n, ms) != n * (ms % n == 0)).tolist():
+            failures.append(f"indicator mismatch at n={n}, m={m}")
     return checked, failures
 
 
@@ -159,11 +163,10 @@ def check_characters(p_max: int = 200, x_char: int = 500) -> CheckResult:
             checked += 1
             if abs(total - want) > 1e-8:
                 failures.append(f"orthogonality fails at p={p}, j={j}")
-        index = [table.group_index(g) for g in range(1, p)]
+        index = np.array([table.group_index(g) for g in range(1, p)])
         for d in divisors(n):
-            for g, i in enumerate(index, 1):
+            for g, c in enumerate(ramanujan_c(d, index).tolist(), 1):
                 z = table.order_sum(d, g)
-                c = ramanujan_c(d, i)
                 checked += 1
                 if abs(z.imag) > 1e-8 or abs(z.real - c) > 1e-8:
                     failures.append(
@@ -176,14 +179,26 @@ def check_characters(p_max: int = 200, x_char: int = 500) -> CheckResult:
     return checked, failures
 
 
+def _v2(n: np.ndarray) -> np.ndarray:
+    """The 2-adic valuation of each n >= 1 of an int64 array."""
+    return np.bitwise_count((n & -n) - 1).astype(np.int64)
+
+
 def check_local_factors(p_limit: int = 10**5,
                         checkpoints: tuple[int, ...] = (10**3, 10**4, 10**5)) -> CheckResult:
     """Per-prime truncated Ramanujan sums against the naive and refined
     local weights of census._weights, at the (s, t, bit) cells that one
     _fold_segment call gives the generic primes <= p_limit.  The sums use
-    the exact group index of r (full multiplicative order, factored p-1),
-    whose 2-adic valuation must be s - t.  Then the summed weights at
-    several checkpoints in [2, p_limit] against the tallied counts."""
+    the exact group index of r = a/b mod p (full multiplicative order,
+    factored p-1), whose 2-adic valuation must be s - t.  Then the summed
+    weights at several checkpoints in [2, p_limit] against the tallied
+    counts.
+
+    p_limit must lie in [2, cyclic.P_MAX], the largest p with p^2 < 2^63:
+    r, its order and its powers are computed lane by lane in int64, one
+    array of generic primes per profile."""
+    if not 2 <= p_limit <= P_MAX:
+        raise ValueError(f"p_limit must lie in [2, {P_MAX}], so residue products fit int64")
     if not all(2 <= x <= p_limit for x in checkpoints):
         raise ValueError(f"checkpoints must lie in [2, p_limit = {p_limit}]")
     checked = 0
@@ -193,18 +208,21 @@ def check_local_factors(p_limit: int = 10**5,
         profile = decompose(a, b)
         s, t, bit, generic, _ = _decode(_fold_segment(profile, 2, p_limit + 1)[0])
         generic, s, t, bit = primes[generic], s[generic], t[generic], bit[generic]
-        sums = []  # the two sums below, per generic prime
-        for p, s_p, t_p in zip(generic.tolist(), s.tolist(), t.tolist()):
-            index = (p - 1) // multiplicative_order(rational_mod(profile.a, profile.b, p), p)
-            if v2(p - 1) != s_p or v2(index) != s_p - t_p:
-                failures.append(f"index valuation mismatch at ({a},{b}), p={p}")
-            # 2^s times the local factors: c_{2^v}(index) summed to v <= e, e+1
-            c = [ramanujan_c(1 << v, index) for v in range(min(s_p, profile.e + 1) + 1)]
-            sums.append((sum(c[: profile.e + 1]), sum(c)))
+        # r = a * b^(p-2) mod p, then its index (p-1)/ord(r) in (Z/pZ)*
+        r = profile.a % generic * _pow_mod(profile.b % generic, generic - 2, generic) % generic
+        index = (generic - 1) // multiplicative_order(r, generic)
+        for i in np.flatnonzero((_v2(generic - 1) != s) | (_v2(index) != s - t)).tolist():
+            failures.append(f"index valuation mismatch at ({a},{b}), p={generic[i]}")
+        # 2^s times the local factors: c_{2^v}(index) summed to v <= min(s, e) and
+        # v <= min(s, e+1), gathered from the prefix sums of one table of c_{2^v}
+        # over the distinct indices
+        values, lane = np.unique(index, return_inverse=True)
+        top = min(int(s.max(initial=0)), profile.e + 1)
+        prefix = np.cumsum([ramanujan_c(1 << v, values) for v in range(top + 1)], axis=0)
+        sums = [prefix[np.minimum(s, e), lane] for e in (profile.e, profile.e + 1)]
         weights = _weights(profile, s, t, bit)[:2]
         checked += 2 * len(generic)
-        for name, want, got in zip(("naive", "refined"),
-                                   np.array(sums, dtype=np.int64).reshape(-1, 2).T, weights):
+        for name, want, got in zip(("naive", "refined"), sums, weights):
             for i in np.flatnonzero(want != got).tolist():
                 failures.append(f"{name} weight mismatch at ({a},{b}), p={generic[i]}: "
                                 f"{want[i]}/2^{s[i]} vs {got[i]}/2^{s[i]}")

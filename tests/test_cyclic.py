@@ -1,12 +1,15 @@
 """Cyclic-group formulas vs enumeration; character table identities."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from powsumdiv.arith import divisors, is_prime, v2
+from powsumdiv.arith import _factorize_cached, divisors, is_prime, v2
 from powsumdiv.census import _primes_in_range, character_count
 from powsumdiv.cyclic import (
+    P_MAX,
     CharacterTable,
     character_table,
     find_primitive_root,
@@ -113,6 +116,65 @@ def test_multiplicative_order_is_exact_for_a_fermat_pseudoprime():
     assert multiplicative_order(2, 341) == next(k for k in range(1, 341) if pow(2, k, 341) == 1)
 
 
+def test_batched_order_against_a_power_walk_for_every_unit_below_500():
+    # one call over every unit g of every prime p < 500, against the least k
+    # with g^k == 1 found by multiplying by g until the power reaches 1
+    primes = _primes_in_range(2, 500)
+    p = np.repeat(primes, primes - 1)
+    g = np.concatenate([np.arange(1, q) for q in primes.tolist()])
+    walk = np.zeros_like(p)
+    power = g.copy()
+    for k in range(1, int(primes.max())):
+        walk[(power == 1) & (walk == 0)] = k
+        power = power * g % p
+    assert (walk > 0).all()
+    assert multiplicative_order(g, p).tolist() == walk.tolist()
+
+
+def scalar_strip(g: int, p: int) -> int:
+    """The order strip for one unit mod a prime in Python integers: from
+    p-1, divide out each prime q of p-1 while g^(order/q) == 1."""
+    order = p - 1
+    for q, _ in _factorize_cached(p - 1):
+        while order % q == 0 and pow(g, order // q, p) == 1:
+            order //= q
+    return order
+
+
+def test_batched_order_against_the_scalar_strip():
+    # seeded random units at every prime up to 10^5, then at primes up to
+    # P_MAX, where trial division leaves a cofactor of p - 1: prime below
+    # 1025^2, or factored by _factorize_cached.  Beside each random unit x
+    # stands x^q, q the largest prime of p - 1, whose order lacks q, so that
+    # the strip must find q to be exact
+    rng = random.Random(25)
+    large = [2**31 - 1, 3037000429, 3037000453, 3037000493]
+    while len(large) < 204:
+        q = rng.randrange(1 << 21, P_MAX + 1)
+        if is_prime(q):
+            large.append(q)
+    for primes in (_primes_in_range(3, 10**5 + 1).tolist(), large):
+        units = [rng.randrange(1, p) for p in primes]
+        units += [pow(x, _factorize_cached(p - 1)[-1][0], p) for x, p in zip(units, primes)]
+        primes = primes * 2
+        got = multiplicative_order(np.array(units), np.array(primes))
+        assert got.tolist() == [scalar_strip(g, p) for g, p in zip(units, primes)]
+    rests = [math.prod(q**e for q, e in _factorize_cached(p - 1) if q > 1024) for p in large]
+    assert any(1 < r < 1025**2 for r in rests) and any(r >= 1025**2 for r in rests)
+
+
+def test_batched_order_names_the_first_composite_lane():
+    # a composite lane raises, whichever the lane; 341 = 11 * 31 is a Fermat
+    # pseudoprime to base 2, so its lane stays exact beside the primes
+    with pytest.raises(ValueError, match="lane 2"):
+        multiplicative_order(np.array([3, 2, 2, 4]), np.array([7, 11, 15, 9]))
+    with pytest.raises(ValueError, match="lane 1"):
+        multiplicative_order(np.array([3, 4, 2]), np.array([7, 9, 15]))
+    with pytest.raises(ValueError, match="lane 1"):
+        multiplicative_order(np.array([3, 14]), 7)
+    assert multiplicative_order(2, np.array([7, 341, 11])).tolist() == [3, 10, 10]
+
+
 def order_sum_over_all_characters(table, d, g):
     """order_sum by a walk over all p-1 characters in ascending j, keeping
     those of order d; test oracle only."""
@@ -168,13 +230,14 @@ def test_character_order_sum_rejects_bad_order():
     lambda: order_valuation_count(0, 1, 0),      # n < 1
     lambda: order_valuation_count(4, 1, -1),     # w < 0
     lambda: multiplicative_order(7, 7),          # not a unit
+    lambda: multiplicative_order(2, P_MAX + 1),  # residue products overflow int64
     lambda: character_table(7).dlog(0),
     lambda: ramanujan_c(3, -1),
     lambda: ramanujan_c_2pow(2, -1),
     lambda: _degree_gap_sum(False, 0),
     lambda: CharacterTable(2),                   # not an odd prime
     lambda: CharacterTable(9),
-], ids=["valuation-n", "valuation-w", "order", "dlog", "c", "c-2pow", "gap-sum",
+], ids=["valuation-n", "valuation-w", "order", "order-bound", "dlog", "c", "c-2pow", "gap-sum",
         "table-2", "table-9"])
 def test_out_of_range_arguments_raise_value_error(call):
     with pytest.raises(ValueError):

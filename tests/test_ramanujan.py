@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,18 @@ def test_divisor_indicator():
             got = divisor_indicator(n, m)
             assert got == want
             assert isinstance(got, Fraction)
+
+
+def test_array_m_equals_the_scalar_calls():
+    # one array call per n, element by element against the int path; the
+    # array indicator gives the sums themselves, n times the Fraction
+    ms = np.arange(401)
+    for n in range(1, 201):
+        got = ramanujan_c(n, ms)
+        assert got.dtype == np.int64
+        assert got.tolist() == [ramanujan_c(n, m) for m in range(401)], n
+        assert divisor_indicator(n, ms).tolist() == \
+            [n * divisor_indicator(n, m) for m in range(401)], n
 
 
 @settings(max_examples=300, deadline=None)

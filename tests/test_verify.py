@@ -4,10 +4,11 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from powsumdiv import ramanujan, verify
-from powsumdiv.cyclic import CharacterTable
+from powsumdiv.cyclic import P_MAX, CharacterTable
 
 
 def test_reduced_bounds_all_pass():
@@ -56,6 +57,30 @@ def test_local_factors_rejects_checkpoints_outside_the_primes():
     for checkpoints in ((100, 1000), (1, 100), (0,)):
         with pytest.raises(ValueError):
             verify.check_local_factors(p_limit=500, checkpoints=checkpoints)
+    # p_limit < 2 leaves no prime, and above P_MAX residue products overflow
+    # int64; the message names the bound
+    for p_limit in (1, 0, -5, P_MAX + 1):
+        with pytest.raises(ValueError, match=str(P_MAX)):
+            verify.check_local_factors(p_limit=p_limit, checkpoints=(2,))
+
+
+def test_local_factors_catch_an_order_planted_at_one_prime(monkeypatch):
+    # the index comes from the order of r = 2 alone: twice its order at p = 7
+    # for (2,1), the first profile, gives 6 for 3 and halves the index from 2
+    # to 1, which is caught by the index valuation there and nowhere else
+    order = verify.multiplicative_order
+    calls = []
+
+    def planted(g, p):
+        calls.append(len(p))
+        orders = order(g, p)
+        return orders * np.where(p == 7, 2, 1) if len(calls) == 1 else orders
+
+    monkeypatch.setattr(verify, "multiplicative_order", planted)
+    _, failures = verify.check_local_factors(500, (100, 500))
+    assert len(calls) == len(verify.PROFILE_GRID)
+    assert failures[0] == "index valuation mismatch at (2,1), p=7"
+    assert all(" at (2,1), p=7" in f for f in failures), failures
 
 
 def test_local_factors_catch_a_planted_weight_fault(monkeypatch):
@@ -210,11 +235,12 @@ def test_direct_sums_equal_the_scalar_definition_bit_for_bit():
 
 def test_ramanujan_catches_a_planted_holder_fault(monkeypatch):
     # c_6(4) one too large is caught against the exponential sum (with the
-    # sum's value in the text) and by the gcd reduction
+    # sum's value in the text) and by the gcd reduction; the plant is a mask,
+    # so it holds for an array m as for an int
     holder = verify.ramanujan_c
 
     def planted(n, m):
-        return holder(n, m) + ((n, m) == (6, 4))
+        return holder(n, m) + (n == 6) * (m == 4)
 
     monkeypatch.setattr(verify, "ramanujan_c", planted)
     _, failures = verify.check_ramanujan()
