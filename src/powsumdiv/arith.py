@@ -76,6 +76,15 @@ def _brent_rho(n: int) -> int:
     for c in range(1, 100):
         y, r, q = 2, 1, 1
         g, x, ys = 1, 0, 0
+        # Bound: for q0 the least prime factor of n (q0 <= isqrt(n)), y mod q0
+        # takes at most q0 values, so its tail and its cycle together are at
+        # most q0 steps long.  A round sets x = y_(2r-2) and compares it with
+        # the y at the r distances r+1..2r.  r doubles each round, and once
+        # r >= q0, x is on the cycle and one distance is a multiple of the
+        # cycle's length: q0 divides the product, so g > 1.  This loop thus
+        # ends within bit_length(q0) + 1 rounds, under 8 * q0 steps of y in
+        # all.  The loop below replays at most the last batch of 128 steps,
+        # whose terms hold every factor of g.
         while g == 1:
             x = y
             for _ in range(r):

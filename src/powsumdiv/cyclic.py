@@ -27,33 +27,48 @@ def power_subgroup_size(n: int, h: int) -> int:
     return n // math.gcd(n, h)
 
 
-def order_valuation_count(n: int, h: int, w: int) -> int:
+def _v2(n: np.ndarray) -> np.ndarray:
+    """The 2-adic valuation of each n >= 1 of an int64 array."""
+    return np.bitwise_count((n & -n) - 1).astype(np.int64)
+
+
+def order_valuation_count(n, h, w):
     """Number of h-th powers in a cyclic group of order n whose order has
-    2-adic valuation exactly w.
+    2-adic valuation exactly w, lane by lane over int64 arrays n, h and w
+    (scalars broadcast).  Python ints give a Python int.
 
     With q = n/(n,h) and nu = v2(q): q/2^nu for w = 0, q*2^(w-1-nu) for
     1 <= w <= nu, and 0 for w > nu.
     """
-    if n < 1 or h < 1:
+    try:
+        n, h, w = (np.asarray(x, dtype=np.int64) for x in (n, h, w))
+    except OverflowError:
+        raise ValueError("n, h and w must fit int64") from None
+    if (n < 1).any() or (h < 1).any():
         raise ValueError("n and h must be >= 1")
-    if w < 0:
+    if (w < 0).any():
         raise ValueError("w must be >= 0")
-    q = n // math.gcd(n, h)
-    nu = v2(q)
+    q = n // np.gcd(n, h)
+    nu = _v2(q)
     odd = q >> nu
-    if w == 0:
-        return odd
-    if w > nu:
-        return 0
-    return odd << (w - 1)
+    # w - 1 clipped into [0, nu]: odd for w = 0, and no shift past nu
+    count = np.where(w > nu, 0, odd << np.minimum(np.maximum(w - 1, 0), nu))
+    return int(count) if not count.shape else count
 
 
-def power_exponent_set(n: int, h: int) -> set[int]:
+def power_exponent_set(n: int, h):
     """Exponents (mod n) of the h-th powers, {h*k mod n : 0 <= k < n}, by
-    enumeration."""
-    if n < 1 or h < 1:
+    enumeration: a set for an int h.  For an int64 array of h, a boolean
+    matrix with one row per h, whose column j says whether j is in the set.
+    The products h*k mod n are scattered into the rows; no gcd is taken."""
+    if n < 1 or np.any(np.asarray(h) < 1):
         raise ValueError("n and h must be >= 1")
-    return {hk % n for hk in range(0, h * n, h)}
+    hs = np.atleast_1d(np.asarray(h % n, dtype=np.int64))
+    cells = hs[:, None] * np.arange(n) % n
+    cells += np.arange(0, hs.size * n, n)[:, None]  # row i starts at cell i*n
+    rows = np.zeros((hs.size, n), dtype=bool)
+    rows.ravel()[cells.ravel()] = True
+    return rows if np.ndim(h) else set(np.flatnonzero(rows[0]).tolist())
 
 
 # the largest p with p^2 < 2^63: every residue product mod such p fits int64
@@ -62,25 +77,39 @@ P_MAX = math.isqrt((1 << 63) - 1)
 
 def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """base^exp mod mod, lane by lane, by right-to-left square-and-multiply
-    over int64 arrays with 2 <= mod <= P_MAX and exp >= 0."""
+    over int64 arrays with 2 <= mod <= P_MAX and exp >= 0.  Each round
+    multiplies by base^bit = (base - 1) * bit + 1, in place."""
     out = np.ones_like(mod)
     base, exp = base % mod, exp.copy()
+    bit, factor = np.empty_like(mod), np.empty_like(mod)
     for _ in range(int(exp.max(initial=0)).bit_length()):
-        out = np.where(exp & 1, out * base % mod, out)
-        base = base * base % mod
+        np.bitwise_and(exp, 1, out=bit)
+        np.subtract(base, 1, out=factor)
+        factor *= bit
+        factor += 1
+        out *= factor
+        out %= mod
+        base *= base
+        base %= mod
         exp >>= 1
     return out
+
+
+@functools.cache
+def _trial_primes() -> tuple[int, ...]:
+    """The primes up to _TRIAL_LIMIT, ascending."""
+    return tuple(d for d in range(2, _TRIAL_LIMIT + 1) if is_prime(d))
 
 
 def _prime_factor_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct prime factors of each n >= 1 of an int64 array, one row
     per lane, ascending and padded with 1, and how many there are per lane.
 
-    Trial division by 2 and the odd d up to min(sqrt(max n), 2^10) over the
-    whole array, as arith._factorize_cached does for one n: a composite d
-    divides nothing, as its prime factors were divided out before it.  A
-    cofactor left below (limit+1)^2 is prime; one above is factored by
-    _factorize_cached, lane by lane."""
+    Trial division by the primes d up to 2^10, each on the lanes whose
+    cofactor is still >= d^2: a cofactor below d^2 has no prime factor
+    below d, so it is 1 or prime.  So is any cofactor left below
+    (2^10 + 1)^2; one above is factored by arith._factorize_cached, lane by
+    lane."""
     rem = n.copy()
     table = np.ones((n.size, 15), dtype=np.int64)  # 2*3*...*47 > 2^63 has 15 primes
     counts = np.zeros(n.size, dtype=np.int64)
@@ -89,17 +118,21 @@ def _prime_factor_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         table[lanes, counts[lanes]] = q
         counts[lanes] += 1
 
-    limit = min(math.isqrt(int(n.max(initial=1))), _TRIAL_LIMIT)
-    for d in (2, *range(3, limit + 1, 2)):
-        lanes = np.flatnonzero(rem % d == 0)
+    live = np.arange(n.size)
+    for d in _trial_primes():
+        live = live[rem[live] >= d * d]
+        if not live.size:
+            break
+        lanes = live[rem[live] % d == 0]
         if lanes.size:
             add(lanes, d)
         while lanes.size:
             rem[lanes] //= d
             lanes = lanes[rem[lanes] % d == 0]
-    prime = (rem > 1) & (rem < (limit + 1) ** 2)
+    bound = (_TRIAL_LIMIT + 1) ** 2
+    prime = (rem > 1) & (rem < bound)
     add(np.flatnonzero(prime), rem[prime])
-    for i in np.flatnonzero(rem >= (limit + 1) ** 2).tolist():
+    for i in np.flatnonzero(rem >= bound).tolist():
         for q, _ in _factorize_cached(int(rem[i])):
             add(i, q)
     return table[:, :counts.max(initial=0)], counts

@@ -26,6 +26,7 @@ from .cyclic import (
     P_MAX,
     CharacterTable,
     _pow_mod,
+    _v2,
     character_table,
     multiplicative_order,
     order_valuation_count,
@@ -52,44 +53,48 @@ CheckResult = tuple[int, list[str]]
 
 def check_group(n_max: int = 300, h_max: int = 50, w_max: int = 6) -> CheckResult:
     """Cyclic-group counting formulas vs exhaustive enumeration, plus the
-    odd-order / doubled-exponent set inclusions.  For each n the exponents
-    j are grouped once by the 2-adic valuation of the order n/(n, j); the
-    counts and the classes of each enumerated power set are intersections
-    with those groups."""
+    odd-order / doubled-exponent set inclusions.  For each n one
+    power_exponent_set call enumerates G^h for every h <= 2*h_max as the
+    rows of a boolean matrix.  The exponents j are classed once by the
+    2-adic valuation w of the order n/(n, j): the counts by w are the
+    product of the rows with the one-hot of w, and the classes of each
+    power set are its row masked by a column of that one-hot."""
     checked = 0
     failures: list[str] = []
+    hs = np.arange(1, h_max + 1)
+    ws = np.arange(w_max + 1)
+    v2h = _v2(hs)
     for n in range(1, n_max + 1):
         v2n = v2(n)
-        by_w = [set() for _ in range(max(v2n, w_max, 1) + 1)]  # j by w = v2(order)
-        for j in range(n):
-            by_w[v2(n // math.gcd(n, j))].add(j)
-        for h in range(1, h_max + 1):
-            exps = power_exponent_set(n, h)
-            checked += 1
-            if len(exps) != power_subgroup_size(n, h):
+        rows = power_exponent_set(n, np.arange(1, 2 * h_max + 1))
+        exps, exps_2h = rows[:h_max], rows[2 * hs - 1]
+        by_w = _v2(n // np.gcd(n, np.arange(n)))[:, None] == np.arange(max(w_max, 1) + 1)
+        odd_order, w1 = exps & by_w[:, 0], exps & by_w[:, 1]
+        checked += h_max
+        size_bad = exps.sum(axis=1) != [power_subgroup_size(n, h) for h in range(1, h_max + 1)]
+        count_bad = exps.astype(np.int64) @ by_w[:, :w_max + 1] \
+            != order_valuation_count(n, hs[:, None], ws)
+        low = v2h >= v2n
+        split = v2h + 1 == v2n
+        # the inclusions as row-wise tests, each read only where it applies
+        inclusions = [
+            (low & (odd_order != exps).any(axis=1), "odd-order violation"),
+            (~low & (odd_order & ~exps_2h).any(axis=1), "G_0 not in G^2h"),
+            (~low & split & (w1 & ~(exps & ~exps_2h)).any(axis=1), "G_1 not in G^h-G^2h"),
+            (~low & ~split & (w1 & ~exps_2h).any(axis=1), "G_1 not in G^2h"),
+            (low & w1.any(axis=1), "G_1 nonempty"),
+        ]
+        bad = size_bad | count_bad.any(axis=1)
+        for mask, _ in inclusions:
+            bad |= mask
+        for i in np.flatnonzero(bad).tolist():
+            h = i + 1
+            if size_bad[i]:
                 failures.append(f"#G^h mismatch at n={n}, h={h}")
                 continue
-            for w in range(w_max + 1):
-                if len(exps & by_w[w]) != order_valuation_count(n, h, w):
-                    failures.append(f"count mismatch at n={n}, h={h}, w={w}")
-            odd_order = exps & by_w[0]
-            w1 = exps & by_w[1]
-            # inclusions
-            v2h = v2(h)
-            if v2h >= v2n:
-                if odd_order != exps:
-                    failures.append(f"odd-order violation at n={n}, h={h}")
-            else:
-                exps_2h = power_exponent_set(n, 2 * h)
-                if not odd_order <= exps_2h:
-                    failures.append(f"G_0 not in G^2h at n={n}, h={h}")
-                if v2n == v2h + 1:
-                    if not w1 <= (exps - exps_2h):
-                        failures.append(f"G_1 not in G^h-G^2h at n={n}, h={h}")
-                elif not w1 <= exps_2h:
-                    failures.append(f"G_1 not in G^2h at n={n}, h={h}")
-            if v2n <= v2h and w1:
-                failures.append(f"G_1 nonempty at n={n}, h={h}")
+            for w in np.flatnonzero(count_bad[i]).tolist():
+                failures.append(f"count mismatch at n={n}, h={h}, w={w}")
+            failures += [f"{text} at n={n}, h={h}" for mask, text in inclusions if mask[i]]
     return checked, failures
 
 
@@ -179,11 +184,6 @@ def check_characters(p_max: int = 200, x_char: int = 500) -> CheckResult:
     return checked, failures
 
 
-def _v2(n: np.ndarray) -> np.ndarray:
-    """The 2-adic valuation of each n >= 1 of an int64 array."""
-    return np.bitwise_count((n & -n) - 1).astype(np.int64)
-
-
 def check_local_factors(p_limit: int = 10**5,
                         checkpoints: tuple[int, ...] = (10**3, 10**4, 10**5)) -> CheckResult:
     """Per-prime truncated Ramanujan sums against the naive and refined
@@ -209,7 +209,9 @@ def check_local_factors(p_limit: int = 10**5,
         s, t, bit, generic, _ = _decode(_fold_segment(profile, 2, p_limit + 1)[0])
         generic, s, t, bit = primes[generic], s[generic], t[generic], bit[generic]
         # r = a * b^(p-2) mod p, then its index (p-1)/ord(r) in (Z/pZ)*
-        r = profile.a % generic * _pow_mod(profile.b % generic, generic - 2, generic) % generic
+        r = profile.a % generic
+        if profile.b != 1:
+            r = r * _pow_mod(profile.b % generic, generic - 2, generic) % generic
         index = (generic - 1) // multiplicative_order(r, generic)
         for i in np.flatnonzero((_v2(generic - 1) != s) | (_v2(index) != s - t)).tolist():
             failures.append(f"index valuation mismatch at ({a},{b}), p={generic[i]}")

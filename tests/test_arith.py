@@ -25,7 +25,7 @@ from powsumdiv.arith import (
     log_integrals,
     v2,
 )
-from powsumdiv.cyclic import rational_mod
+from powsumdiv.cyclic import P_MAX, rational_mod
 from powsumdiv.ramanujan import ramanujan_c
 
 
@@ -95,6 +95,31 @@ def test_factorize_rho_path():
 def test_factorize_semiprimes_beyond_trial_division(p, q):
     assert _TRIAL_LIMIT < p <= q and is_prime(p) and is_prime(q)
     assert list(_factorize_cached(p * q)) == ([(p, 2)] if p == q else [(p, 1), (q, 1)])
+
+
+def _rho_timeout(signum, frame):
+    raise TimeoutError("_factorize_cached did not split the semiprime in time")
+
+
+def test_rho_splits_semiprimes_near_2_63_within_a_time_bound():
+    # _brent_rho's loops end within 8 * q0 steps for q0 the least
+    # prime factor; for two primes near 2^31.5 rho is expected to need about
+    # sqrt(q0) ~ 2^16 of them, well inside the alarm
+    rng = random.Random(26)
+    primes = []
+    while len(primes) < 8:
+        q = rng.randrange(P_MAX - (1 << 27), P_MAX + 1)
+        if is_prime(q):
+            primes.append(q)
+    old = signal.signal(signal.SIGALRM, _rho_timeout)
+    signal.alarm(20)
+    try:
+        for p, q in zip(primes[::2], primes[1::2]):
+            assert (p * q).bit_length() == 63
+            assert _factorize_cached.__wrapped__(p * q) == tuple(sorted([(p, 1), (q, 1)]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def sieve_tables(limit: int) -> tuple[list[int], list[int], list[int]]:

@@ -6,11 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from powsumdiv.arith import _factorize_cached, divisors, is_prime, v2
+from powsumdiv import cyclic
+from powsumdiv.arith import _TRIAL_LIMIT, _factorize_cached, divisors, is_prime, v2
 from powsumdiv.census import _primes_in_range, character_count
 from powsumdiv.cyclic import (
     P_MAX,
     CharacterTable,
+    _pow_mod,
+    _prime_factor_table,
     character_table,
     find_primitive_root,
     multiplicative_order,
@@ -71,6 +74,82 @@ def test_formula_matches_enumeration_small():
             for w in range(0, 6):
                 assert order_valuation_count(n, h, w) == \
                     enumerated_valuation_count(n, h, w), (n, h, w)
+
+
+def scalar_valuation_count(n: int, h: int, w: int) -> int:
+    """The closed form of order_valuation_count in Python integers."""
+    q = n // math.gcd(n, h)
+    nu = v2(q)
+    return q >> nu if w == 0 else 0 if w > nu else (q >> nu) << (w - 1)
+
+
+def test_array_valuation_count_equals_the_scalar_form():
+    # one broadcast call over every (n <= 300, h <= 100, w <= 8) lane, against
+    # the closed form in Python integers; int arguments give a Python int
+    n, h, w = np.arange(1, 301)[:, None, None], np.arange(1, 101)[:, None], np.arange(9)
+    got = order_valuation_count(n, h, w)
+    assert got.shape == (300, 100, 9)
+    assert got.tolist() == [[[scalar_valuation_count(a, b, c) for c in range(9)]
+                             for b in range(1, 101)] for a in range(1, 301)]
+    for a, b, c in [(12, 1, 2), (12, 4, 2), (1, 1, 0), (96, 6, 5), (2**62, 3, 62)]:
+        value = order_valuation_count(a, b, c)
+        assert type(value) is int and value == scalar_valuation_count(a, b, c)
+
+
+@pytest.mark.parametrize("n, h, w", [
+    (np.array([3, 0, 5]), 1, 0),                # one lane with n < 1
+    (6, np.array([[1], [-2]]), np.arange(3)),   # one lane with h < 1
+    (6, 2, np.array([0, 1, -1])),               # one lane with w < 0
+    (1 << 63, 1, 0),                            # n beyond int64
+])
+def test_array_valuation_count_rejects_any_bad_lane(n, h, w):
+    with pytest.raises(ValueError):
+        order_valuation_count(n, h, w)
+
+
+def test_exponent_rows_equal_the_enumerated_sets():
+    # one row per h, for h up to 2n, against {h*k mod n} in Python integers
+    for n in range(1, 61):
+        hs = np.arange(1, 2 * n + 1)
+        rows = power_exponent_set(n, hs)
+        assert rows.shape == (2 * n, n) and rows.dtype == bool
+        for h, row in zip(hs.tolist(), rows):
+            want = {h * k % n for k in range(n)}
+            assert set(np.flatnonzero(row).tolist()) == want == power_exponent_set(n, h), (n, h)
+    assert power_exponent_set(7, 10**30) == {10**30 * k % 7 for k in range(7)}
+
+
+def test_factor_table_equals_factorize_cached_lane_by_lane(monkeypatch):
+    # p - 1 for every prime p <= 10^5, n = 1, and lanes whose cofactor after
+    # trial division is above (limit+1)^2: composite (1031 * 1033, 2^5 times
+    # two primes above 2^20), prime (2^61 - 1 beside 2) or a prime power
+    # (1031^2); those lanes, and only they, go to _factorize_cached, and
+    # not the prime 1048583 between limit^2 and (limit+1)^2
+    limit = _TRIAL_LIMIT
+    large = [1031 * 1033, 32 * 1048573 * 1048583, 2 * (2**61 - 1), 3 * 1031**2, 2**62, 1023**2,
+             2 * 1048583]
+    n = np.array([1, *(_primes_in_range(2, 10**5 + 1) - 1).tolist(), *large], dtype=np.int64)
+    seen = []
+    factorize = cyclic._factorize_cached
+    monkeypatch.setattr(cyclic, "_factorize_cached", lambda m: seen.append(m) or factorize(m))
+    table, counts = _prime_factor_table(n)
+    assert sorted(seen) == sorted([1031 * 1033, 1048573 * 1048583, 2**61 - 1, 1031**2])
+    assert all(m >= (limit + 1) ** 2 for m in seen)
+    for lane, m in enumerate(n.tolist()):
+        want = [q for q, _ in _factorize_cached(m)]
+        assert counts[lane] == len(want), m
+        assert table[lane].tolist() == want + [1] * (table.shape[1] - len(want)), m
+
+
+def test_pow_mod_against_python_pow():
+    # lanes with exponent 0 and 1, a base above its modulus and moduli up
+    # to P_MAX, where the products come closest to 2^63
+    rng = random.Random(26)
+    mods = [2, 3, 7, P_MAX, P_MAX - 2] + [rng.randrange(2, P_MAX + 1) for _ in range(500)]
+    bases = [rng.randrange(0, 1 << 62) for _ in mods]
+    exps = [0, 1, 2, P_MAX - 1, 5] + [rng.randrange(0, 1 << 40) for _ in mods[5:]]
+    got = _pow_mod(np.array(bases), np.array(exps), np.array(mods))
+    assert got.tolist() == [pow(b, e, m) for b, e, m in zip(bases, exps, mods)]
 
 
 def test_primitive_root_examples():

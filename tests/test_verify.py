@@ -122,34 +122,39 @@ def test_suites_catch_a_planted_kernel_fault(monkeypatch):
 
 
 def test_group_catches_a_planted_valuation_count_fault(monkeypatch):
-    # the counts by w are intersections with the exponents grouped by the
-    # valuation of their order; a formula one too large at one (n, h, w)
-    # is caught there and nowhere else
+    # the counts by w are products of the power-set rows with the one-hot of
+    # the valuation of each exponent's order; a formula one too large at the
+    # one lane (n, h, w) = (24, 3, 2) of its array call for n = 24 is caught
+    # there and nowhere else
     formula = verify.order_valuation_count
+    calls = []
 
     def planted(n, h, w):
-        return formula(n, h, w) + ((n, h, w) == (24, 3, 2))
+        calls.append(n)
+        return formula(n, h, w) + (n == 24) * (h == 3) * (w == 2)
 
     monkeypatch.setattr(verify, "order_valuation_count", planted)
     checked, failures = verify.check_group(n_max=60, h_max=10, w_max=4)
-    assert checked == 600
+    assert checked == 600 and calls == list(range(1, 61))
     assert failures == ["count mismatch at n=24, h=3, w=2"]
 
 
 def test_group_catches_a_planted_enumeration_fault(monkeypatch):
-    # an enumerator that drops one exponent of G^h at (n, h) = (24, 2)
+    # an enumerator that drops one exponent of G^h at (n, h) = (24, 2): the
+    # row of h = 2 in the matrix enumerated for n = 24.  The size mismatch is
+    # the one failure there: the counts and inclusions of that h are skipped
     enumerate_ = verify.power_exponent_set
 
     def planted(n, h):
-        exps = enumerate_(n, h)
-        if (n, h) == (24, 2):
-            exps.discard(max(exps))
-        return exps
+        rows = enumerate_(n, h)
+        if n == 24:
+            row = rows[np.flatnonzero(h == 2)[0]]
+            row[np.flatnonzero(row).max()] = False
+        return rows
 
     monkeypatch.setattr(verify, "power_exponent_set", planted)
     _, failures = verify.check_group(n_max=60, h_max=10, w_max=4)
-    assert "#G^h mismatch at n=24, h=2" in failures
-    assert all("n=24, h=" in f for f in failures)
+    assert failures == ["#G^h mismatch at n=24, h=2"]
 
 
 def test_characters_catch_an_order_sum_that_skips_a_character(monkeypatch):
@@ -167,9 +172,24 @@ def test_characters_catch_an_order_sum_that_skips_a_character(monkeypatch):
         [f"order sum mismatch at p=7, d=6, g={g}" for g in range(1, 7)]
 
 
+def _row(n, exps):
+    """The membership row over the exponents 0..n-1 of the set exps."""
+    row = np.zeros(n, dtype=bool)
+    row[list(exps)] = True
+    return row
+
+
 def _swap_at(point, exps):
-    """A power_exponent_set that returns exps, of the same size, at (n, h) = point."""
-    return lambda f: lambda n, h: set(exps) if (n, h) == point else f(n, h)
+    """A power_exponent_set whose row for (n, h) = point holds exps, of the
+    same size as the set it replaces."""
+    def swap(f):
+        def planted(n, h):
+            rows = f(n, h)
+            if n == point[0]:
+                rows[np.flatnonzero(h == point[1])] = _row(n, exps)
+            return rows
+        return planted
+    return swap
 
 
 def _off_at(point, delta, key=lambda profile, *rest: (profile.a, profile.b, *rest)):
@@ -188,7 +208,8 @@ _SMALL_SUITES = {
 
 _PLANTED = [
     # the group inclusions read no closed form, only the enumerated power
-    # sets: one of them has an exponent swapped for another, at the same size
+    # sets: one row of them has an exponent swapped for another, at the same
+    # size
     ("group", "power_exponent_set", _swap_at((4, 4), {1}),
      "odd-order violation at n=4, h=4"),
     ("group", "power_exponent_set", _swap_at((4, 2), {1, 2}), "G_0 not in G^2h at n=4, h=1"),
