@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .arith import _TRIAL_LIMIT, _factorize_cached, is_prime, v2
+from .arith import _TRIAL_LIMIT, _factorize_cached, is_prime
 
 _TWO_PI = 2.0 * math.pi
 
