@@ -1,8 +1,12 @@
 """Exact integer primitives: valuations, primality, factorization,
 divisors, and the logarithmic integral.
 
-Everything here is a pure function; divisors are derived from the
-complete factorization, never from floating point.  The logarithmic
+This module is the one owner of the integer primitives the other modules
+share: the small-prime sieve, the trial primes up to _TRIAL_LIMIT, the
+trial bound _TRIAL_BOUND past which a cofactor is handed to Miller-Rabin
+and Brent's rho, and the 2-adic valuation of an array (_v2) beside the
+scalar v2.  Everything here is a pure function; divisors are derived from
+the complete factorization, never from floating point.  The logarithmic
 integral is the one floating-point result: adaptive Simpson from 2 with an
 absolute tolerance, whose bits are frozen in the sweep output.
 log_integral is the scalar reference and log_integrals the batched numpy
@@ -30,8 +34,25 @@ _MR_PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
            3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
            3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461)
 
-# Trial division stops here; Brent's rho splits what is left.
+
+def _simple_sieve(limit: int) -> np.ndarray:
+    """All primes <= limit (plain sieve: trial primes, base primes, tests)."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+# Trial division is by the primes up to _TRIAL_LIMIT.  A cofactor left
+# below _TRIAL_BOUND has no prime factor up to _TRIAL_LIMIT, so it is 1 or
+# prime; one at or above it goes to Miller-Rabin and Brent's rho.
 _TRIAL_LIMIT = 1 << 10
+_TRIAL_PRIMES = tuple(_simple_sieve(_TRIAL_LIMIT).tolist())
+_TRIAL_BOUND = (_TRIAL_LIMIT + 1) ** 2
 
 
 def v2(n: int) -> int:
@@ -39,6 +60,11 @@ def v2(n: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     return (n & -n).bit_length() - 1
+
+
+def _v2(n: np.ndarray) -> np.ndarray:
+    """v2 of each n >= 1 of an int64 or uint64 array, as uint8."""
+    return np.bitwise_count((n & -n) - 1)
 
 
 def is_prime(n: int) -> bool:
@@ -124,27 +150,22 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization of n >= 1 as (prime, exponent) pairs,
     primes strictly increasing, exponents >= 1 (empty for n = 1).
 
-    Trial division up to min(sqrt(n), 2**10); any remaining cofactor is
-    certified prime by Miller-Rabin or split with Brent's rho.
+    Trial division by _TRIAL_PRIMES, each while the cofactor is still at
+    least its square; a cofactor of _TRIAL_BOUND or more is certified
+    prime by Miller-Rabin or split with Brent's rho, a smaller one is 1 or
+    prime.
     """
     fac: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n and d <= _TRIAL_LIMIT:
-        for q in (d, d + 2):  # 6k+5, 6k+7
-            while n % q == 0:
-                fac[q] = fac.get(q, 0) + 1
-                n //= q
-        d += 6
-    if n > 1:
-        if d * d > n:
-            # trial division reached sqrt(n), so the cofactor is prime
-            fac[n] = fac.get(n, 0) + 1
-        else:
-            _factor_into(n, fac)
+    for d in _TRIAL_PRIMES:
+        if n < d * d:
+            break
+        while n % d == 0:
+            fac[d] = fac.get(d, 0) + 1
+            n //= d
+    if n >= _TRIAL_BOUND:
+        _factor_into(n, fac)
+    elif n > 1:
+        fac[n] = 1
     return tuple(sorted(fac.items()))
 
 
@@ -152,17 +173,11 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     if n < 1:
         raise ValueError("divisors requires n >= 1")
-    return list(_divisors_cached(n))
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _divisors_cached(n: int) -> tuple[int, ...]:
     out = [1]
-    if n > 1:
-        for p, ex in _factorize_cached(n):
-            out = [d * p**k for d in out for k in range(ex + 1)]
+    for p, ex in _factorize_cached(n):
+        out = [d * p**k for d in out for k in range(ex + 1)]
     out.sort()
-    return tuple(out)
+    return out
 
 
 # Li(x) is adaptive Simpson from 2 with an absolute tolerance: trees of

@@ -58,7 +58,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import _factorize_cached, is_prime, log_integrals, v2
+from .arith import _factorize_cached, _simple_sieve, _v2, is_prime, log_integrals, v2
 from .cyclic import character_table, rational_mod
 from .density import delta_naive, delta_table
 from .profile import BaseProfile
@@ -143,18 +143,6 @@ class CountAccumulator:
 # prime generation
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit (plain sieve, used for base primes and tests)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 _base_primes = functools.lru_cache(maxsize=1)(_simple_sieve)
 
 
@@ -222,8 +210,7 @@ def classify_prime(profile: BaseProfile, p: int) -> tuple[int, int | None, int |
     if p == 2 or a % p == 0 or b % p == 0:
         # p | 2ab, so decompose() has already decided it
         return s, None, None, dict(profile.special_primes)[p]
-    r = a % p * pow(b % p, -1, p) % p
-    y = pow(r, (p - 1) >> s, p)
+    y = pow(rational_mod(a, b, p), (p - 1) >> s, p)
     # r^(p-1) = 1, so y reaches 1 within s squarings
     for t in range(s + 1):
         if y == 1:
@@ -411,8 +398,7 @@ def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.
     leg = np.empty(len(primes), dtype=np.int8)
     for i in range(0, len(primes), _CHUNK):
         chunk = primes[i : i + _CHUNK]
-        pm1 = chunk.view(np.uint64) - np.uint64(1)
-        s[i : i + _CHUNK] = np.bitwise_count(pm1 ^ (pm1 - np.uint64(1))) - 1
+        s[i : i + _CHUNK] = _v2(chunk - 1)
         if table is not None:
             leg[i : i + _CHUNK] = table[chunk % (4 * kernel)]
     if table is None:

@@ -6,7 +6,9 @@ forms, the enumerations spell out the group element by element, and the
 property suites require them to agree exactly.  Group elements are
 represented by exponents relative to a fixed generator, so every
 computation below is integer arithmetic until a character value is
-finally evaluated as a complex number.
+finally evaluated as a complex number.  The integer primitives come from
+arith, which owns them: the trial primes and the trial bound that
+_prime_factor_table divides by, and the array valuation _v2.
 """
 
 import cmath
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from .arith import _TRIAL_LIMIT, _factorize_cached, is_prime
+from .arith import _TRIAL_BOUND, _TRIAL_PRIMES, _factorize_cached, _v2, is_prime
 
 _TWO_PI = 2.0 * math.pi
 
@@ -25,11 +27,6 @@ def power_subgroup_size(n: int, h: int) -> int:
     if n < 1 or h < 1:
         raise ValueError("n and h must be >= 1")
     return n // math.gcd(n, h)
-
-
-def _v2(n: np.ndarray) -> np.ndarray:
-    """The 2-adic valuation of each n >= 1 of an int64 array."""
-    return np.bitwise_count((n & -n) - 1).astype(np.int64)
 
 
 def order_valuation_count(n, h, w):
@@ -95,21 +92,15 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _trial_primes() -> tuple[int, ...]:
-    """The primes up to _TRIAL_LIMIT, ascending."""
-    return tuple(d for d in range(2, _TRIAL_LIMIT + 1) if is_prime(d))
-
-
 def _prime_factor_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct prime factors of each n >= 1 of an int64 array, one row
     per lane, ascending and padded with 1, and how many there are per lane.
 
-    Trial division by the primes d up to 2^10, each on the lanes whose
+    Trial division by arith's trial primes d, each on the lanes whose
     cofactor is still >= d^2: a cofactor below d^2 has no prime factor
     below d, so it is 1 or prime.  So is any cofactor left below
-    (2^10 + 1)^2; one above is factored by arith._factorize_cached, lane by
-    lane."""
+    arith._TRIAL_BOUND; one at or above it is factored by
+    arith._factorize_cached, lane by lane, the same decision as there."""
     rem = n.copy()
     table = np.ones((n.size, 15), dtype=np.int64)  # 2*3*...*47 > 2^63 has 15 primes
     counts = np.zeros(n.size, dtype=np.int64)
@@ -119,7 +110,7 @@ def _prime_factor_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         counts[lanes] += 1
 
     live = np.arange(n.size)
-    for d in _trial_primes():
+    for d in _TRIAL_PRIMES:
         live = live[rem[live] >= d * d]
         if not live.size:
             break
@@ -129,10 +120,9 @@ def _prime_factor_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         while lanes.size:
             rem[lanes] //= d
             lanes = lanes[rem[lanes] % d == 0]
-    bound = (_TRIAL_LIMIT + 1) ** 2
-    prime = (rem > 1) & (rem < bound)
+    prime = (rem > 1) & (rem < _TRIAL_BOUND)
     add(np.flatnonzero(prime), rem[prime])
-    for i in np.flatnonzero(rem >= bound).tolist():
+    for i in np.flatnonzero(rem >= _TRIAL_BOUND).tolist():
         for q, _ in _factorize_cached(int(rem[i])):
             add(i, q)
     return table[:, :counts.max(initial=0)], counts

@@ -21,11 +21,14 @@ def ramanujan_c(n: int, m):
     m is a Python int, which gives a Python int, or an int64 array, which
     gives an int64 array lane by lane: each prime power p^e || n multiplies
     in its factor through the masks p^e | m and p^(e-1) | m, which the same
-    expressions compute for either type.
+    expressions compute for either type.  An array m of another dtype, or
+    with n >= 2^63, raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     array = isinstance(m, np.ndarray)
+    if array and (m.dtype != np.int64 or n >= 1 << 63):
+        raise ValueError("an array m must be int64, with n that fits int64")
     if (m < 0).any() if array else m < 0:
         raise ValueError("m must be >= 0")
     out = np.ones_like(m) if array else 1

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import divisors, v2
+from .arith import _v2, divisors, v2
 from .census import (
     heuristic_counts,
     ramanujan_count,
@@ -26,7 +26,6 @@ from .cyclic import (
     P_MAX,
     CharacterTable,
     _pow_mod,
-    _v2,
     character_table,
     multiplicative_order,
     order_valuation_count,

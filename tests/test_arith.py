@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from powsumdiv import arith
 from powsumdiv.arith import (
     _MR_PSI,
+    _TRIAL_BOUND,
     _TRIAL_LIMIT,
     _factorize_cached,
     divisors,
@@ -97,6 +98,29 @@ def test_factorize_semiprimes_beyond_trial_division(p, q):
     assert list(_factorize_cached(p * q)) == ([(p, 2)] if p == q else [(p, 1), (q, 1)])
 
 
+@pytest.mark.parametrize("n", [
+    1048583, 2 * 1048583,                       # a prime between 1024^2 and 1025^2
+    1031 * 1033, 1031**2, 1021**2 * 1031,       # factors just above, or at, the trial limit
+    2**61 - 1,                                  # a prime beyond trial division
+    1073741827 * 2147483659,                    # a 62-bit semiprime
+])
+def test_factorize_hands_over_a_cofactor_exactly_at_the_trial_bound(n, monkeypatch):
+    # the scalar decision of cyclic._prime_factor_table: a cofactor left by
+    # trial division goes to _factor_into (Miller-Rabin, then rho) iff it is
+    # >= _TRIAL_BOUND, so 1048583 is taken as prime without a test
+    assert _TRIAL_BOUND == (_TRIAL_LIMIT + 1) ** 2 > 1048583 > _TRIAL_LIMIT**2
+    seen = []
+    factor_into = arith._factor_into
+    monkeypatch.setattr(arith, "_factor_into", lambda m, out: seen.append(m) or factor_into(m, out))
+    cofactor = n
+    for d in range(2, _TRIAL_LIMIT + 1):
+        while cofactor % d == 0:
+            cofactor //= d
+    fac = _factorize_cached.__wrapped__(n)
+    assert seen[:1] == ([cofactor] if cofactor >= _TRIAL_BOUND else []), n
+    assert math.prod(p**e for p, e in fac) == n and all(is_prime(p) for p, _ in fac), n
+
+
 def _rho_timeout(signum, frame):
     raise TimeoutError("_factorize_cached did not split the semiprime in time")
 
@@ -155,8 +179,8 @@ def test_factorize_reconstruction_and_tables_to_1e5():
 
 
 def test_divisors_against_enumeration():
-    # the divisor lists come from a cache; each call returns a fresh list,
-    # so a caller that changes its list leaves the cache intact
+    # each call returns a fresh list, so a caller that changes its list
+    # leaves the next call's intact
     for n in range(1, 2001):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
     divisors(12).append(5)

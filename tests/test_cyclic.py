@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from powsumdiv import cyclic
-from powsumdiv.arith import _TRIAL_LIMIT, _factorize_cached, divisors, is_prime, v2
+from powsumdiv.arith import _TRIAL_LIMIT, _factorize_cached, _v2, divisors, is_prime, v2
 from powsumdiv.census import _primes_in_range, character_count
 from powsumdiv.cyclic import (
     P_MAX,
@@ -94,6 +94,25 @@ def test_array_valuation_count_equals_the_scalar_form():
     for a, b, c in [(12, 1, 2), (12, 4, 2), (1, 1, 0), (96, 6, 5), (2**62, 3, 62)]:
         value = order_valuation_count(a, b, c)
         assert type(value) is int and value == scalar_valuation_count(a, b, c)
+    # arith._v2, from which order_valuation_count and check_group take their
+    # valuations, against the scalar v2 on int64 and uint64 lanes: 1, odd
+    # values, 2^k and p - 1 for the primes of the last 2^16 below 2^40
+    lanes = [1, 3, 5, 99, 2**40 - 87, 2**63 - 1, *(1 << k for k in range(63)),
+             *(_primes_in_range(2**40 - 2**16, 2**40) - 1).tolist()]
+    want = [v2(x) for x in lanes]
+    for dtype in (np.int64, np.uint64):
+        got = _v2(np.array(lanes, dtype=dtype))
+        assert got.dtype == np.uint8 and got.tolist() == want, dtype
+    # its uint8 result mixes exactly with the int64 operands it meets: the
+    # shift and comparisons of order_valuation_count, and check_group's
+    # tests against v2(n) + 1 and the columns w of an int64 arange
+    n = np.array(lanes, dtype=np.int64)
+    nu = _v2(n)
+    assert (n >> nu).dtype == np.int64 and (n >> nu).tolist() == [x >> v2(x) for x in lanes]
+    assert (nu + 1).tolist() == [w + 1 for w in want]
+    assert (nu[:, None] == np.arange(64)).argmax(axis=1).tolist() == want
+    assert order_valuation_count(n[:, None], 1, np.arange(64)).tolist() == \
+        [[scalar_valuation_count(x, 1, w) for w in range(64)] for x in lanes]
 
 
 @pytest.mark.parametrize("n, h, w", [

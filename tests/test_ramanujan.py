@@ -107,3 +107,8 @@ def test_validation():
         ramanujan_c_2pow(-1, 3)
     with pytest.raises(ValueError):
         divisor_indicator(0, 3)
+    # an array m is int64, and then n must fit int64 too
+    with pytest.raises(ValueError):
+        ramanujan_c(2**64, np.arange(3))
+    with pytest.raises(ValueError):
+        ramanujan_c(6, np.array([1.5]))
