@@ -67,6 +67,15 @@ def _v2(n: np.ndarray) -> np.ndarray:
     return np.bitwise_count((n & -n) - 1)
 
 
+def _int64_lanes(names: str, *xs) -> list[np.ndarray]:
+    """xs as int64 arrays: a float (even an integral one) or a value past
+    int64 raises ValueError instead of being truncated or wrapped."""
+    lanes = [np.asarray(x) for x in xs]
+    if any(v.dtype.kind not in "biu" or v.dtype == np.uint64 and (v >> 63).any() for v in lanes):
+        raise ValueError(f"{names} must be integers that fit int64")
+    return [v.astype(np.int64, copy=False) for v in lanes]
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 2**64 (no randomness)."""
     if n < 2:
@@ -349,17 +358,16 @@ def _simpson_forest(b: np.ndarray, coarse: float, fine: float) -> tuple[np.ndarr
     m = 0.5 * (a + b)
     fm = 1.0 / _logs(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    in_coarse = np.ones(len(b), dtype=bool)
-    return _simpson_level([a, fa, b, fb, whole, fm, in_coarse], coarse, fine, _LI_DEPTH)
+    return _simpson_level([a, fa, b, fb, whole, fm], coarse, fine, _LI_DEPTH)
 
 
 def _simpson_level(nodes: list, coarse: float, fine: float,
                    depth: int) -> tuple[np.ndarray, np.ndarray]:
     """The coarse and the fine value of each node of one tree level.
 
-    ``nodes`` holds the arguments of _adaptive_simpson, one array each, and
-    a flag for the nodes of the coarse tree; a node off it gets its leaf
-    value as its (unused) coarse value.  The list is emptied as soon as its
+    ``nodes`` holds the arguments of _adaptive_simpson, one array each.  A
+    coarse value off the coarse tree is never read: its parent did not
+    split under the coarse tolerance.  The list is emptied as soon as its
     arrays are used, so that the levels above the one being walked keep
     only their leaf values and split masks (and a half still to walk).
     """
@@ -388,7 +396,7 @@ def _simpson_nodes(nodes: list, coarse: float, fine: float, depth: int):
     and their children (None if none splits).  Kept apart from
     _simpson_level so that its temporaries are freed before the level below
     is walked."""
-    a, fa, b, fb, whole, fm, in_coarse = nodes
+    a, fa, b, fb, whole, fm = nodes
     nodes.clear()
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
@@ -403,9 +411,9 @@ def _simpson_nodes(nodes: list, coarse: float, fine: float, depth: int):
     split = ~(size <= 15.0 * fine)
     if not split.any():
         return leaf, None, None, None
-    split_coarse = in_coarse & ~(size <= 15.0 * coarse)
+    # coarse > fine, so split_coarse is a subset of split (NaN splits under both)
+    split_coarse = ~(size <= 15.0 * coarse)
     children = [_pairs(a[split], m[split]), _pairs(fa[split], fm[split]),
                 _pairs(m[split], b[split]), _pairs(fm[split], fb[split]),
-                _pairs(left[split], right[split]), _pairs(flm[split], frm[split]),
-                np.repeat(split_coarse[split], 2)]
+                _pairs(left[split], right[split]), _pairs(flm[split], frm[split])]
     return leaf, split, split_coarse, children

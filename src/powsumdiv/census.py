@@ -23,7 +23,7 @@ when k < 2^16, and with k^-1 = k^(p-2) (Fermat) otherwise.
 
 p divides some a^k + b^k iff t >= 1.  The sieve marks odd numbers only,
 and one numpy call (_classify) per segment gives each prime its cell
-(_fold_segment), which _decode reads back for the tallies and for the
+(_fold_segment), which _decode reads back for _weights and for the
 oracle and local-factors suites of verify.  classify_prime is the scalar
 Python-int reference the kernel is tested against; it takes t from r
 itself and the Legendre symbol from Euler's criterion.  Special primes
@@ -34,15 +34,15 @@ Every counting function is a linear functional of the cell counts: each
 view weighs a generic prime's cell by a dyadic rational with denominator
 2^s (the local factors, the truncated 2-power Ramanujan sums, the explicit
 formula), so every identity in the test suite is an exact equality.  The
-weights are stated once, in _weights, which the local-factors suite of
-verify checks prime by prime against the Ramanujan sums.  _tally weighs
-the nonzero cells of one piece of a segment once and sums all ten counts
-as integers, the views at scale 2^40; the only accumulated state is a
-CountAccumulator of those ten totals.  Counts and sweeps share one
-checkpointed fold (_census): it works one sieve segment at a time up to
-the last checkpoint and cuts the segment's cells at the checkpoints
-inside it; tallies add as integers, so any merge schedule (1 worker or
-many) produces bit-identical results.
+ten counts of one prime in every cell are stated once, in the table
+_weights(e, eps), the views at scale 2^40; the local-factors suite of
+verify checks its k1 and k2 rows prime by prime against the Ramanujan
+sums.  _tally multiplies its columns with the cell counts of a piece; the
+only accumulated state is a CountAccumulator of those ten totals.  Counts
+and sweeps share one checkpointed fold (_census): it works one sieve
+segment at a time up to the last checkpoint and cuts the segment's cells
+at the checkpoints inside it; tallies add as integers, so any merge
+schedule (1 worker or many) produces bit-identical results.
 """
 
 import bisect
@@ -448,64 +448,63 @@ def _fold_segment(profile: BaseProfile, lo: int, hi: int,
 
 
 def _decode(cells: np.ndarray) -> tuple[np.ndarray, ...]:
-    """int64 arrays s, t and bit of cells (the int16 cells of
-    _fold_segment are cast first, for _weights) and the masks generic and
-    divides (p | some a^k + b^k: t >= 1 if generic, else bit)."""
-    cells = cells.astype(np.int64, copy=False)
+    """s, t and bit of cells, in the dtype of cells, and the masks generic
+    and divides (p | some a^k + b^k: t >= 1 if generic, else bit)."""
     s, t = np.divmod(cells >> 1, _S_CELLS)
     bit = cells & 1
     generic = t != _SPECIAL_T
     return s, t, bit, generic, np.where(generic, t > 0, bit == 1)
 
 
-def _weights(profile: BaseProfile, s: np.ndarray, t: np.ndarray, bit: np.ndarray) -> np.ndarray:
-    """The weight of each view times 2^s, an int64 array of shape (6, n)
-    with entries in [0, 2^s], for generic primes with int64 cells
-    (s, t, bit), bit = (r0/p) == 1.
+# e = v2(h) <= 5 (h <= 62 for |a|, |b| < 2^63) and eps = +-1: at most 12 keys
+@functools.lru_cache(maxsize=12)
+def _weights(e: int, eps: int) -> np.ndarray:
+    """The ten Counts fields of one prime in each cell code c (column c),
+    for a profile with e = v2(h) and sign eps, as a read-only int64 array.
 
-    The rows are k1 and k2, the naive and refined local factors; ram_e,
-    ram_e1 and ram_full, 1 - 2^-s sum_{v <= top} c_{2^v}(m) at the group
-    index m of r, v2(m) = s - t, for top = min(s, e), min(s, e+1) and s;
-    and formula, the explicit formula.  The local factors equal
+    The rows are 0/1 for pi, n_exact, n_generic and pi_generic, then the
+    six views at scale 2^40, 0 on special cells: k1 and k2, the naive and
+    refined local factors; ram_e, ram_e1 and ram_full, 1 - 2^-s
+    sum_{v <= top} c_{2^v}(m) at the group index m of r, v2(m) = s - t,
+    for top = min(s, e), min(s, e+1) and s; and formula, the explicit
+    formula.  A view times 2^s lies in [0, 2^s] on every cell, reachable
+    or not, so every entry lies in [0, 2^40].  The local factors equal
     1 - ram_e and 1 - ram_e1 (verify.check_local_factors).
     """
-    e, eps = profile.e, profile.eps
-    one = np.left_shift(1, s)
+    s, t, bit, generic, divides = _decode(np.arange(2 * _S_CELLS**2))
+    table = np.empty((len(Counts._fields), len(s)), dtype=np.int64)
+    table[:4] = np.ones_like(s), divides, generic & divides, generic
+    one = 1 << s
     leg = 2 * bit - 1
     odd = one * (1 + eps) // 2  # (1 + eps)/2, both local factors when s <= e
-    k1 = np.where(s <= e, odd, 1 << e)
-    k2 = np.where(s <= e, odd, np.where(s == e + 1, one * (1 + eps * leg) // 2, (1 + leg) << e))
-
-    def ramanujan(top: np.ndarray) -> np.ndarray:
-        # 1 - 2^-s sum_{v <= top} c_{2^v}(m) with v2(m) = s - t: the
-        # c_{2^v}(m) are 1, then 2^(v-1) up to v = v2(m), then -2^v2(m),
-        # then 0, so the prefix sum is 2^top if top <= v2(m), else 0
-        return one - np.where(top <= s - t, np.left_shift(1, top), 0)
-
+    table[4] = np.where(s <= e, odd, 1 << e)
+    table[5] = np.where(s <= e, odd, np.where(s == e + 1, one * (1 + eps * leg) // 2,
+                                              (1 + leg) << e))
+    for row, top in zip((6, 7, 8), (np.minimum(s, e), np.minimum(s, e + 1), s)):
+        # the c_{2^v}(m) are 1, then 2^(v-1) up to v = v2(m) = s - t, then
+        # -2^v2(m), then 0: the prefix sum is 2^top if top <= v2(m), else 0
+        table[row] = one - np.where(top <= s - t, 1 << top, 0)
     if eps == 1:
         # pi(x; 2^(e+1), 1) minus the sum of 2^(e+1-s) over (r0/p) = 1
-        formula = (s > e) * (one - bit * (2 << e))
+        table[9] = (s > e) * (one - bit * (2 << e))
     else:
         # pi minus #{s = e+1, (r0/p) = -1} minus the sum of 2^(e+1-s) over
         # (r0/p) = 1, s > e+1
-        formula = one - (s == e + 1) * (1 - bit) * one - (s > e + 1) * bit * (2 << e)
-    return np.stack([k1, k2, ramanujan(np.minimum(s, e)), ramanujan(np.minimum(s, e + 1)),
-                     ramanujan(s), formula])
+        table[9] = one - (s == e + 1) * (1 - bit) * one - (s > e + 1) * bit * (2 << e)
+    table[4:] = np.where(generic, table[4:] << (40 - s), 0)
+    table.flags.writeable = False
+    return table
 
 
 def _tally(profile: BaseProfile, cells: np.ndarray) -> CountAccumulator:
-    """The ten Counts fields of one piece's int16 cells: a row per field
-    over the nonzero cells times their counts.  The rows are 0/1 for pi,
-    n_exact, n_generic and pi_generic, and _weights at scale 2^40 for the
-    views, 0 on special cells.  A weight * 2^s lies in [0, 2^s], so at
-    scale 2^40 (s < 40) it is at most 2^40, and a piece holds fewer than
-    2^19 primes: every int64 sum stays below 2^59."""
+    """The ten Counts fields of one piece's int16 cells: the _weights
+    columns of its nonzero cells times their counts.  An entry is at most
+    2^40 and a piece holds fewer than 2^19 primes, so every int64 sum stays
+    below 2^59."""
     n = np.bincount(cells)
     nonzero = np.flatnonzero(n)
-    s, t, bit, generic, divides = _decode(nonzero)
-    views = _weights(profile, s, t, bit) << (40 - s)
-    rows = np.vstack([np.ones_like(s), divides, generic & divides, generic, views * generic])
-    return CountAccumulator(tuple((rows @ n[nonzero]).tolist()))
+    table = _weights(profile.e, profile.eps)
+    return CountAccumulator(tuple((table[:, nonzero] @ n[nonzero]).tolist()))
 
 
 def _evaluate(acc: CountAccumulator) -> Counts:

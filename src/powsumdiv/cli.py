@@ -189,21 +189,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Primes dividing a^k + b^k: exact counts, heuristics, densities.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    pair = argparse.ArgumentParser(add_help=False)  # the a b that four subcommands start with
+    pair.add_argument("a", type=int)
+    pair.add_argument("b", type=int)
 
-    p = sub.add_parser("profile", help="decompose (a, b) and print the profile as JSON")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("profile", parents=[pair],
+                       help="decompose (a, b) and print the profile as JSON")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("density", help="exact limiting densities of (a, b)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("density", parents=[pair], help="exact limiting densities of (a, b)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("count", help="count primes <= x by the chosen method")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("count", parents=[pair], help="count primes <= x by the chosen method")
     p.add_argument("x", type=int)
     p.add_argument("--method", default="exact", choices=tuple(METHODS))
     p.add_argument("--truncation", default="full", choices=tuple(_TRUNCATIONS),
@@ -211,9 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("sweep", help="checkpointed sweep, CSV or JSON")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p = sub.add_parser("sweep", parents=[pair], help="checkpointed sweep, CSV or JSON")
     p.add_argument("x_max", type=int)
     p.add_argument("--checkpoints", type=int, default=20,
                    help=f"number of geometrically spaced checkpoints (at most {MAX_CHECKPOINTS})")

@@ -8,7 +8,7 @@ represented by exponents relative to a fixed generator, so every
 computation below is integer arithmetic until a character value is
 finally evaluated as a complex number.  The integer primitives come from
 arith, which owns them: the trial primes and the trial bound that
-_prime_factor_table divides by, and the array valuation _v2.
+_prime_factor_table divides by, the array valuation _v2 and _int64_lanes.
 """
 
 import cmath
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .arith import _TRIAL_BOUND, _TRIAL_PRIMES, _factorize_cached, _v2, is_prime
+from .arith import _TRIAL_BOUND, _TRIAL_PRIMES, _factorize_cached, _int64_lanes, _v2, is_prime
 
 _TWO_PI = 2.0 * math.pi
 
@@ -31,16 +31,13 @@ def power_subgroup_size(n: int, h: int) -> int:
 
 def order_valuation_count(n, h, w):
     """Number of h-th powers in a cyclic group of order n whose order has
-    2-adic valuation exactly w, lane by lane over int64 arrays n, h and w
-    (scalars broadcast).  Python ints give a Python int.
+    2-adic valuation exactly w, lane by lane over integer arrays n, h and w
+    (scalars broadcast) in int64.  Python ints give a Python int.
 
     With q = n/(n,h) and nu = v2(q): q/2^nu for w = 0, q*2^(w-1-nu) for
     1 <= w <= nu, and 0 for w > nu.
     """
-    try:
-        n, h, w = (np.asarray(x, dtype=np.int64) for x in (n, h, w))
-    except OverflowError:
-        raise ValueError("n, h and w must fit int64") from None
+    n, h, w = _int64_lanes("n, h and w", n, h, w)
     if (n < 1).any() or (h < 1).any():
         raise ValueError("n and h must be >= 1")
     if (w < 0).any():
@@ -55,12 +52,12 @@ def order_valuation_count(n, h, w):
 
 def power_exponent_set(n: int, h):
     """Exponents (mod n) of the h-th powers, {h*k mod n : 0 <= k < n}, by
-    enumeration: a set for an int h.  For an int64 array of h, a boolean
+    enumeration: a set for an int h.  For an integer array of h, a boolean
     matrix with one row per h, whose column j says whether j is in the set.
     The products h*k mod n are scattered into the rows; no gcd is taken."""
     if n < 1 or np.any(np.asarray(h) < 1):
         raise ValueError("n and h must be >= 1")
-    hs = np.atleast_1d(np.asarray(h % n, dtype=np.int64))
+    hs = np.atleast_1d(_int64_lanes("n and h", n, h % n)[1])
     cells = hs[:, None] * np.arange(n) % n
     cells += np.arange(0, hs.size * n, n)[:, None]  # row i starts at cell i*n
     rows = np.zeros((hs.size, n), dtype=bool)
@@ -129,9 +126,9 @@ def _prime_factor_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def multiplicative_order(g, p):
-    """Least k >= 1 with g^k == 1 mod p, lane by lane over int64 arrays g
-    and p (scalars broadcast), for p prime and p not dividing g.  A Python
-    int pair gives a Python int.
+    """Least k >= 1 with g^k == 1 mod p, lane by lane over integer arrays g
+    and p (scalars broadcast) in int64, for p prime and p not dividing g.
+    A Python int pair gives a Python int.
 
     Raises ValueError unless 2 <= p <= P_MAX, g is a unit and
     g^(p-1) == 1 mod p, which every unit mod a prime satisfies; the message
@@ -144,10 +141,7 @@ def multiplicative_order(g, p):
     so the check costs a power only on the lanes where nothing was
     stripped.
     """
-    try:
-        g, p = np.broadcast_arrays(np.asarray(g, dtype=np.int64), np.asarray(p, dtype=np.int64))
-    except OverflowError:
-        raise ValueError(f"g and p must fit int64, and p must be <= {P_MAX}") from None
+    g, p = np.broadcast_arrays(*_int64_lanes("g and p", g, p))
     shape, g, p = g.shape, g.ravel(), p.ravel()
     bad = np.flatnonzero((p < 2) | (p > P_MAX))
     if bad.size:

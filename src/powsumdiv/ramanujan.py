@@ -12,23 +12,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _factorize_cached, divisors, v2
+from .arith import _factorize_cached, _int64_lanes, divisors, v2
 
 
 def ramanujan_c(n: int, m):
     """c_n(m) for n >= 1, m >= 0, via Holder's identity (m = 0 gives phi(n)).
 
-    m is a Python int, which gives a Python int, or an int64 array, which
-    gives an int64 array lane by lane: each prime power p^e || n multiplies
-    in its factor through the masks p^e | m and p^(e-1) | m, which the same
-    expressions compute for either type.  An array m of another dtype, or
-    with n >= 2^63, raises ValueError.
+    m is an integer, which gives a Python int, or an array of integers,
+    which gives an int64 array lane by lane: each prime power p^e || n
+    multiplies in its factor through the masks p^e | m and p^(e-1) | m,
+    which the same expressions compute for either type.  A float n or m,
+    or an array m with m or n past int64, raises ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     array = isinstance(m, np.ndarray)
-    if array and (m.dtype != np.int64 or n >= 1 << 63):
-        raise ValueError("an array m must be int64, with n that fits int64")
+    if array:
+        m, _ = _int64_lanes("an array m and n", m, n)
+    elif not isinstance(m, (int, np.integer)):
+        raise ValueError("m must be an integer or an array of integers")
     if (m < 0).any() if array else m < 0:
         raise ValueError("m must be >= 0")
     out = np.ones_like(m) if array else 1
@@ -65,10 +67,10 @@ def ramanujan_c_2pow(v: int, t: int) -> int:
 def divisor_indicator(n: int, m):
     """(1/n) * sum of c_d(m) over d | n: exactly 1 if n | m, else 0.
 
-    For an int64 array m it returns the sums themselves, n times the
+    For an array m it returns the sums themselves, n times the
     indicator, as an int64 array, so that they stay exact integers.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     total = sum(ramanujan_c(d, m) for d in divisors(n))
     return total if isinstance(m, np.ndarray) else Fraction(total, n)

@@ -186,8 +186,8 @@ def check_characters(p_max: int = 200, x_char: int = 500) -> CheckResult:
 def check_local_factors(p_limit: int = 10**5,
                         checkpoints: tuple[int, ...] = (10**3, 10**4, 10**5)) -> CheckResult:
     """Per-prime truncated Ramanujan sums against the naive and refined
-    local weights of census._weights, at the (s, t, bit) cells that one
-    _fold_segment call gives the generic primes <= p_limit.  The sums use
+    local weights, the k1 and k2 rows of census._weights, at the cells that
+    one _fold_segment call gives the generic primes <= p_limit.  The sums use
     the exact group index of r = a/b mod p (full multiplicative order,
     factored p-1), whose 2-adic valuation must be s - t.  Then the summed
     weights at several checkpoints in [2, p_limit] against the tallied
@@ -205,8 +205,9 @@ def check_local_factors(p_limit: int = 10**5,
     primes = _primes_in_range(2, p_limit + 1)
     for a, b in PROFILE_GRID:
         profile = decompose(a, b)
-        s, t, bit, generic, _ = _decode(_fold_segment(profile, 2, p_limit + 1)[0])
-        generic, s, t, bit = primes[generic], s[generic], t[generic], bit[generic]
+        cells = _fold_segment(profile, 2, p_limit + 1)[0]
+        s, t, _, generic, _ = _decode(cells)
+        generic, s, t, cells = primes[generic], s[generic], t[generic], cells[generic]
         # r = a * b^(p-2) mod p, then its index (p-1)/ord(r) in (Z/pZ)*
         r = profile.a % generic
         if profile.b != 1:
@@ -221,16 +222,15 @@ def check_local_factors(p_limit: int = 10**5,
         top = min(int(s.max(initial=0)), profile.e + 1)
         prefix = np.cumsum([ramanujan_c(1 << v, values) for v in range(top + 1)], axis=0)
         sums = [prefix[np.minimum(s, e), lane] for e in (profile.e, profile.e + 1)]
-        weights = _weights(profile, s, t, bit)[:2]
+        weights = _weights(profile.e, profile.eps)[4:6, cells]
         checked += 2 * len(generic)
         for name, want, got in zip(("naive", "refined"), sums, weights):
-            for i in np.flatnonzero(want != got).tolist():
+            for i in np.flatnonzero(want << (40 - s) != got).tolist():
                 failures.append(f"{name} weight mismatch at ({a},{b}), p={generic[i]}: "
-                                f"{want[i]}/2^{s[i]} vs {got[i]}/2^{s[i]}")
-        scaled = weights << (40 - s)  # at scale 2^40, as _tally sums
+                                f"{want[i]}/2^{s[i]} vs {got[i]}/2^40")
         for x in sorted(checkpoints):
             end = np.searchsorted(generic, x, side="right")
-            k1, k2 = (Fraction(sum(row[:end].tolist()), 1 << 40) for row in scaled)
+            k1, k2 = (Fraction(sum(row[:end].tolist()), 1 << 40) for row in weights)
             hc = heuristic_counts(profile, x)
             checked += 2
             if k1 != hc.k1 or k2 != hc.k2:

@@ -12,6 +12,7 @@ import pytest
 from powsumdiv.census import (
     CountAccumulator,
     InternalInconsistencyError,
+    _S_CELLS,
     _accumulate,
     _check_bounds,
     _evaluate,
@@ -226,10 +227,11 @@ def test_odd_order_forced_when_s_below_e():
 # local factors
 
 def local_weights(profile, s: int, leg: int) -> tuple[int, int]:
-    """k1 and k2 times 2^s for one generic prime from _weights; they do
-    not depend on t, here 0."""
-    k1, k2 = _weights(profile, np.array([s]), np.array([0]), np.array([int(leg > 0)]))[:2, 0]
-    return int(k1), int(k2)
+    """k1 and k2 times 2^s for one generic prime, from the k1 and k2 rows of
+    _weights (scale 2^40) at its cell; they do not depend on t, here 0."""
+    k1, k2 = _weights(profile.e, profile.eps)[4:6, s * _S_CELLS * 2 + (leg > 0)].tolist()
+    assert k1 % (1 << (40 - s)) == k2 % (1 << (40 - s)) == 0
+    return k1 >> (40 - s), k2 >> (40 - s)
 
 
 def test_weights_k1_examples():

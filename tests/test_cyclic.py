@@ -120,6 +120,9 @@ def test_array_valuation_count_equals_the_scalar_form():
     (6, np.array([[1], [-2]]), np.arange(3)),   # one lane with h < 1
     (6, 2, np.array([0, 1, -1])),               # one lane with w < 0
     (1 << 63, 1, 0),                            # n beyond int64
+    (np.array([4.7]), 2, 1),                    # a float n, truncated to 4 before
+    (8, 1.0, 0),                                # an integral float h
+    (8, 1, np.array([0, 1.5])),                 # one float lane of w
 ])
 def test_array_valuation_count_rejects_any_bad_lane(n, h, w):
     with pytest.raises(ValueError):
@@ -329,14 +332,24 @@ def test_character_order_sum_rejects_bad_order():
     lambda: order_valuation_count(4, 1, -1),     # w < 0
     lambda: multiplicative_order(7, 7),          # not a unit
     lambda: multiplicative_order(2, P_MAX + 1),  # residue products overflow int64
+    # a float argument, which was truncated: the first two gave 3 and [1, 3]
+    lambda: multiplicative_order(2, 7.9),
+    lambda: multiplicative_order(np.array([1.5, 2.0]), 7),
+    lambda: multiplicative_order(2.0, 7),
+    lambda: power_exponent_set(5, 2.5),          # gave every residue
+    lambda: power_exponent_set(6, np.array([1.5, 2.0])),
+    lambda: power_exponent_set(5.0, 2),
+    lambda: ramanujan_c(4, 2.5),                 # gave 0
     lambda: character_table(7).dlog(0),
     lambda: ramanujan_c(3, -1),
     lambda: ramanujan_c_2pow(2, -1),
     lambda: _degree_gap_sum(False, 0),
     lambda: CharacterTable(2),                   # not an odd prime
     lambda: CharacterTable(9),
-], ids=["valuation-n", "valuation-w", "order", "order-bound", "dlog", "c", "c-2pow", "gap-sum",
-        "table-2", "table-9"])
+], ids=["valuation-n", "valuation-w", "order", "order-bound", "order-float-p",
+        "order-float-g", "order-integral-float", "power-set-float-h", "power-set-float-lane",
+        "power-set-float-n", "c-float-m", "dlog", "c", "c-2pow", "gap-sum", "table-2",
+        "table-9"])
 def test_out_of_range_arguments_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

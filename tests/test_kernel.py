@@ -32,6 +32,7 @@ from powsumdiv.census import (
     _mulmod_u64,
     _primes_in_range,
     _tally,
+    _weights,
     _worker_count,
     classify_prime,
     sweep,
@@ -374,8 +375,10 @@ def reachable_cells(profile, s) -> set[tuple[int, int]]:
     return cells
 
 
-@pytest.mark.parametrize("a,b", [(2, 1), (-2, 1), (4, 1), (-4, 1), (16, 1), (8, 27),
-                                 (2**32, 1), (-(2**48), 1)])
+# every (e, eps) key of _weights: e = v2(h) in [0, 5], eps = +-1
+@pytest.mark.parametrize("a,b", [(2, 1), (-2, 1), (4, 1), (-4, 1), (16, 1), (-16, 1), (256, 1),
+                                 (-256, 1), (2**16, 1), (8, 27), (2**32, 1), (-(2**32), 1),
+                                 (-(2**48), 1)])
 def test_evaluate_worst_case_histogram(a, b):
     # the worst-case cell histogram of one piece, which holds fewer than
     # 2^19 primes (a segment of 2^20 numbers): 2^19 - 1 cells spread evenly
@@ -413,6 +416,18 @@ def test_evaluate_worst_case_histogram(a, b):
         k *= 2
     assert acc.totals == tuple(k * v for v in tally.totals)
     assert _evaluate(acc) == Counts(*(k * v for v in ints), *(k * v for v in sums))
+
+
+def test_weights_are_read_only_and_at_most_2_40():
+    # _tally's int64 bound (fewer than 2^19 primes a piece, each entry at
+    # most 2^40: every sum below 2^59) needs every cell in range, the
+    # unreachable ones (t > s, s = 40) included
+    for e in range(6):
+        for eps in (1, -1):
+            table = _weights(e, eps)
+            assert table.shape == (len(Counts._fields), 2 * _S_CELLS**2)
+            assert not table.flags.writeable, (e, eps)
+            assert table.min() >= 0 and table.max() <= 2**40, (e, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,17 @@ def test_validation():
         ramanujan_c_2pow(-1, 3)
     with pytest.raises(ValueError):
         divisor_indicator(0, 3)
-    # an array m is int64, and then n must fit int64 too
+    # an array m fits int64, and then n must fit int64 too
     with pytest.raises(ValueError):
         ramanujan_c(2**64, np.arange(3))
     with pytest.raises(ValueError):
         ramanujan_c(6, np.array([1.5]))
+    # a float n or m, even an integral one, is not truncated: c_4(2.5) gave
+    # 0 and divisor_indicator(4, 2.5) gave 1/4
+    for n, m in [(4, 2.5), (4, 2.0), (2.5, 4), (4.0, 4)]:
+        with pytest.raises(ValueError):
+            ramanujan_c(n, m)
+        with pytest.raises(ValueError):
+            divisor_indicator(n, m)
+    with pytest.raises(ValueError):
+        ramanujan_c(6, np.array([2**64]))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from powsumdiv import ramanujan, verify
+from powsumdiv.census import _decode
 from powsumdiv.cyclic import P_MAX, CharacterTable
 
 
@@ -84,14 +85,16 @@ def test_local_factors_catch_an_order_planted_at_one_prime(monkeypatch):
 
 
 def test_local_factors_catch_a_planted_weight_fault(monkeypatch):
-    # the per-prime Ramanujan sums do not go through _weights: a k2 row one
-    # too large at s = e+1 is caught prime by prime
+    # the per-prime Ramanujan sums do not go through _weights: a k2 row of
+    # the table one too large times 2^s (2^(40-s) at its scale 2^40) at
+    # s = e+1 is caught prime by prime
     weights = verify._weights
 
-    def planted(profile, s, t, bit):
-        rows = weights(profile, s, t, bit)
-        rows[1] += s == profile.e + 1
-        return rows
+    def planted(e, eps):
+        table = weights(e, eps).copy()
+        s = _decode(np.arange(table.shape[1]))[0]
+        table[5, s == e + 1] += 1 << (40 - (e + 1))
+        return table
 
     monkeypatch.setattr(verify, "_weights", planted)
     checked, failures = verify.check_local_factors(2000, (100, 2000))

@@ -20,11 +20,11 @@ first segment; DENSE, the benchmark's dense json sweep of (-4, 1) to
 2,001 pieces; ``powsumdiv verify S`` for each single suite; and last
 ``powsumdiv verify all``, whose ``ok <suite>: <n> checks`` lines pin
 every suite's check count.  It compares stdout and the exit code byte
-for byte, prints one line per command and exits 0 when all 86 agree and
+for byte, prints one line per command and exits 0 when all 110 agree and
 exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
-e = 0, 1 and 2, Q(sqrt 2), three special primes ((7,3)), the smaller term
-of r0 on both sides of 2^16, and the largest kernel with a Legendre table
-(65535) and the smallest without (65537).
+e = 0, 1 and 2 (COUNT_PAIRS add e = 3), Q(sqrt 2), three special primes
+((7,3)), the smaller term of r0 on both sides of 2^16, and the largest
+kernel with a Legendre table (65535) and the smallest without (65537).
 """
 
 import os
@@ -37,7 +37,7 @@ PAIRS = [(2, 1), (-4, 1), (8, 27), (7, 3), (-16, 1), (-81, 16),
 X_DEEP = 70_000_000
 DEEP_PAIRS = [(65537, 65536), (65537, 65535)]
 X_COUNT = 2000
-COUNT_PAIRS = [(2, 1), (8, 27)]
+COUNT_PAIRS = [(2, 1), (8, 27), (-2, 1), (4, 1), (256, 1), (-256, 1)]
 METHODS = ("exact", "h1", "h2", "formula", "ramanujan", "character")
 SEGMENT_EDGES = [
     ["count", "2", "1", "3000000", "--method", "exact"],
