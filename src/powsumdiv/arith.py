@@ -16,11 +16,19 @@ real part of numpy's complex log, which calls the C library's ``clog``.
 That route is checked against ``math.log`` on a canary once per process
 and replaced by a ``math.log`` map if any bit differs.  Plain ``np.log``
 is never used: it can differ from libm in the last bit.
+
+It also owns the modular power over numpy lanes that the segment kernel
+and the order oracle share: three exact mulmod regimes, one chosen for a
+batch by its largest modulus (_mulmod_regime), and one left-to-right
+3-bit window (_pow_residues; _pow_mod for int64 lanes).  Scalar entry
+points take an int or a numpy integer (_int_arg) and array ones int64
+lanes (_int64_lanes): anything else raises ValueError.
 """
 
 import functools
 import itertools
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -55,8 +63,21 @@ _TRIAL_PRIMES = tuple(_simple_sieve(_TRIAL_LIMIT).tolist())
 _TRIAL_BOUND = (_TRIAL_LIMIT + 1) ** 2
 
 
+def _int_arg(name: str, n) -> int:
+    """n as a Python int, for a scalar entry point: an int or a numpy
+    integer.  A float, even an integral one, or any other type raises
+    ValueError, the error of every other precondition, instead of being
+    used as it is or raising TypeError."""
+    if isinstance(n, int):
+        return n
+    if isinstance(n, np.integer):
+        return int(n)
+    raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
 def v2(n: int) -> int:
     """2-adic valuation of n != 0, via the low set bit."""
+    n = _int_arg("n", n)
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     return (n & -n).bit_length() - 1
@@ -78,6 +99,7 @@ def _int64_lanes(names: str, *xs) -> list[np.ndarray]:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 2**64 (no randomness)."""
+    n = _int_arg("n", n)
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -180,6 +202,7 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
+    n = _int_arg("n", n)
     if n < 1:
         raise ValueError("divisors requires n >= 1")
     out = [1]
@@ -187,6 +210,116 @@ def divisors(n: int) -> list[int]:
         out = [d * p**k for d in out for k in range(ex + 1)]
     out.sort()
     return out
+
+
+# ---------------------------------------------------------------------------
+# modular powers over numpy lanes
+
+
+def _mulmod_f53(x: np.ndarray, y: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
+    """x * y mod p for float64 residues of a modulus p < 2^26, given
+    p_inv = 1/p in float64.
+
+    z = x * y < 2^52 is exact.  fl(z p_inv) carries two roundings of
+    relative error 2^-53 and lies within Q 2^-52 < 2^-26 of Q = z/p < p.
+    A Q that is not an integer has its fractional part in [1/p, 1 - 1/p],
+    so the floor is exact.  An integer Q is 0 when p is prime, or when x
+    and y are units; otherwise (a composite p and a non-unit residue) the
+    floor can fall one short and leave p where 0 belongs.  Such a result is
+    still congruent and at most p, so products with it stay below 2^52:
+    _pow_mod, the entry that takes composite moduli, maps p to 0 once, at
+    the end.  The product of the floor with p and the difference are exact
+    too.
+    """
+    z = x * y
+    q = np.floor(z * p_inv)
+    q *= p
+    z -= q
+    return z
+
+
+def _mulmod_u64(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x * y mod p for residues of p < 2^32, where x * y fits uint64."""
+    return x * y % p
+
+
+def _mulmod_f64(x: np.ndarray, y: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
+    """x * y mod p for uint64 residues of p < 2^40, given p_inv = 1/p in
+    float64.
+
+    The exact quotient Q = x*y/p is below p < 2^40.  x and y convert
+    exactly, so c = fl(fl(x y) p_inv) carries three roundings of relative
+    error at most 2^-53 each and lies within 2^-11 of Q.  Subtracting 1/2
+    rounds by at most half an ulp below 2^40, 2^-14, so d = fl(c - 1/2)
+    lies in (Q - 1, Q).  Truncated toward zero it gives q = floor(Q) - 1
+    or floor(Q): for d >= 0 that is floor(d), and for d in (-1, 0) it is
+    0 while Q < 1 + d < 1.  So x*y - q*p, taken in wrapping uint64, is the
+    true difference, in [0, 2p), and min(r, r - p), where r - p wraps to
+    above 2^63 when r < p, brings it into [0, p).  None of this needs p
+    prime.
+    """
+    q = (x.astype(np.float64) * y.astype(np.float64) * p_inv - 0.5).astype(np.int64)
+    r = x * y - q.view(np.uint64) * p
+    return np.minimum(r, r - p)
+
+
+def _mulmod_regime(mod: np.ndarray) -> tuple[Callable, np.ndarray]:
+    """The mulmod for residues of the int64 moduli mod, 2 <= mod < 2^40,
+    chosen by the largest of them, and mod in its residue dtype: float64
+    below 2^26 (_mulmod_f53), uint64 below 2^32 (_mulmod_u64, a plain %)
+    and uint64 with a float quotient above (_mulmod_f64).  The mulmod
+    takes (x, y, p) for residues x and y and p in that dtype."""
+    top = int(mod.max(initial=0))
+    if top < 1 << 26:
+        return functools.partial(_mulmod_f53, p_inv=1 / mod), mod.astype(np.float64)
+    if top < 1 << 32:
+        return _mulmod_u64, mod.astype(np.uint64)
+    return functools.partial(_mulmod_f64, p_inv=1 / mod), mod.astype(np.uint64)
+
+
+def _pow_residues(x: np.ndarray, exp: np.ndarray, p: np.ndarray, mulmod: Callable) -> np.ndarray:
+    """x^exp mod p lane by lane, for residues x and moduli p in the dtype
+    of a mulmod regime (_mulmod_regime) and int64 exponents exp >= 0, by a
+    left-to-right 3-bit fixed window.
+
+    A table holds x^0 ... x^7 for each lane: eight residues per lane, its
+    only memory beyond a few lane-sized temporaries.  The exponents are
+    read in windows of three bits from the top of the largest: the top
+    window picks the start from the table, and each later one squares
+    three times and multiplies by the lane's entry, gathered with one take.
+    So an exponent of b bits costs 6 + 4 (ceil(b/3) - 1) mulmods, about
+    1.33 per bit; a lane whose exponent is shorter reads 0 digits, and
+    x^0 = 1, first.  Exponent 0 on every lane gives no window, and ones.
+    """
+    n = len(p)
+    windows = -(-int(exp.max(initial=0)).bit_length() // 3)
+    if not windows:
+        return np.ones_like(p)
+    table = np.empty((8, n), dtype=p.dtype)  # row d holds x^d, lane by lane
+    table[0] = 1
+    table[1] = x
+    for d in range(2, 8):
+        table[d] = mulmod(table[d - 1], x, p)
+    lanes = np.arange(n)
+    shift = 3 * (windows - 1)
+    out = table.take((exp >> shift) * n + lanes)  # the top window, below 8
+    for shift in range(shift - 3, -1, -3):
+        for _ in range(3):
+            out = mulmod(out, out, p)
+        out = mulmod(out, table.take((exp >> shift & 7) * n + lanes), p)
+    return out
+
+
+def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod mod lane by lane, as int64, for int64 arrays with
+    base >= 0, exp >= 0 and 2 <= mod < 2^40, prime or not: _pow_residues
+    in the regime of the largest modulus.  A base of mod or more is reduced
+    first.  The f53 regime can leave mod where 0 belongs, for a composite
+    modulus and a non-unit base (_mulmod_f53); it is mapped to 0 here."""
+    mulmod, p = _mulmod_regime(mod)
+    out = _pow_residues((base % mod).astype(p.dtype), exp, p, mulmod)
+    out[out == p] = 0
+    return out.astype(np.int64)
 
 
 # Li(x) is adaptive Simpson from 2 with an absolute tolerance: trees of

@@ -14,12 +14,14 @@ from a table of period 4 * kernel (quadratic reciprocity).  t follows
 from e = v2(h), eps and t0 = v2 of the order of r0.  (r0/p) = -1 means
 t0 = s, and (r0/p) = +1 with s <= e+1 means t0 <= e, where t is the same
 for every t0.  Only the rest, (r0/p) = +1 with s >= e+2, about one prime
-in four, raise r0 mod p to the odd part of p-1 and square at most s times
-until it is 1 (the full order is never computed and p-1 is never
-factored).  For a larger kernel every prime does, and (r0/p) = +1 iff
-t0 < s.  r0 mod p is g k^-1 for the terms k < g of r0, with the
+in four, raise r0 mod p to the odd part of p-1 and square each prime at
+most s times, until it is 1 (the full order is never computed and p-1 is
+never factored).  For a larger kernel every prime does, and (r0/p) = +1
+iff t0 < s.  r0 mod p is g k^-1 for the terms k < g of r0, with the
 closed-form inverse (1 + j p) / k, j = -p^-1 mod k read from a table,
-when k < 2^16, and with k^-1 = k^(p-2) (Fermat) otherwise.
+when k < 2^16, and with k^-1 = k^(p-2) (Fermat) otherwise.  The powers
+are arith's windowed power, in the mulmod regime of the chunk's largest
+prime (arith._mulmod_regime).
 
 p divides some a^k + b^k iff t >= 1.  The sieve marks odd numbers only,
 and one numpy call (_classify) per segment gives each prime its cell
@@ -51,6 +53,7 @@ import collections
 import functools
 import math
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +61,17 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import _factorize_cached, _simple_sieve, _v2, is_prime, log_integrals, v2
+from .arith import (
+    _factorize_cached,
+    _int_arg,
+    _mulmod_regime,
+    _pow_residues,
+    _simple_sieve,
+    _v2,
+    is_prime,
+    log_integrals,
+    v2,
+)
 from .cyclic import character_table, rational_mod
 from .density import delta_naive, delta_table
 from .profile import BaseProfile
@@ -185,7 +198,7 @@ def _segments(x_max: int) -> Iterator[tuple[int, int]]:
 
 
 def _check_bounds(x_max: int) -> None:
-    if x_max < 2:
+    if _int_arg("x", x_max) < 2:
         raise ValueError("x must be >= 2")
     if x_max > MAX_X:
         raise ValueError(f"x must be <= 2^40 = {MAX_X}")
@@ -222,60 +235,6 @@ def classify_prime(profile: BaseProfile, p: int) -> tuple[int, int | None, int |
     return s, t, leg, t >= 1
 
 
-def _mulmod_f53(x: np.ndarray, y: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
-    """x * y mod p for float64 residues of a prime p < 2^26, given
-    p_inv = 1/p in float64.
-
-    z = x * y < 2^52 is exact.  fl(z p_inv) carries two roundings of
-    relative error 2^-53 and lies within Q 2^-52 < 2^-26 of Q = z/p < p.
-    A Q that is not an integer has its fractional part in [1/p, 1 - 1/p],
-    so the floor is exact; an integer Q is 0, as p is prime.  The product
-    of the floor with p and the difference are exact too.
-    """
-    z = x * y
-    q = np.floor(z * p_inv)
-    q *= p
-    z -= q
-    return z
-
-
-def _mulmod_u64(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x * y mod p for residues of p < 2^32, where x * y fits uint64."""
-    return x * y % p
-
-
-def _mulmod_f64(x: np.ndarray, y: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
-    """x * y mod p for uint64 residues of p < 2^40, given p_inv = 1/p in
-    float64.
-
-    The exact quotient Q = x*y/p is below p < 2^40.  x and y convert
-    exactly, so c = fl(fl(x y) p_inv) carries three roundings of relative
-    error at most 2^-53 each and lies within 2^-11 of Q.  Subtracting 1/2
-    rounds by at most half an ulp below 2^40, 2^-14, so d = fl(c - 1/2)
-    lies in (Q - 1, Q).  Truncated toward zero it gives q = floor(Q) - 1
-    or floor(Q): for d >= 0 that is floor(d), and for d in (-1, 0) it is
-    0 while Q < 1 + d < 1.  So x*y - q*p, taken in wrapping uint64, is the
-    true difference, in [0, 2p), and min(r, r - p), where r - p wraps to
-    above 2^63 when r < p, brings it into [0, p).
-    """
-    q = (x.astype(np.float64) * y.astype(np.float64) * p_inv - 0.5).astype(np.int64)
-    r = x * y - q.view(np.uint64) * p
-    return np.minimum(r, r - p)
-
-
-def _pow_many(base: np.ndarray, m: np.ndarray, p: np.ndarray, mulmod: Callable) -> np.ndarray:
-    """base ** m mod p, elementwise, for odd exponents m, by right-to-left
-    square-and-multiply over the bits of the largest exponent (each step
-    multiplies by the base or 1); bit 0 is set, so the result starts as
-    the base."""
-    out = base
-    for i in range(1, int(m.max()).bit_length()):
-        bit = ((m >> np.uint64(i)) & np.uint64(1)).astype(p.dtype)
-        base = mulmod(base, base, p)
-        out = mulmod(out, bit * (base - 1) + 1, p)
-    return out
-
-
 # A smaller term k of r0 below this limit is inverted mod p from a table.
 _INVERSE_K_LIMIT = 1 << 16
 
@@ -289,15 +248,14 @@ def _negated_inverses(k: int) -> np.ndarray:
 
 def _inverse(k: int, primes: np.ndarray, mulmod: Callable, p: np.ndarray) -> np.ndarray:
     """k^-1 mod p in [1, p), in the dtype of p, for an int64 array of odd
-    primes not dividing k < 2^63 and their mulmod (see _r0_valuation).
-    Below _INVERSE_K_LIMIT it is (1 + j p) / k with j = -p^-1 mod k:
-    1 + j p is divisible by k, below 2^56 for p <= 2^40, and
-    k (1 + j p) / k = 1 mod p.  Otherwise it is k^(p-2) (Fermat), p - 2
-    odd as _pow_many needs."""
+    primes not dividing k < 2^63, given their mulmod regime
+    (arith._mulmod_regime): p is primes in its dtype.  Below
+    _INVERSE_K_LIMIT it is (1 + j p) / k with j = -p^-1 mod k: 1 + j p is
+    divisible by k, below 2^56 for p <= 2^40, and k (1 + j p) / k = 1
+    mod p.  Otherwise it is k^(p-2) (Fermat)."""
     if k < _INVERSE_K_LIMIT:
         return ((1 + _negated_inverses(k)[primes % k] * primes) // k).astype(p.dtype)
-    return _pow_many((np.int64(k) % primes).astype(p.dtype),
-                     primes.view(np.uint64) - np.uint64(2), p, mulmod)
+    return _pow_residues((np.int64(k) % primes).astype(p.dtype), primes - 2, p, mulmod)
 
 
 # A kernel below this limit reads the Legendre symbol of r0 from a table of
@@ -344,29 +302,37 @@ def _r0_valuation(profile: BaseProfile, primes: np.ndarray, s: np.ndarray) -> np
     s = v2(p-1).
 
     Let m be the odd part of p-1 and k < g the numerator and denominator of
-    r0 in either order (ord r0 = ord 1/r0).  X = (g k^-1)^m (_inverse), and
-    t0 is the number of squarings of X until it is 1.  t0 <= s, so the
-    loop gives up after max(s) + 1 rounds.  Needs r0_num, r0_den < 2^63.
+    r0 in either order (ord r0 = ord 1/r0).  X = (g k^-1)^m (_inverse and
+    arith._pow_residues, in the mulmod regime of the largest prime), and
+    t0 is the number of squarings of X until it is 1.  The lanes at 1 are
+    dropped whenever they are half of those left and 2^10 or more, and the
+    rest are squared on in the regime of the largest of their primes.
+    t0 <= s, so a lane still not 1 after max(s) squarings raises
+    InternalInconsistencyError: its p was not prime.  Needs r0_num,
+    r0_den < 2^63.
     """
-    m = (primes.view(np.uint64) - np.uint64(1)) >> s.astype(np.uint64)
-    # residues and products in float64 below 2^26, else in uint64
-    top = int(primes[-1])
-    if top < 1 << 26:
-        mulmod, dtype = functools.partial(_mulmod_f53, p_inv=1 / primes), np.float64
-    elif top < 1 << 32:
-        mulmod, dtype = _mulmod_u64, np.uint64
-    else:
-        mulmod, dtype = functools.partial(_mulmod_f64, p_inv=1 / primes), np.uint64
-    p = primes.astype(dtype)
+    mulmod, p = _mulmod_regime(primes)
     k, g = sorted((profile.r0_num, profile.r0_den))
-    r0 = mulmod((np.int64(g) % primes).astype(dtype), _inverse(k, primes, mulmod, p), p)
-    x = _pow_many(r0, m, p, mulmod)
-    t0 = np.zeros(len(p), dtype=np.int8)
+    r0 = mulmod((np.int64(g) % primes).astype(p.dtype), _inverse(k, primes, mulmod, p), p)
+    x = _pow_residues(r0, (primes - 1) >> s, p, mulmod)
+    t0 = np.empty(len(primes), dtype=np.int8)
+    live, count = np.arange(len(primes)), np.zeros(len(primes), dtype=np.int8)
     for _ in range(int(s.max()) + 1):
         differ = x != 1
-        if not differ.any():
-            return t0
-        t0 += differ
+        left = np.count_nonzero(differ)
+        count += differ
+        if not left or len(x) - left >= max(left, 1 << 10):
+            # drop the lanes at 1 once they are half of those squared and 2^10
+            # or more: the copy then costs less than the squarings it saves
+            # (below a few thousand lanes a numpy call costs about the same
+            # whatever its length)
+            t0[live] = count
+            if not left:
+                return t0
+            keep = np.flatnonzero(differ)
+            live, count = live[keep], count[keep]
+            mulmod, p = _mulmod_regime(primes[live])
+            x = x[keep].astype(p.dtype, copy=False)
         x = mulmod(x, x, p)
     raise InternalInconsistencyError("r0^(p-1) != 1 mod some p in the segment")
 
@@ -524,15 +490,32 @@ def _worker_count(threads: int, tasks: int) -> int:
     return min(threads, tasks, os.cpu_count() or 1)
 
 
+def _submit(pool: ProcessPoolExecutor, task: tuple):
+    """pool.submit(_tally_segment, *task) with SIGTERM blocked.
+
+    The first submit forks the workers and only then starts the pool's
+    manager thread.  A SIGTERM handler that raised in between (the CLI's
+    _Terminated) would leave the pool's shutdown joining a thread that was
+    never started, and the sweep would exit 1 with a traceback.  Blocked,
+    the signal waits until the submit has returned.  The workers inherit
+    the mask of the fork, and the pool's initializer unblocks SIGTERM in
+    each of them."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        return pool.submit(_tally_segment, *task)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 def _in_order(pool: ProcessPoolExecutor, tasks: Iterator[tuple], window: int) -> Iterator:
     """(task, _tally_segment(*task)) for each task, in order, with at most
-    window tasks submitted to the pool and not yet yielded."""
+    window tasks submitted to the pool (_submit) and not yet yielded."""
     pending = collections.deque()
     for task in tasks:
         if len(pending) == window:
             done, future = pending.popleft()
             yield done, future.result()
-        pending.append((task, pool.submit(_tally_segment, *task)))
+        pending.append((task, _submit(pool, task)))
     for task, future in pending:
         yield task, future.result()
 
@@ -569,11 +552,14 @@ def _census(profile: BaseProfile, checkpoints: list[int], threads: int = 1) -> l
     workers = _worker_count(threads, checkpoints[-1] // SEGMENT_SIZE + 1)
     if workers == 1:
         return collect((task, _tally_segment(*task)) for task in tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=signal.pthread_sigmask,
+                             initargs=(signal.SIG_UNBLOCK, {signal.SIGTERM})) as pool:
         return collect(_in_order(pool, tasks, _TASKS_PER_WORKER * workers))
 
 
-@functools.lru_cache(maxsize=64)
+# typed: a float x equal to a cached int must not hit the cache, which would
+# skip the check that rejects it
+@functools.lru_cache(maxsize=64, typed=True)
 def _accumulate(profile: BaseProfile, x: int) -> Counts:
     _check_bounds(x)
     return _census(profile, [x])[0]
@@ -634,7 +620,7 @@ def character_count(profile: BaseProfile, x: int) -> Fraction:
     character table; each inner sum must round to an integer (tolerance
     1e-8).  Oracle-scale only: 2 <= x <= 2000.
     """
-    if not 2 <= x <= CHARACTER_X_LIMIT:
+    if not 2 <= _int_arg("x", x) <= CHARACTER_X_LIMIT:
         raise ValueError(f"character_count requires 2 <= x <= {CHARACTER_X_LIMIT}")
     h = profile.h
     pi_g = 0
@@ -696,11 +682,12 @@ def sweep(profile: BaseProfile, checkpoints: list[int], threads: int = 1) -> Swe
     MAX_CHECKPOINTS of them, in [2, 2^40].  Li of every checkpoint comes
     from one batched log_integrals call.
     """
-    if threads < 1:
+    if _int_arg("threads", threads) < 1:
         raise ValueError("threads must be >= 1")
+    checkpoints = [_int_arg("a checkpoint", x) for x in checkpoints]
     if not 1 <= len(checkpoints) <= MAX_CHECKPOINTS:
         raise ValueError(f"checkpoint count must lie in [1, {MAX_CHECKPOINTS}]")
-    if sorted(checkpoints) != list(checkpoints) or len(set(checkpoints)) != len(checkpoints):
+    if sorted(checkpoints) != checkpoints or len(set(checkpoints)) != len(checkpoints):
         raise ValueError("checkpoints must be strictly ascending")
     if checkpoints[0] < 2 or checkpoints[-1] > MAX_X:
         raise ValueError(f"checkpoints must lie in [2, 2^40 = {MAX_X}]")

@@ -8,7 +8,9 @@ represented by exponents relative to a fixed generator, so every
 computation below is integer arithmetic until a character value is
 finally evaluated as a complex number.  The integer primitives come from
 arith, which owns them: the trial primes and the trial bound that
-_prime_factor_table divides by, the array valuation _v2 and _int64_lanes.
+_prime_factor_table divides by, the array valuation _v2, the lane-wise
+modular power _pow_mod that multiplicative_order strips with, and the
+input checks _int_arg and _int64_lanes.
 """
 
 import cmath
@@ -17,13 +19,23 @@ import math
 
 import numpy as np
 
-from .arith import _TRIAL_BOUND, _TRIAL_PRIMES, _factorize_cached, _int64_lanes, _v2, is_prime
+from .arith import (
+    _TRIAL_BOUND,
+    _TRIAL_PRIMES,
+    _factorize_cached,
+    _int64_lanes,
+    _int_arg,
+    _pow_mod,
+    _v2,
+    is_prime,
+)
 
 _TWO_PI = 2.0 * math.pi
 
 
 def power_subgroup_size(n: int, h: int) -> int:
     """#{g^h : g in G} = n/(n,h) for G cyclic of order n."""
+    n, h = _int_arg("n", n), _int_arg("h", h)
     if n < 1 or h < 1:
         raise ValueError("n and h must be >= 1")
     return n // math.gcd(n, h)
@@ -65,28 +77,10 @@ def power_exponent_set(n: int, h):
     return rows if np.ndim(h) else set(np.flatnonzero(rows[0]).tolist())
 
 
-# the largest p with p^2 < 2^63: every residue product mod such p fits int64
+# the largest p with p^2 < 2^63, so that a product of two residues mod p
+# fits int64, as verify's local-factors suite needs: the bound on the moduli
+# of multiplicative_order and of that suite
 P_MAX = math.isqrt((1 << 63) - 1)
-
-
-def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^exp mod mod, lane by lane, by right-to-left square-and-multiply
-    over int64 arrays with 2 <= mod <= P_MAX and exp >= 0.  Each round
-    multiplies by base^bit = (base - 1) * bit + 1, in place."""
-    out = np.ones_like(mod)
-    base, exp = base % mod, exp.copy()
-    bit, factor = np.empty_like(mod), np.empty_like(mod)
-    for _ in range(int(exp.max(initial=0)).bit_length()):
-        np.bitwise_and(exp, 1, out=bit)
-        np.subtract(base, 1, out=factor)
-        factor *= bit
-        factor += 1
-        out *= factor
-        out %= mod
-        base *= base
-        base %= mod
-        exp >>= 1
-    return out
 
 
 def _prime_factor_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,18 +130,17 @@ def multiplicative_order(g, p):
     from order = p-1, each prime q of the full factorisation of p-1 is
     stripped while g^(order/q) == 1, so the result is exact for any p >= 2,
     and a composite p passes only if it is a Fermat pseudoprime to base g.
-    Each round takes one power on every lane still stripping, with
-    exponents that differ lane by lane.  Each strip proves g^order == 1,
-    so the check costs a power only on the lanes where nothing was
-    stripped.
+    Each round takes one power (arith._pow_mod) on every lane still
+    stripping, with exponents that differ lane by lane.  Each strip proves
+    g^order == 1, so the check costs a power only on the lanes where
+    nothing was stripped.
     """
     g, p = np.broadcast_arrays(*_int64_lanes("g and p", g, p))
     shape, g, p = g.shape, g.ravel(), p.ravel()
     bad = np.flatnonzero((p < 2) | (p > P_MAX))
     if bad.size:
         i = bad[0]
-        raise ValueError(f"p must lie in [2, {P_MAX}], so residue products fit int64: "
-                         f"p = {p[i]} at lane {i}")
+        raise ValueError(f"p must lie in [2, {P_MAX}]: p = {p[i]} at lane {i}")
     g = g % p
     bad = np.flatnonzero(g == 0)
     if bad.size:
@@ -177,6 +170,7 @@ def multiplicative_order(g, p):
 
 def find_primitive_root(p: int) -> int:
     """Smallest primitive root mod an odd prime p."""
+    p = _int_arg("p", p)
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     factors = [q for q, _ in _factorize_cached(p - 1)]
@@ -256,4 +250,5 @@ def character_table(p: int) -> CharacterTable:
 
 def rational_mod(num: int, den: int, p: int) -> int:
     """num/den as an element of (Z/pZ)*; requires p coprime to den."""
+    num, den, p = _int_arg("num", num), _int_arg("den", den), _int_arg("p", p)
     return num % p * pow(den % p, -1, p) % p

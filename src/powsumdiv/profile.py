@@ -16,7 +16,7 @@ in the time of two 63-bit factorisations.
 import math
 from dataclasses import dataclass
 
-from .arith import _factorize_cached, v2
+from .arith import _factorize_cached, _int_arg, v2
 
 
 class ZeroInputError(ValueError):
@@ -73,8 +73,10 @@ def decompose(a: int, b: int) -> BaseProfile:
     """Build the BaseProfile of r = a/b.
 
     Raises ZeroInputError if a*b = 0, InputRangeError if |a| or |b| is
-    2^63 or more, and DegenerateRatioError if |a| = |b|.
+    2^63 or more, and DegenerateRatioError if |a| = |b|.  A float a or b
+    raises ValueError.
     """
+    a, b = _int_arg("a", a), _int_arg("b", b)
     if a == 0 or b == 0:
         raise ZeroInputError("a and b must be nonzero")
     if abs(a) >= MAX_INPUT or abs(b) >= MAX_INPUT:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _factorize_cached, _int64_lanes, divisors, v2
+from .arith import _factorize_cached, _int64_lanes, _int_arg, divisors, v2
 
 
 def ramanujan_c(n: int, m):
@@ -21,16 +21,18 @@ def ramanujan_c(n: int, m):
     m is an integer, which gives a Python int, or an array of integers,
     which gives an int64 array lane by lane: each prime power p^e || n
     multiplies in its factor through the masks p^e | m and p^(e-1) | m,
-    which the same expressions compute for either type.  A float n or m,
-    or an array m with m or n past int64, raises ValueError.
+    which the same expressions compute for either type.  A numpy integer
+    n or m is taken as a Python int.  A float n or m, or an array m with m
+    or n past int64, raises ValueError.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    n = _int_arg("n", n)
+    if n < 1:
         raise ValueError("n must be an integer >= 1")
     array = isinstance(m, np.ndarray)
     if array:
         m, _ = _int64_lanes("an array m and n", m, n)
-    elif not isinstance(m, (int, np.integer)):
-        raise ValueError("m must be an integer or an array of integers")
+    else:
+        m = _int_arg("m", m)
     if (m < 0).any() if array else m < 0:
         raise ValueError("m must be >= 0")
     out = np.ones_like(m) if array else 1
@@ -47,6 +49,7 @@ def ramanujan_c_2pow(v: int, t: int) -> int:
     Piecewise: 0 if v2(t) < v-1, -phi(2^v) if v2(t) = v-1, +phi(2^v) if
     v2(t) >= v.  t = 0 is treated as v2(t) = infinity.
     """
+    v, t = _int_arg("v", v), _int_arg("t", t)
     if v < 0:
         raise ValueError("v must be >= 0")
     if t < 0:
@@ -70,7 +73,8 @@ def divisor_indicator(n: int, m):
     For an array m it returns the sums themselves, n times the
     indicator, as an int64 array, so that they stay exact integers.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    n = _int_arg("n", n)
+    if n < 1:
         raise ValueError("n must be an integer >= 1")
     total = sum(ramanujan_c(d, m) for d in divisors(n))
     return total if isinstance(m, np.ndarray) else Fraction(total, n)

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import _v2, divisors, v2
+from .arith import _pow_mod, _v2, divisors, v2
 from .census import (
     heuristic_counts,
     ramanujan_count,
@@ -25,7 +25,6 @@ from .census import (
 from .cyclic import (
     P_MAX,
     CharacterTable,
-    _pow_mod,
     character_table,
     multiplicative_order,
     order_valuation_count,
@@ -194,8 +193,8 @@ def check_local_factors(p_limit: int = 10**5,
     counts.
 
     p_limit must lie in [2, cyclic.P_MAX], the largest p with p^2 < 2^63:
-    r, its order and its powers are computed lane by lane in int64, one
-    array of generic primes per profile."""
+    r and its order are computed lane by lane in int64, one array of
+    generic primes per profile, and b^-1 = b^(p-2) by arith._pow_mod."""
     if not 2 <= p_limit <= P_MAX:
         raise ValueError(f"p_limit must lie in [2, {P_MAX}], so residue products fit int64")
     if not all(2 <= x <= p_limit for x in checkpoints):

@@ -36,6 +36,10 @@ from powsumdiv.ramanujan import ramanujan_c
 def test_valuation_rejects_zero():
     with pytest.raises(ValueError):
         v2(0)
+    # a float, even an integral one, raised TypeError
+    with pytest.raises(ValueError):
+        v2(2.0)
+    assert v2(np.int64(12)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +56,10 @@ def test_is_prime_against_sieve_and_at_the_witness_bounds():
     # each bound passes every base before the one that rejects it
     for psi in _MR_PSI[:11]:
         assert not is_prime(psi)
+    # a float was tested as the integer it equals: is_prime(7.0) gave True
+    with pytest.raises(ValueError):
+        is_prime(7.0)
+    assert is_prime(np.int64(7))
 
 
 def test_mod_inverse_examples():
@@ -187,6 +195,11 @@ def test_divisors_against_enumeration():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     with pytest.raises(ValueError):
         divisors(0)
+    # floats gave [1.0, 2.5] and [1, 2, 4]
+    for n in (2.5, 4.0):
+        with pytest.raises(ValueError):
+            divisors(n)
+    assert divisors(np.int64(12)) == [1, 2, 3, 4, 6, 12]
 
 
 def test_phi_mu_examples():

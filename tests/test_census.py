@@ -3,6 +3,7 @@ between every counting route."""
 
 import itertools
 import math
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,6 +109,14 @@ def test_prime_stream_validation():
         list(prime_stream(1))
     with pytest.raises(ValueError):
         list(prime_stream(2**40 + 1))
+    # a float x raised TypeError from the sieve; one equal to an x already
+    # counted must not be served from the cache either
+    assert count_exact(decompose(2, 1), 1000) == count_exact(decompose(2, 1), np.int64(1000))
+    for x in (1000.0, 2.5):
+        with pytest.raises(ValueError):
+            list(prime_stream(x))
+        with pytest.raises(ValueError):
+            count_exact(decompose(2, 1), x)
 
 
 def window_sieve(lo: int, hi: int) -> list[int]:
@@ -311,7 +320,7 @@ def test_character_count_matches_ramanujan_full():
 
 
 def test_character_count_rejects_large_x():
-    for x in (2001, 1, -5):
+    for x in (2001, 1, -5, 500.0):
         with pytest.raises(ValueError):
             character_count(decompose(2, 1), x)
 
@@ -374,9 +383,12 @@ def test_sweep_thread_determinism(monkeypatch):
 def test_sweep_tasks_carry_no_array(monkeypatch):
     # a task is pickled for a worker: it holds the profile, the segment
     # and its cuts, and the worker sieves its own base primes; tasks are
-    # submitted only as results are taken, a bounded window ahead
+    # submitted only as results are taken, a bounded window ahead, each with
+    # SIGTERM blocked, and the pool's initializer unblocks it in each worker
     tasks = []
     in_flight = [0, 0]  # submitted and not yet taken: now, most
+    blocked = []  # whether SIGTERM was blocked at each submit
+    starts = []
 
     class Future:
         def __init__(self, fn, args):
@@ -390,8 +402,8 @@ def test_sweep_tasks_carry_no_array(monkeypatch):
         """An in-process stand-in for ProcessPoolExecutor that records the
         arguments of every task it is given and how many are in flight."""
 
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, initializer, initargs):
+            starts.append((initializer, initargs))
 
         def __enter__(self):
             return self
@@ -400,6 +412,7 @@ def test_sweep_tasks_carry_no_array(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            blocked.append(signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, ()))
             tasks.append(args)
             in_flight[0] += 1
             in_flight[1] = max(in_flight[1], in_flight[0])
@@ -416,6 +429,15 @@ def test_sweep_tasks_carry_no_array(monkeypatch):
     assert not any(isinstance(arg, np.ndarray) for task in tasks for arg in task)
     # threads=2 on two CPUs gives two workers
     assert in_flight == [0, 2 * census._TASKS_PER_WORKER] and len(tasks) > in_flight[1]
+    assert all(blocked) and len(blocked) == len(tasks)
+    assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    (initializer, initargs), = starts
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        initializer(*initargs)
+        assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def test_sweep_validation():
@@ -428,6 +450,11 @@ def test_sweep_validation():
         sweep(profile, [10, 2**40 + 1])
     with pytest.raises(ValueError):
         sweep(profile, [10], threads=0)
+    # floats raised TypeError from the sieve or the pool
+    with pytest.raises(ValueError):
+        sweep(profile, [10.0, 100.0])
+    with pytest.raises(ValueError):
+        sweep(profile, [10], threads=2.0)
 
 
 def test_accumulator_merge_matches_single_pass(monkeypatch):

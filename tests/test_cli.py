@@ -207,6 +207,66 @@ def test_sigterm_stops_the_sweep_workers(tmp_path):
                 os.kill(pid, signal.SIGKILL)
 
 
+# Sends SIGTERM from inside the first submit, between the fork of the pool's
+# workers and the start of its manager thread, at one of two points: right
+# after the fork (the manager thread not yet made) or right before the thread
+# starts.  The workers' pids go to the file named by argv[1].
+_TERM_AT_POOL_START = """
+import concurrent.futures.process as process, signal, sys
+from powsumdiv import cli
+
+def terminate():
+    with open(sys.argv[1], "w") as out:
+        out.write(" ".join(map(str, pool._processes)))
+    signal.raise_signal(signal.SIGTERM)
+
+launch = process.ProcessPoolExecutor._launch_processes
+start = process._ExecutorManagerThread.start
+
+def launch_then_terminate(self):
+    global pool
+    launch(self)
+    pool = self
+    if sys.argv[2] == "fork":
+        terminate()
+
+def terminate_then_start(self):
+    if sys.argv[2] == "thread":
+        terminate()
+    start(self)
+
+process.ProcessPoolExecutor._launch_processes = launch_then_terminate
+process._ExecutorManagerThread.start = terminate_then_start
+x = str(3 << 20)
+sys.exit(cli.main(["sweep", "2", "1", x, "--checkpoint-list", x, "--threads", "2"]))
+"""
+
+
+@pytest.mark.parametrize("point", ["fork", "thread"])
+def test_sigterm_at_the_pool_start_stops_the_sweep(tmp_path, point):
+    # a SIGTERM there once orphaned the workers (at "fork": shutdown found no
+    # manager thread to stop them) or, at "thread", raised a RuntimeError from
+    # shutdown joining a thread that was never started, and then hung
+    src = Path(cli.__file__).resolve().parents[1]
+    pids, stderr = tmp_path / "pids", tmp_path / "stderr"
+    try:
+        with stderr.open("w") as err:
+            proc = subprocess.run([sys.executable, "-c", _TERM_AT_POOL_START, str(pids), point],
+                                  env={**os.environ, "PYTHONPATH": str(src)},
+                                  stdout=subprocess.DEVNULL, stderr=err, timeout=30)
+    finally:
+        # the workers of a run that hung or failed are killed here too
+        workers = [int(pid) for pid in pids.read_text().split()] if pids.exists() else []
+        stopped = _wait_until(lambda: not any(map(_running, workers)), 5)
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+    assert len(workers) == 2
+    assert proc.returncode == -signal.SIGTERM
+    assert "Traceback" not in stderr.read_text()
+    assert stopped
+
+
 def test_sweep_takes_sigterm_as_sigint_and_restores_it(monkeypatch, capsys):
     during = []
 

@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 from powsumdiv import cyclic
-from powsumdiv.arith import _TRIAL_LIMIT, _factorize_cached, _v2, divisors, is_prime, v2
+from powsumdiv.arith import (
+    _TRIAL_LIMIT,
+    _factorize_cached,
+    _pow_mod,
+    _v2,
+    divisors,
+    is_prime,
+    v2,
+)
 from powsumdiv.census import _primes_in_range, character_count
 from powsumdiv.cyclic import (
     P_MAX,
     CharacterTable,
-    _pow_mod,
     _prime_factor_table,
     character_table,
     find_primitive_root,
@@ -20,6 +27,7 @@ from powsumdiv.cyclic import (
     order_valuation_count,
     power_exponent_set,
     power_subgroup_size,
+    rational_mod,
 )
 from powsumdiv.density import _degree_gap_sum
 from powsumdiv.profile import decompose
@@ -346,10 +354,17 @@ def test_character_order_sum_rejects_bad_order():
     lambda: _degree_gap_sum(False, 0),
     lambda: CharacterTable(2),                   # not an odd prime
     lambda: CharacterTable(9),
+    # a float scalar, which raised TypeError or was used as it is
+    lambda: power_subgroup_size(5, 2.5),
+    lambda: power_subgroup_size(6.0, 4),
+    lambda: find_primitive_root(7.0),
+    lambda: CharacterTable(7.0),
+    lambda: rational_mod(1, 3.0, 7),
 ], ids=["valuation-n", "valuation-w", "order", "order-bound", "order-float-p",
         "order-float-g", "order-integral-float", "power-set-float-h", "power-set-float-lane",
         "power-set-float-n", "c-float-m", "dlog", "c", "c-2pow", "gap-sum", "table-2",
-        "table-9"])
+        "table-9", "subgroup-float-h", "subgroup-float-n", "root-float", "table-float",
+        "rational-float"])
 def test_out_of_range_arguments_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

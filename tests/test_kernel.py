@@ -3,6 +3,7 @@ reference classify_prime, over the whole supported range up to 2^40."""
 
 import functools
 import math
+import random
 import signal
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from powsumdiv import census, cli
-from powsumdiv.arith import is_prime
+from powsumdiv.arith import (
+    _mulmod_f53,
+    _mulmod_f64,
+    _mulmod_regime,
+    _mulmod_u64,
+    _pow_mod,
+    _v2,
+    is_prime,
+    v2,
+)
 from powsumdiv.census import (
     _LEGENDRE_KERNEL_LIMIT,
     _S_CELLS,
@@ -27,10 +37,8 @@ from powsumdiv.census import (
     _fold_segment,
     _inverse,
     _legendre_table,
-    _mulmod_f53,
-    _mulmod_f64,
-    _mulmod_u64,
     _primes_in_range,
+    _r0_valuation,
     _tally,
     _weights,
     _worker_count,
@@ -204,6 +212,51 @@ def test_mulmod_f64_is_exact():
     assert got.tolist() == [a * b % p for a, b in zip(x.tolist(), y.tolist())]
 
 
+@pytest.mark.parametrize("top, dtype, mulmod", [
+    (TOP_PRIMES[0], np.float64, _mulmod_f53),
+    (TOP_PRIMES[1], np.uint64, _mulmod_u64),
+    (TOP_PRIMES[2], np.uint64, _mulmod_f64),
+], ids=["f53", "u64", "f64"])
+def test_pow_mod_against_python_pow_in_each_regime(top, dtype, mulmod):
+    # the regime is that of the largest modulus, so small primes beside the top
+    # one take it too; every exponent length from 1 to 41 bits, so that the top
+    # window is full and partial, exponent 0, and bases of p or more
+    rng = random.Random(top)
+    primes = [3, 5, 7, 11, 13, 1031, 65537] + [q for q in range(top - 400, top + 1) if is_prime(q)]
+    assert all(q < 2**26 for q in primes[:7]) and is_prime(top)
+    chosen, p = _mulmod_regime(np.array(primes))
+    assert getattr(chosen, "func", chosen) is mulmod and p.dtype == dtype
+    mods, exps = [], []
+    for bits in range(0, 42):
+        for q in primes:
+            mods.append(q)
+            exps.append(rng.randrange(1 << bits >> 1, 1 << bits) if bits else 0)
+        mods.append(top)
+        exps.append((1 << bits) - 1)  # every window full of ones
+    bases = [rng.randrange(0, 1 << 62) for _ in mods]
+    bases[-3:] = [0, 1, top]  # 0 and 1, and a base equal to its modulus
+    mods[-3:] = [top] * 3
+    got = _pow_mod(np.array(bases), np.array(exps), np.array(mods))
+    assert got.dtype == np.int64
+    assert got.tolist() == [pow(b, e, m) for b, e, m in zip(bases, exps, mods)]
+    # exponent 0 on every lane has no bit, so no window is read: ones
+    zero = np.zeros(len(mods), dtype=np.int64)
+    assert _pow_mod(np.array(bases), zero, np.array(mods)).tolist() == [1] * len(mods)
+    assert _pow_mod(*(np.empty(0, dtype=np.int64),) * 3).tolist() == []
+
+
+def test_pow_mod_maps_the_f53_remainder_p_to_0():
+    # 7 * 7 = 49: the quotient is exactly 1, and fl(49 * fl(1/49)) falls just
+    # below it, so the f53 mulmod leaves 49 where 0 belongs.  A prime modulus
+    # or unit residues never meet this (_mulmod_f53's docstring).
+    assert _mulmod_f53(np.float64(7), np.float64(7), np.float64(49), 1 / np.float64(49)) == 49
+    mods = np.array([49, 49, 9, 2**20])
+    bases = np.array([7, 14, 3, 2**10])
+    exps = np.array([2, 5, 3, 2])
+    assert _pow_mod(bases, exps, mods).tolist() == [pow(int(b), int(e), int(m)) for b, e, m
+                                                     in zip(bases, exps, mods)] == [0, 0, 0, 0]
+
+
 nonzero_63 = st.integers(-(2**63) + 1, 2**63 - 1).filter(lambda n: n != 0)
 
 
@@ -258,6 +311,28 @@ def test_kernel_squaring_loop_is_bounded():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("edge", [2**26, 2**32])
+def test_r0_valuation_drops_lanes_across_a_regime_edge(edge):
+    # r0 = 2: the 1100 primes above the edge have odd order (t0 = 0) and are
+    # at 1 at once, the 20 below take two squarings or more.  Dropping the
+    # lanes at 1 leaves only primes below the edge, which are then squared in
+    # the mulmod regime below it.
+    def t0(p):
+        x, s = pow(2, (p - 1) >> v2(p - 1), p), 0
+        while x != 1:
+            x, s = x * x % p, s + 1
+        return s
+
+    below = [p for p in _primes_in_range(edge - 2**12, edge).tolist() if t0(p) >= 2][:20]
+    above = [p for p in _primes_in_range(edge, edge + 2**17).tolist() if t0(p) == 0][:1100]
+    assert len(below) == 20 and len(above) == 1100
+    primes = np.array(below + above)
+    kinds = [getattr(m, "func", m) for m, _ in map(_mulmod_regime, (np.array(below), primes))]
+    assert kinds[0] is not kinds[1]
+    got = _r0_valuation(decompose(2, 1), primes, _v2(primes - 1).astype(np.int8))
+    assert got.tolist() == [t0(p) for p in below + above]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,11 @@ def test_decompose_errors():
         decompose(5, 5)
     with pytest.raises(DegenerateRatioError):
         decompose(-7, 7)
+    # a float built a profile of floats: decompose(2.0, 1).kernel was 2.0
+    for a, b in [(2.0, 1), (2, 1.5)]:
+        with pytest.raises(ValueError):
+            decompose(a, b)
+    assert decompose(np.int64(-4), np.int64(1)) == decompose(-4, 1)
 
 
 def test_decompose_rejects_inputs_beyond_63_bits():

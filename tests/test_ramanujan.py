@@ -121,3 +121,10 @@ def test_validation():
             divisor_indicator(n, m)
     with pytest.raises(ValueError):
         ramanujan_c(6, np.array([2**64]))
+    # a float v or t raised TypeError
+    for v, t in [(2, 2.5), (2.0, 4)]:
+        with pytest.raises(ValueError):
+            ramanujan_c_2pow(v, t)
+    # a numpy integer m is an integer: with n past int64 it raised OverflowError
+    assert ramanujan_c(2**70, np.int64(5)) == ramanujan_c(2**70, 5) == 0
+    assert type(ramanujan_c(np.int64(4), np.int64(2))) is int
