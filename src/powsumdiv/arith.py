@@ -8,14 +8,14 @@ and Brent's rho, and the 2-adic valuation of an array (_v2) beside the
 scalar v2.  Everything here is a pure function; divisors are derived from
 the complete factorization, never from floating point.  The logarithmic
 integral is the one floating-point result: adaptive Simpson from 2 with an
-absolute tolerance, whose bits are frozen in the sweep output.
-log_integral is the scalar reference and log_integrals the batched numpy
-walk that sweeps use, equal to it bit for bit.  Every log in either is
-libm's ``log``: ``math.log`` in the scalar recursion and, in the batch, the
-real part of numpy's complex log, which calls the C library's ``clog``.
-That route is checked against ``math.log`` on a canary once per process
-and replaced by a ``math.log`` map if any bit differs.  Plain ``np.log``
-is never used: it can differ from libm in the last bit.
+absolute tolerance, whose bits are frozen in the sweep output.  It has one
+implementation, the batched numpy walk log_integrals that sweeps use;
+log_integral is its checked one-point entry.  The tests hold the walk to a
+scalar recursion kept beside them, bit for bit.  Every log is libm's
+``log``: the real part of numpy's complex log, which calls the C library's
+``clog``.  That route is checked against ``math.log`` on a canary once per
+process and replaced by a ``math.log`` map if any bit differs.  Plain
+``np.log`` is never used: it can differ from libm in the last bit.
 
 It also owns the modular power over numpy lanes that the segment kernel
 and the order oracle share: three exact mulmod regimes, one chosen for a
@@ -334,32 +334,9 @@ _LI_GROUP = 16
 _LI_NODE_BUDGET = 1 << 14
 
 
-def _adaptive_simpson(a: float, fa: float, b: float, fb: float,
-                      whole: float, fm: float, tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = 1.0 / math.log(lm), 1.0 / math.log(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return (_adaptive_simpson(a, fa, m, fm, left, flm, 0.5 * tol, depth - 1)
-            + _adaptive_simpson(m, fm, b, fb, right, frm, 0.5 * tol, depth - 1))
-
-
-def _li_once(x: float, tol: float) -> float:
-    a, b = 2.0, float(x)
-    fa, fb = 1.0 / math.log(a), 1.0 / math.log(b)
-    m = 0.5 * (a + b)
-    fm = 1.0 / math.log(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(a, fa, b, fb, whole, fm, tol, _LI_DEPTH)
-
-
 def _li_arg(x) -> float:
-    # NaN fails every comparison, so the Simpson recursion would never stop;
-    # an int past the float range passes the comparison but has no float
+    # NaN fails every comparison, so the Simpson walk would never stop; an
+    # int past the float range passes the comparison but has no float
     try:
         if 2 <= x < math.inf:
             return float(x)
@@ -373,39 +350,30 @@ def _li_converged(prev: float, cur: float) -> bool:
 
 
 def log_integral(x: float) -> float:
-    """Li(x) = integral of dt/log t from 2 to x, by adaptive Simpson.
+    """Li(x) = integral of dt/log t from 2 to x, by adaptive Simpson: the
+    value log_integrals([x]) gives x, bit for bit.
 
     The absolute tolerance starts at 1e-6 and is cut tenfold, at most six
     times, until two successive estimates agree to 1e-9 relative.  The
     result's bits are part of the frozen sweep output: they depend on the
-    platform's libm ``log``, which ``math.log`` calls.  This scalar
-    recursion is the reference that ``log_integrals`` reproduces.  Because
-    the tolerance is absolute, the cost grows with x, though not
-    monotonically: from about 5e10 the trees reach the depth limit.  On a
-    2-core VM one call took 0.30 s at 5e10, 30 s at 3e11 and 1.3 s at
-    2^40 - 1, and ``log_integrals([x])`` 0.06, 4.7 and 0.14 s.  That is a
-    known limit; bounding it would change the bits.  Raises ValueError for
+    platform's libm ``log``.  Because the tolerance is absolute, the cost
+    grows with x, though not monotonically: from about 5e10 the trees reach
+    the depth limit.  On a 2-core VM one call took 1.4 ms at 1e6, 3.4 ms
+    at 1e9, 0.06 s at 5e10, 4.9 s at 3e11 and 0.12 s at 2^40 - 1.  That is
+    a known limit; bounding it would change the bits.  Raises ValueError for
     a non-finite x or x < 2.
     """
-    x = _li_arg(x)
-    if x == 2:
-        return 0.0
-    prev = _li_once(x, _LI_TOLS[0])
-    for tol in _LI_TOLS[1:]:
-        cur = _li_once(x, tol)
-        if _li_converged(prev, cur):
-            return cur
-        prev = cur
-    return prev
+    return log_integrals([x])[0]
 
 
 def log_integrals(xs) -> list[float]:
-    """[log_integral(x) for x in xs], bit for bit, in one batched pass.
+    """Li(x) (log_integral) of each x in xs, in one batched pass.
 
     A sweep calls this once for all of its checkpoints.  The Simpson trees
     of up to _LI_GROUP points are walked level by level in numpy, and each
-    node's value is added bottom-up in the same pairs as the recursion.
-    Every log is libm's ``log``, as in log_integral: the real part of
+    node's value is added bottom-up in the same pairs as the one-node-at-a-
+    time recursion would add them, so a point's bits do not depend on the
+    other points of its call.  Every log is libm's ``log``: the real part of
     numpy's complex log, whose glibc ``clog`` returns ``log(x)`` for real
     x >= 2.  That route is checked once per process against ``math.log``
     on a canary of doubles (_LOG_CANARY), with a ``math.log`` map as the
@@ -415,8 +383,8 @@ def log_integrals(xs) -> list[float]:
     walk at the finer tolerance of a step serves both estimates: a node's
     inputs do not depend on the tolerance and the split test is monotone in
     it, so the coarser tree is a subtree of the finer one.  Memory is
-    bounded by _LI_GROUP and _LI_NODE_BUDGET; time grows with x as for
-    log_integral.  Raises ValueError for a non-finite x or x < 2.
+    bounded by _LI_GROUP and _LI_NODE_BUDGET; time grows with x
+    (log_integral).  Raises ValueError for a non-finite x or x < 2.
     """
     xs = [_li_arg(x) for x in xs]
     out = [0.0] * len(xs)
@@ -485,7 +453,9 @@ def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _simpson_forest(b: np.ndarray, coarse: float, fine: float) -> tuple[np.ndarray, np.ndarray]:
-    """(_li_once(x, coarse), _li_once(x, fine)) for each x in b, coarse > fine."""
+    """The Simpson estimates of Li(x) at the tolerances coarse > fine, for
+    each x in b: the recursion from the root [2, x], with the depth limit
+    _LI_DEPTH."""
     a = np.full_like(b, 2.0)
     fa, fb = 1.0 / _logs(a), 1.0 / _logs(b)
     m = 0.5 * (a + b)
@@ -498,7 +468,8 @@ def _simpson_level(nodes: list, coarse: float, fine: float,
                    depth: int) -> tuple[np.ndarray, np.ndarray]:
     """The coarse and the fine value of each node of one tree level.
 
-    ``nodes`` holds the arguments of _adaptive_simpson, one array each.  A
+    ``nodes`` holds six arrays, one lane per node: a, 1/log a, b, 1/log b,
+    the node's Simpson estimate on [a, b] and 1/log of its midpoint.  A
     coarse value off the coarse tree is never read: its parent did not
     split under the coarse tolerance.  The list is emptied as soon as its
     arrays are used, so that the levels above the one being walked keep
@@ -524,9 +495,12 @@ def _simpson_level(nodes: list, coarse: float, fine: float,
 
 
 def _simpson_nodes(nodes: list, coarse: float, fine: float, depth: int):
-    """One step of _adaptive_simpson on every node of a level, emptying
-    ``nodes``: the leaf values, the nodes that split under each tolerance
-    and their children (None if none splits).  Kept apart from
+    """One step of adaptive Simpson on every node of a level, emptying
+    ``nodes``: each node's two halves are estimated, and the node splits
+    where their sum differs from its own estimate by more than 15 times the
+    tolerance, unless it is at depth 0.  Returned: the leaf values (the
+    extrapolated sums), the nodes that split under each tolerance and their
+    children (None if none splits).  Kept apart from
     _simpson_level so that its temporaries are freed before the level below
     is walked."""
     a, fa, b, fb, whole, fm = nodes

@@ -26,11 +26,12 @@ prime (arith._mulmod_regime).
 p divides some a^k + b^k iff t >= 1.  The sieve marks odd numbers only,
 and one numpy call (_classify) per segment gives each prime its cell
 (_fold_segment), which _decode reads back for _weights and for the
-oracle and local-factors suites of verify.  classify_prime is the scalar
-Python-int reference the kernel is tested against; it takes t from r
-itself and the Legendre symbol from Euler's criterion.  Special primes
-p | 2ab have a column of their own (t = 40, bit = "p divides the
-sequence"), so they enter pi and the exact count but no heuristic sum.
+oracle and local-factors suites of verify.  classify_prime is the checked
+one-prime entry to the same kernel; the tests hold the kernel to a scalar
+Python-int reference kept beside them, which takes t from r itself and the
+Legendre symbol from Euler's criterion.  Special primes p | 2ab have a
+column of their own (t = 40, bit = "p divides the sequence"), so they
+enter pi and the exact count but no heuristic sum.
 
 Every counting function is a linear functional of the cell counts: each
 view weighs a generic prime's cell by a dyadic rational with denominator
@@ -214,24 +215,16 @@ def classify_prime(profile: BaseProfile, p: int) -> tuple[int, int | None, int |
     leg the Legendre symbol (+-1) of r0 at p, and whether p divides some
     a^k + b^k.  For p | 2ab, t and leg are None.
 
-    This is the scalar Python-int reference for the vector classifier
-    _classify.  Raises ValueError if p is not a prime in [2, 2^40].
+    A generic p is classified by the segment kernel _classify, as one
+    lane.  Raises ValueError if p is not a prime in [2, 2^40].
     """
     if not (2 <= p <= MAX_X and is_prime(p)):
         raise ValueError(f"p must be a prime <= 2^40, got {p}")
-    a, b, s = profile.a, profile.b, v2(p - 1)
-    if p == 2 or a % p == 0 or b % p == 0:
+    s = v2(p - 1)
+    if p == 2 or profile.a % p == 0 or profile.b % p == 0:
         # p | 2ab, so decompose() has already decided it
         return s, None, None, dict(profile.special_primes)[p]
-    y = pow(rational_mod(a, b, p), (p - 1) >> s, p)
-    # r^(p-1) = 1, so y reaches 1 within s squarings
-    for t in range(s + 1):
-        if y == 1:
-            break
-        y = y * y % p
-    else:
-        raise InternalInconsistencyError(f"r^(p-1) != 1 mod {p}")
-    leg = 1 if pow(profile.r0_num * profile.r0_den % p, (p - 1) >> 1, p) == 1 else -1
+    _, t, leg = (int(v[0]) for v in _classify(profile, np.array([p], dtype=np.int64)))
     return s, t, leg, t >= 1
 
 
@@ -338,8 +331,9 @@ def _r0_valuation(profile: BaseProfile, primes: np.ndarray, s: np.ndarray) -> np
 
 
 def _classify(profile: BaseProfile, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """classify_prime for an ascending int64 array of generic primes
-    (p odd, p <= 2^40, p not dividing ab): int8 arrays s, t and leg (+-1).
+    """(s, t, leg) as classify_prime states them, for an ascending int64
+    array of generic primes (p odd, p <= 2^40, p not dividing ab): int8
+    arrays s, t and leg (+-1).
 
     t follows from t0 = v2(ord r0), where a/b = eps r0^h.  The order of
     r0^h has 2-part exponent u = max(t0 - e, 0), which is t for eps = 1;

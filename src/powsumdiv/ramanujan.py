@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _factorize_cached, _int64_lanes, _int_arg, divisors, v2
+from .arith import _factorize_cached, _int64_lanes, _int_arg, _v2, divisors, v2
 
 
 def ramanujan_c(n: int, m):
@@ -43,28 +43,33 @@ def ramanujan_c(n: int, m):
     return out
 
 
-def ramanujan_c_2pow(v: int, t: int) -> int:
+def ramanujan_c_2pow(v: int, t):
     """c_{2^v}(t) from the 2-adic valuation of t alone.
 
     Piecewise: 0 if v2(t) < v-1, -phi(2^v) if v2(t) = v-1, +phi(2^v) if
     v2(t) >= v.  t = 0 is treated as v2(t) = infinity.
+
+    t is an integer, which gives a Python int, or an array of integers,
+    which gives an int64 array lane by lane, as for ramanujan_c.  A float
+    v or t, or an array t with t or phi(2^v) past int64, raises ValueError.
     """
-    v, t = _int_arg("v", v), _int_arg("t", t)
+    v = _int_arg("v", v)
     if v < 0:
         raise ValueError("v must be >= 0")
-    if t < 0:
+    phi = 1 << v >> 1  # phi(2^v) for v >= 1
+    array = isinstance(t, np.ndarray)
+    if array:
+        t, _ = _int64_lanes("an array t and phi(2^v)", t, phi)
+    else:
+        t = _int_arg("t", t)
+    if (t < 0).any() if array else t < 0:
         raise ValueError("t must be >= 0")
     if v == 0:
-        return 1
-    phi = 1 << (v - 1)
-    if t == 0:
-        return phi
-    nu = v2(t)
-    if nu >= v:
-        return phi
-    if nu == v - 1:
-        return -phi
-    return 0
+        return np.ones_like(t) if array else 1
+    # t = 0 takes v2(t) = v, which gives the value of infinity: v2 raises
+    # on 0, and _v2 counts the bits of -1 there
+    nu = np.where(t == 0, v, _v2(t)) if array else v2(t) if t else v
+    return (nu >= v) * phi - (nu == v - 1) * phi
 
 
 def divisor_indicator(n: int, m):

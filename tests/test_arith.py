@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from powsumdiv import arith
 from powsumdiv.arith import (
     _MR_PSI,
@@ -279,7 +280,8 @@ def test_log_integral_rejects_non_finite(x):
 
 LI_GOLDEN = Path(__file__).parent / "golden" / "li_sweep_dense.txt"
 # the checkpoints of the benchmark's dense sweep; the golden file holds
-# repr(log_integral(x)) for each, as computed before log_integrals existed
+# repr(log_integral(x)) for each, as the scalar recursion computed it before
+# log_integrals existed
 DENSE_GRID = list(range(1000, 2 * 10**6 + 1, 1000))
 
 
@@ -313,7 +315,7 @@ def test_log_integrals_bit_identical_to_scalar(monkeypatch, budget):
     got = log_integrals(points)
     assert len(got) == len(points)
     for x, value in zip(points, got):
-        assert value.hex() == log_integral(x).hex(), x
+        assert value.hex() == reference.log_integral(x).hex(), x
     assert log_integrals([]) == []
     assert log_integrals([2]) == [0.0]
 
@@ -343,7 +345,7 @@ def test_logs_fall_back_to_math_log_on_a_canary_mismatch(monkeypatch, fresh_log_
     assert arith._logs(v).tolist() == expected
     points = _differential_points()
     for x, value in zip(points, log_integrals(points)):
-        assert value.hex() == log_integral(x).hex(), x
+        assert value.hex() == reference.log_integral(x).hex(), x
 
 
 def test_importing_the_cli_leaves_the_log_canary_unread():

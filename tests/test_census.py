@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from powsumdiv.census import (
     CountAccumulator,
     InternalInconsistencyError,
@@ -32,8 +33,7 @@ from powsumdiv.census import (
     sweep,
     tail_sum,
 )
-from powsumdiv import arith, census
-from powsumdiv.arith import log_integral
+from powsumdiv import census
 from powsumdiv.profile import decompose
 from powsumdiv.verify import PROFILE_GRID
 
@@ -178,6 +178,15 @@ def test_classify_examples():
     # 4 = 2^2 has e = 1; s = v2(10) = 1 <= e forces odd order: ord_4(11) = 5
     assert not classify_prime(decompose(4, 1), 11)[3]
     assert classify_prime(p21, 2) == (0, None, None, False)    # p | 2ab
+    # the one-lane route through the kernel against the scalar reference:
+    # primes on both sides of the mulmod regime edges 2^26 and 2^32, the
+    # largest prime <= 2^40, 43 * 2^32 + 1 (s = 32), special primes, and
+    # the kernel 2^16 + 1, which has no Legendre table
+    edges = [2**26 - 5, 2**26 + 15, 2**32 - 5, 2**32 + 15, 2**40 - 87, 43 * 2**32 + 1]
+    for a, b in [(2, 1), (-16, 1), (8, 27), (7, 3), (65537, 1), (-(2**63 - 1), 2**63 - 25)]:
+        profile = decompose(a, b)
+        for p in [2, 3, 5, 7, 11, 13, 65537, *edges]:
+            assert classify_prime(profile, p) == reference.classify_prime(profile, p), (a, b, p)
 
 
 def test_classify_rejects_non_primes_and_out_of_range():
@@ -190,7 +199,8 @@ def test_classify_rejects_non_primes_and_out_of_range():
 
 def test_classify_order_loop_is_bounded(monkeypatch):
     # were 9 accepted, 2^(odd part of 8) = 2 would never square to 1 mod 9;
-    # the loop stops after s = 3 squarings instead of running forever
+    # the kernel's squaring loop stops after s + 1 = 4 rounds instead of
+    # running forever
     monkeypatch.setattr(census, "is_prime", lambda n: True)
     with pytest.raises(InternalInconsistencyError):
         classify_prime(decompose(2, 1), 9)
@@ -212,7 +222,7 @@ def test_classify_invariants_small_grid():
 
 
 def test_legendre_against_square_enumeration():
-    # the classifier's Euler criterion against the squares mod p
+    # the classifier's Legendre symbol against the squares mod p
     profiles = [decompose(a, b) for a, b in [(2, 1), (-3, 1), (4, 1), (5, 2), (8, 27), (-12, 7)]]
     for p in sieve_oracle(200)[1:]:
         squares = {x * x % p for x in range(1, p)}
@@ -334,15 +344,11 @@ def test_sweep_examples():
     assert [pt.counts.n_exact for pt in series.points] == [2, 7]
     assert [pt.x for pt in series.points] == [10, 30]
     for pt in series.points:
-        assert pt.li == log_integral(pt.x)
+        assert pt.li == reference.log_integral(pt.x)
 
 
-def test_sweep_li_column_matches_golden_bits(monkeypatch):
-    # the dense grid of the benchmark; Li comes from the batched pass only
-    def scalar_li(*args):
-        raise AssertionError("sweep called the scalar log_integral")
-
-    monkeypatch.setattr(arith, "_adaptive_simpson", scalar_li)
+def test_sweep_li_column_matches_golden_bits():
+    # the dense grid of the benchmark, through the batched pass
     grid = list(range(1000, 2 * 10**6 + 1, 1000))
     series = sweep(decompose(2, 1), grid)
     golden = (Path(__file__).parent / "golden" / "li_sweep_dense.txt").read_text().split()

@@ -1,5 +1,7 @@
 """The vector classifier and the segment fold against the scalar Python-int
-reference classify_prime, over the whole supported range up to 2^40."""
+reference classify_prime of tests/reference.py, over the whole supported
+range up to 2^40.  The reference takes the sieve's primes as given; the
+sieve is tested against _simple_sieve on its own."""
 
 import functools
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference
 from powsumdiv import census, cli
 from powsumdiv.arith import (
     _mulmod_f53,
@@ -42,7 +45,6 @@ from powsumdiv.census import (
     _tally,
     _weights,
     _worker_count,
-    classify_prime,
     sweep,
 )
 from powsumdiv.profile import decompose
@@ -74,7 +76,7 @@ def generic_primes(profile, lo, hi):
 def assert_kernel_matches_oracle(profile, primes):
     s, t, leg = _classify(profile, primes)
     got = list(zip(s.tolist(), t.tolist(), leg.tolist()))
-    want = [classify_prime(profile, p)[:3] for p in primes.tolist()]
+    want = [reference.classify_prime(profile, p)[:3] for p in primes.tolist()]
     assert got == want, (profile.a, profile.b)
 
 
@@ -364,11 +366,11 @@ def prime_views(profile, s, t, leg) -> list[Fraction]:
 
 def scalar_fold(profile, primes) -> Counts:
     """Reference for _tally: every view summed one prime at a time in
-    Fractions from classify_prime and prime_views."""
+    Fractions from reference.classify_prime and prime_views."""
     ints = [0, 0, 0, 0]  # pi, n_exact, n_generic, pi_generic
     sums = [Fraction(0)] * 6
     for p in primes:
-        s, t, leg, divides = classify_prime(profile, p)
+        s, t, leg, divides = reference.classify_prime(profile, p)
         ints[0] += 1
         ints[1] += divides
         if t is None:
@@ -406,7 +408,8 @@ def test_fold_segment_near_2_40():
 def test_fold_segment_matches_classify_prime_on_oracle_grid():
     # verify's oracle suite checks the kernel's cells against direct search
     # on this grid (|a|, |b| <= 12, p <= 2000, special primes included);
-    # kernel = reference here, so that suite still certifies classify_prime
+    # kernel = test-side reference here, so that suite certifies the
+    # reference too, and with it every test that holds the kernel to it
     primes = _primes_in_range(2, 2001)
     for a in range(-12, 13):
         for b in range(-12, 13):
@@ -417,7 +420,7 @@ def test_fold_segment_matches_classify_prime_on_oracle_grid():
             s, t, bit, generic, divides = (v.tolist() for v in _decode(cells))
             got = [(s_p, t_p, 2 * bit_p - 1, div) if gen else (s_p, None, None, div)
                    for s_p, t_p, bit_p, gen, div in zip(s, t, bit, generic, divides)]
-            assert got == [classify_prime(profile, p) for p in primes.tolist()], (a, b)
+            assert got == [reference.classify_prime(profile, p) for p in primes.tolist()], (a, b)
 
 
 def test_fold_segment_every_s():

@@ -66,6 +66,18 @@ def test_weak_two_power_form():
     for v in range(0, 11):
         for t in range(0, 4097):
             assert ramanujan_c_2pow(v, t) == ramanujan_c(1 << v, t)
+    # an array t, lane by lane against the int path and Holder's identity;
+    # t = 0 (v2 infinite) in several lanes, among others, for every v whose
+    # phi(2^v) fits int64
+    ts = np.array([0, 1, 2, 0, 3, 4, 6, 8, 12, 48, 0, 2**40, 3 * 2**40, 2**62, 2**63 - 1])
+    for v in range(0, 64):
+        got = ramanujan_c_2pow(v, ts)
+        assert got.dtype == np.int64
+        assert got.tolist() == [ramanujan_c_2pow(v, t) for t in ts.tolist()], v
+        if v < 63:
+            assert got.tolist() == ramanujan_c(1 << v, ts).tolist(), v
+    assert ramanujan_c_2pow(5, np.zeros(3, dtype=np.int64)).tolist() == [16] * 3
+    assert ramanujan_c_2pow(0, np.zeros(2, dtype=np.int64)).tolist() == [1] * 2
 
 
 def test_divisor_indicator():
@@ -123,6 +135,13 @@ def test_validation():
         ramanujan_c(6, np.array([2**64]))
     # a float v or t raised TypeError
     for v, t in [(2, 2.5), (2.0, 4)]:
+        with pytest.raises(ValueError):
+            ramanujan_c_2pow(v, t)
+    # an array t: a negative or float lane, a lane past int64, and a v whose
+    # phi(2^v) = 2^(v-1) is past int64
+    for v, t in [(2, np.array([4, -1])), (2, np.array([1.0])),
+                 (2, np.array([2**63], dtype=np.uint64)), (64, np.array([0])),
+                 (-1, np.array([3]))]:
         with pytest.raises(ValueError):
             ramanujan_c_2pow(v, t)
     # a numpy integer m is an integer: with n past int64 it raised OverflowError

@@ -219,7 +219,8 @@ _PLANTED = [
     ("group", "power_exponent_set", _swap_at((2, 2), {1}), "G_1 not in G^h-G^2h at n=2, h=1"),
     ("group", "power_exponent_set", _swap_at((4, 2), {0, 1}), "G_1 not in G^2h at n=4, h=1"),
     ("group", "power_exponent_set", _swap_at((6, 2), {2, 3, 4}), "G_1 nonempty at n=6, h=2"),
-    ("ramanujan", "ramanujan_c_2pow", _off_at((3, 5), 1, key=lambda v, t: (v, t)),
+    # a mask, so that it holds for an array t as for an int
+    ("ramanujan", "ramanujan_c_2pow", lambda f: lambda v, t: f(v, t) + (v == 3) * (t == 5),
      "weak form mismatch at v=3, t=5"),
     ("characters", "character_count", _off_at((3, 1, 100), 1),
      "character count mismatch for (a,b)=(3,1)"),
