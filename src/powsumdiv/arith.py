@@ -12,10 +12,13 @@ absolute tolerance, whose bits are frozen in the sweep output.  It has one
 implementation, the batched numpy walk log_integrals that sweeps use;
 log_integral is its checked one-point entry.  The tests hold the walk to a
 scalar recursion kept beside them, bit for bit.  Every log is libm's
-``log``: the real part of numpy's complex log, which calls the C library's
-``clog``.  That route is checked against ``math.log`` on a canary once per
-process and replaced by a ``math.log`` map if any bit differs.  Plain
-``np.log`` is never used: it can differ from libm in the last bit.
+``log``, read through numpy's element-by-element float64 log loop: input
+and output share one buffer, in alternate slots, and numpy takes that loop
+rather than its SIMD log kernel when they overlap.  Every call adds one
+spare value, so that a single value still overlaps.  The SIMD kernel,
+which can differ from libm in the last bit, is never used.  The route is
+checked against ``math.log`` on a canary once per process and replaced by
+a ``math.log`` map if any bit differs.
 
 It also owns the modular power over numpy lanes that the segment kernel
 and the order oracle share: three exact mulmod regimes, one chosen for a
@@ -358,9 +361,9 @@ def log_integral(x: float) -> float:
     result's bits are part of the frozen sweep output: they depend on the
     platform's libm ``log``.  Because the tolerance is absolute, the cost
     grows with x, though not monotonically: from about 5e10 the trees reach
-    the depth limit.  On a 2-core VM one call took 1.4 ms at 1e6, 3.4 ms
-    at 1e9, 0.06 s at 5e10, 4.9 s at 3e11 and 0.12 s at 2^40 - 1.  That is
-    a known limit; bounding it would change the bits.  Raises ValueError for
+    the depth limit.  On a 2-core VM one call took 1.2 ms at 1e6, 2.7 ms
+    at 1e9, 0.036 s at 5e10, 3.6 s at 3e11 and 0.10 s at 2^40 - 1.  That
+    is a known limit; bounding it would change the bits.  Raises ValueError for
     a non-finite x or x < 2.
     """
     return log_integrals([x])[0]
@@ -373,18 +376,22 @@ def log_integrals(xs) -> list[float]:
     of up to _LI_GROUP points are walked level by level in numpy, and each
     node's value is added bottom-up in the same pairs as the one-node-at-a-
     time recursion would add them, so a point's bits do not depend on the
-    other points of its call.  Every log is libm's ``log``: the real part of
-    numpy's complex log, whose glibc ``clog`` returns ``log(x)`` for real
-    x >= 2.  That route is checked once per process against ``math.log``
-    on a canary of doubles (_LOG_CANARY), with a ``math.log`` map as the
-    fallback on any mismatch.  Plain ``np.log`` is never used: it can
-    differ from libm in the last bit (it does on about 1e-4 of the doubles
-    below 4096, where every tree has nodes, and more rarely above).  One
-    walk at the finer tolerance of a step serves both estimates: a node's
-    inputs do not depend on the tolerance and the split test is monotone in
-    it, so the coarser tree is a subtree of the finer one.  Memory is
-    bounded by _LI_GROUP and _LI_NODE_BUDGET; time grows with x
-    (log_integral).  Raises ValueError for a non-finite x or x < 2.
+    other points of its call.  Every log is libm's ``log``, through
+    numpy's element-by-element float64 log loop (_libm_logs): the inputs
+    and the logs share one buffer, in alternate slots, and numpy runs that
+    loop, which calls libm's ``log``, instead of its SIMD kernel when input
+    and output overlap.  One lane alone would not overlap, so every call
+    adds a spare lane.  The SIMD kernel is never used: it can differ from
+    libm in the last bit (it does on about 1e-4 of the doubles below 4096,
+    where every tree has nodes, and more rarely above).  The route is
+    checked once per process against ``math.log`` on a canary of doubles
+    (_LOG_CANARY) at several lengths, with a ``math.log`` map as the
+    fallback on any mismatch.  One walk at the finer tolerance of a step
+    serves both estimates: a node's inputs do not depend on the tolerance
+    and the split test is monotone in it, so the coarser tree is a subtree
+    of the finer one.  Memory is bounded by _LI_GROUP and _LI_NODE_BUDGET;
+    time grows with x (log_integral).  Raises ValueError for a non-finite
+    x or x < 2.
     """
     xs = [_li_arg(x) for x in xs]
     out = [0.0] * len(xs)
@@ -404,10 +411,13 @@ def log_integrals(xs) -> list[float]:
     return out
 
 
-# Doubles on which numpy's own float log differs from libm's log in the last
-# bit (found in uniform samples over [2, 4096), [4096, 2^26) and
+# Doubles on which numpy's SIMD float64 log differs from libm's log in the
+# last bit (found in uniform samples over [2, 4096), [4096, 2^26) and
 # [2^26, 2^40)), then 2, 3, 1e6 and 2^40 - 1.  _log_route reads libm's log
-# through clog only if clog gives math.log's bits on every one of them.
+# through numpy's element-by-element loop (_libm_logs) only if it gives
+# math.log's bits on every one of them, alone, in short runs and tiled past
+# _LI_NODE_BUDGET: a route that fell back to the SIMD kernel at some length
+# would show there.
 _LOG_CANARY = (
     "0x1.7da90ae05c828p+11", "0x1.7d22f5601e01cp+9", "0x1.4499f04e2894cp+11",
     "0x1.57c01a4da247cp+9", "0x1.897a63eb90b29p+8", "0x1.4cb785da8afe3p+9",
@@ -420,10 +430,18 @@ _LOG_CANARY = (
 )
 
 
-def _clog_logs(v: np.ndarray) -> np.ndarray:
-    # numpy's complex log calls the C library's clog, whose real part glibc
-    # computes as log(hypot(x, 0)) = log(x) for real x >= 2
-    return np.log(v.astype(np.complex128)).real
+def _libm_logs(v: np.ndarray) -> np.ndarray:
+    # the inputs go in column 1 of a float64 buffer of two columns and the
+    # logs in column 0.  Input and output then overlap in memory, so numpy's
+    # float64 log skips its SIMD kernel and runs its element-by-element
+    # loop, which calls libm's log.  One row alone would not overlap, so a
+    # spare row pads every call.
+    n = len(v)
+    buf = np.empty((n + 1, 2))
+    buf[:n, 1] = v
+    buf[n, 1] = 2.0
+    np.log(buf[:, 1], out=buf[:, 0])
+    return buf[:n, 0]
 
 
 def _math_logs(v: np.ndarray) -> np.ndarray:
@@ -433,11 +451,18 @@ def _math_logs(v: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _log_route():
-    """_clog_logs if it gives math.log's bits on every canary double, else
-    _math_logs.  Decided on the first call, once per process."""
-    canary = [float.fromhex(h) for h in _LOG_CANARY]
-    if _clog_logs(np.array(canary)).tolist() == [math.log(x) for x in canary]:
-        return _clog_logs
+    """_libm_logs if it gives math.log's bits on the canary doubles, one at
+    a time, as each longer prefix of the canary and tiled past
+    _LI_NODE_BUDGET, else _math_logs.  Decided on the first call, once per
+    process."""
+    canary = np.array([float.fromhex(h) for h in _LOG_CANARY])
+    want = np.array([math.log(x) for x in canary.tolist()])
+    size = _LI_NODE_BUDGET + len(canary) + 1
+    layouts = ([(canary[i:i + 1], want[i:i + 1]) for i in range(len(canary))]
+               + [(canary[:n], want[:n]) for n in range(2, len(canary) + 1)]
+               + [(np.resize(canary, size), np.resize(want, size))])
+    if all(np.array_equal(_libm_logs(v), w) for v, w in layouts):
+        return _libm_logs
     return _math_logs
 
 

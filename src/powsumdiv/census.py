@@ -17,11 +17,11 @@ for every t0.  Only the rest, (r0/p) = +1 with s >= e+2, about one prime
 in four, raise r0 mod p to the odd part of p-1 and square each prime at
 most s times, until it is 1 (the full order is never computed and p-1 is
 never factored).  For a larger kernel every prime does, and (r0/p) = +1
-iff t0 < s.  r0 mod p is g k^-1 for the terms k < g of r0, with the
-closed-form inverse (1 + j p) / k, j = -p^-1 mod k read from a table,
-when k < 2^16, and with k^-1 = k^(p-2) (Fermat) otherwise.  The powers
-are arith's windowed power, in the mulmod regime of the chunk's largest
-prime (arith._mulmod_regime).
+iff t0 < s.  r0 mod p is g k^-1 for the terms k < g of r0 (g itself
+for k = 1), with the closed-form inverse (1 + j p) / k, j = -p^-1 mod k
+read from a table, when k < 2^16, and with k^-1 = k^(p-2) (Fermat)
+otherwise.  The powers are arith's windowed power, in the mulmod regime
+of the chunk's largest prime (arith._mulmod_regime).
 
 p divides some a^k + b^k iff t >= 1.  The sieve marks odd numbers only,
 and one numpy call (_classify) per segment gives each prime its cell
@@ -295,18 +295,20 @@ def _r0_valuation(profile: BaseProfile, primes: np.ndarray, s: np.ndarray) -> np
     s = v2(p-1).
 
     Let m be the odd part of p-1 and k < g the numerator and denominator of
-    r0 in either order (ord r0 = ord 1/r0).  X = (g k^-1)^m (_inverse and
-    arith._pow_residues, in the mulmod regime of the largest prime), and
-    t0 is the number of squarings of X until it is 1.  The lanes at 1 are
-    dropped whenever they are half of those left and 2^10 or more, and the
-    rest are squared on in the regime of the largest of their primes.
-    t0 <= s, so a lane still not 1 after max(s) squarings raises
-    InternalInconsistencyError: its p was not prime.  Needs r0_num,
+    r0 in either order (ord r0 = ord 1/r0).  X = (g k^-1)^m (_inverse,
+    skipped for k = 1, and arith._pow_residues, in the mulmod regime of the
+    largest prime), and t0 is the number of squarings of X until it is 1.
+    The lanes at 1 are dropped whenever they are half of those left and
+    2^10 or more, and the rest are squared on in the regime of the largest
+    of their primes.  t0 <= s, so a lane still not 1 after max(s) squarings
+    raises InternalInconsistencyError: its p was not prime.  Needs r0_num,
     r0_den < 2^63.
     """
     mulmod, p = _mulmod_regime(primes)
     k, g = sorted((profile.r0_num, profile.r0_den))
-    r0 = mulmod((np.int64(g) % primes).astype(p.dtype), _inverse(k, primes, mulmod, p), p)
+    r0 = (np.int64(g) % primes).astype(p.dtype)
+    if k != 1:
+        r0 = mulmod(r0, _inverse(k, primes, mulmod, p), p)
     x = _pow_residues(r0, (primes - 1) >> s, p, mulmod)
     t0 = np.empty(len(primes), dtype=np.int8)
     live, count = np.arange(len(primes)), np.zeros(len(primes), dtype=np.int8)

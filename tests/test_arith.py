@@ -295,6 +295,26 @@ def test_log_integrals_take_every_log_from_math_log():
     assert arith._logs(v).tolist() == [math.log(x) for x in v.tolist()]
 
 
+# one lane, every short length, and lengths around the node budget and
+# numpy's 8192-element buffer
+LAYOUT_LENGTHS = [*range(1, 41), 2**13 - 1, 2**13 + 1, 2**14 - 1, 2**14 + 1, 2**15 + 5]
+
+
+def test_logs_match_math_log_at_every_layout():
+    # a single lane does not overlap its output, and numpy's SIMD log would
+    # take it: the route adds a spare lane to every call.  Checked on the
+    # route itself too, so that dropping the spare fails here and not only
+    # in the canary.
+    canary = np.array([float.fromhex(h) for h in arith._LOG_CANARY])
+    want = np.array([math.log(x) for x in canary.tolist()])
+    for n in LAYOUT_LENGTHS:
+        for shift in range(len(canary)):
+            v = np.resize(np.roll(canary, shift), n)
+            bits = np.resize(np.roll(want, shift), n).view(np.int64)
+            for logs in (arith._logs, arith._libm_logs):
+                assert np.array_equal(logs(v).view(np.int64), bits), (logs.__name__, n, shift)
+
+
 def _differential_points():
     rng = random.Random(20031)
     # np.log differs from libm's log in the last bit most often below 4096,
@@ -306,16 +326,28 @@ def _differential_points():
     return points
 
 
+@pytest.fixture(scope="session")
+def differential_reference():
+    """_differential_points() and the hex of the scalar reference's Li at
+    each: the reference is slow, so it is walked once per session."""
+    points = _differential_points()
+    return points, [reference.log_integral(x).hex() for x in points]
+
+
+def assert_matches_reference(differential_reference):
+    points, want = differential_reference
+    got = log_integrals(points)
+    assert len(got) == len(points)
+    for x, value, hex_value in zip(points, got, want):
+        assert value.hex() == hex_value, x
+
+
 @pytest.mark.parametrize("budget", [None, 64])
-def test_log_integrals_bit_identical_to_scalar(monkeypatch, budget):
+def test_log_integrals_bit_identical_to_scalar(monkeypatch, budget, differential_reference):
     if budget is not None:
         # levels wider than the budget are walked half by half
         monkeypatch.setattr(arith, "_LI_NODE_BUDGET", budget)
-    points = _differential_points()
-    got = log_integrals(points)
-    assert len(got) == len(points)
-    for x, value in zip(points, got):
-        assert value.hex() == reference.log_integral(x).hex(), x
+    assert_matches_reference(differential_reference)
     assert log_integrals([]) == []
     assert log_integrals([2]) == [0.0]
 
@@ -329,23 +361,42 @@ def fresh_log_route():
     arith._log_route.cache_clear()
 
 
-def test_logs_fall_back_to_math_log_on_a_canary_mismatch(monkeypatch, fresh_log_route):
+def test_logs_fall_back_to_math_log_on_a_canary_mismatch(monkeypatch, fresh_log_route,
+                                                         differential_reference):
     flipped = float.fromhex(arith._LOG_CANARY[0])
-    clog_logs = arith._clog_logs
+    libm_logs = arith._libm_logs
 
     def planted(v):
-        out = clog_logs(v).copy()
+        out = libm_logs(v).copy()
         out.view(np.int64)[v == flipped] ^= 1
         return out
 
-    monkeypatch.setattr(arith, "_clog_logs", planted)
+    monkeypatch.setattr(arith, "_libm_logs", planted)
     v = np.array([flipped, 2.0, 777.0, 3053.28, 2.0**40 - 1])
     expected = [math.log(x) for x in v.tolist()]
     assert planted(v).tolist() != expected
     assert arith._logs(v).tolist() == expected
-    points = _differential_points()
-    for x, value in zip(points, log_integrals(points)):
-        assert value.hex() == reference.log_integral(x).hex(), x
+    assert arith._log_route() is arith._math_logs
+    assert_matches_reference(differential_reference)
+
+
+def test_logs_fall_back_to_math_log_on_a_one_lane_mismatch(monkeypatch, fresh_log_route):
+    # a route that is right at every length but 1, as numpy's float log is
+    # without the padding
+    libm_logs = arith._libm_logs
+
+    def planted(v):
+        out = libm_logs(v).copy()
+        if len(v) == 1:
+            out.view(np.int64)[:] ^= 1
+        return out
+
+    monkeypatch.setattr(arith, "_libm_logs", planted)
+    v = np.array([float.fromhex(arith._LOG_CANARY[0])])
+    assert planted(v).tolist() != [math.log(v[0])]
+    assert planted(np.resize(v, 2)).tolist() == [math.log(v[0])] * 2
+    assert arith._log_route() is arith._math_logs
+    assert arith._logs(v).tolist() == [math.log(v[0])]
 
 
 def test_importing_the_cli_leaves_the_log_canary_unread():

@@ -24,7 +24,7 @@ def test_exits_1_on_any_difference(monkeypatch, capsys):
     monkeypatch.setattr(sweep_identity, "run", fake_run)
     assert sweep_identity.main(["parent", "same"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 110 and all(line.startswith("same ") for line in out)
+    assert len(out) == 112 and all(line.startswith("same ") for line in out)
     assert out[-1] == "same   powsumdiv verify all"
     assert sweep_identity.main(["parent", "odd"]) == 1
     assert sum(line.startswith("DIFFER") for line in capsys.readouterr().out.splitlines()) == 2

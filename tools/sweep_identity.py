@@ -17,14 +17,16 @@ grow from 1024 to 2048 between the first two), put checkpoints on and
 beside the segment edges and sweep to 10^8 with every checkpoint in the
 first segment; DENSE, the benchmark's dense json sweep of (-4, 1) to
 2 * 10^6 with a checkpoint every 1000, which cuts two segments into
-2,001 pieces; ``powsumdiv verify S`` for each single suite; and last
-``powsumdiv verify all``, whose ``ok <suite>: <n> checks`` lines pin
-every suite's check count.  It compares stdout and the exit code byte
-for byte, prints one line per command and exits 0 when all 110 agree and
-exit 0, else 1.  The pairs cover b = 1 and b != 1, eps = +-1,
-e = 0, 1 and 2 (COUNT_PAIRS add e = 3), Q(sqrt 2), three special primes
-((7,3)), the smaller term of r0 on both sides of 2^16, and the largest
-kernel with a Legendre table (65535) and the smallest without (65537).
+2,001 pieces; ONE_LANE, a sweep with one checkpoint and one with 17,
+whose Li takes a group of a single point (its logs take one lane);
+``powsumdiv verify S`` for each single suite; and last ``powsumdiv verify
+all``, whose ``ok <suite>: <n> checks`` lines pin every suite's check
+count.  It compares stdout and the exit code byte for byte, prints one
+line per command and exits 0 when all 112 agree and exit 0, else 1.  The
+pairs cover b = 1 and b != 1, eps = +-1, e = 0, 1 and 2 (COUNT_PAIRS add
+e = 3), Q(sqrt 2), three special primes ((7,3)), the smaller term of r0
+on both sides of 2^16, and the largest kernel with a Legendre table
+(65535) and the smallest without (65537).
 """
 
 import os
@@ -48,6 +50,12 @@ SEGMENT_EDGES = [
 ]
 DENSE = ["sweep", "-4", "1", "2000000", "--checkpoint-list",
          ",".join(map(str, range(1000, 2_000_001, 1000))), "--format", "json"]
+# Li takes its checkpoints in groups of 16: one checkpoint, or 17, leave a
+# group of one
+ONE_LANE = [
+    ["sweep", "2", "1", "10000000", "--checkpoints", "1"],
+    ["sweep", "-4", "1", "10000000", "--checkpoints", "17"],
+]
 SUITES = ("group", "ramanujan", "characters", "local-factors", "densities", "oracle")
 
 
@@ -72,7 +80,7 @@ def main(argv: list[str]) -> int:
                  for a, b in PAIRS for fmt in ("text", "json")]
     commands += [["count", str(a), str(b), str(X_COUNT), "--method", method]
                  for a, b in COUNT_PAIRS for method in METHODS]
-    commands += [*SEGMENT_EDGES, DENSE]
+    commands += [*SEGMENT_EDGES, DENSE, *ONE_LANE]
     commands += [["verify", suite] for suite in SUITES]
     for cmd in [*commands, ["verify", "all"]]:
         want, got = run(parent, cmd), run(change, cmd)
