@@ -382,7 +382,7 @@ def test_logs_fall_back_to_math_log_on_a_canary_mismatch(monkeypatch, fresh_log_
 
 def test_logs_fall_back_to_math_log_on_a_one_lane_mismatch(monkeypatch, fresh_log_route):
     # a route that is right at every length but 1, as numpy's float log is
-    # without the padding
+    # without the spare lane
     libm_logs = arith._libm_logs
 
     def planted(v):
