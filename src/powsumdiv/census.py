@@ -45,7 +45,9 @@ only accumulated state is a CountAccumulator of those ten totals.  Counts
 and sweeps share one checkpointed fold (_census): it works one sieve
 segment at a time up to the last checkpoint and cuts the segment's cells
 at the checkpoints inside it; tallies add as integers, so any merge
-schedule (1 worker or many) produces bit-identical results.
+schedule (1 worker or many) produces bit-identical results.  A count
+(_accumulate) resumes that fold: it starts from the largest x' <= x already
+folded for its profile (_folds) and tallies only the primes in (x', x].
 """
 
 import bisect
@@ -53,9 +55,9 @@ import cmath
 import collections
 import functools
 import math
+import operator
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
@@ -189,20 +191,23 @@ def _primes_in_range(lo: int, hi: int) -> np.ndarray:
     return primes
 
 
-def _segments(x_max: int) -> Iterator[tuple[int, int]]:
-    """The sieve segments [lo, hi) that cover 2..x_max, aligned to SEGMENT_SIZE."""
-    lo = 2
+def _segments(x_max: int, lo: int = 2) -> Iterator[tuple[int, int]]:
+    """The sieve segments [lo, hi) that cover lo..x_max, aligned to
+    SEGMENT_SIZE: the first ends at the boundary above lo."""
     while lo <= x_max:
         hi = min((lo // SEGMENT_SIZE + 1) * SEGMENT_SIZE, x_max + 1)
         yield lo, hi
         lo = hi
 
 
-def _check_bounds(x_max: int) -> None:
-    if _int_arg("x", x_max) < 2:
+def _check_bounds(x_max: int) -> int:
+    """x_max as a Python int, if it is an integer in [2, 2^40]."""
+    x_max = _int_arg("x", x_max)
+    if x_max < 2:
         raise ValueError("x must be >= 2")
     if x_max > MAX_X:
         raise ValueError(f"x must be <= 2^40 = {MAX_X}")
+    return x_max
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +491,7 @@ def _worker_count(threads: int, tasks: int) -> int:
     return min(threads, tasks, os.cpu_count() or 1)
 
 
-def _submit(pool: ProcessPoolExecutor, task: tuple):
+def _submit(pool, task: tuple):
     """pool.submit(_tally_segment, *task) with SIGTERM blocked.
 
     The first submit forks the workers and only then starts the pool's
@@ -503,7 +508,7 @@ def _submit(pool: ProcessPoolExecutor, task: tuple):
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _in_order(pool: ProcessPoolExecutor, tasks: Iterator[tuple], window: int) -> Iterator:
+def _in_order(pool, tasks: Iterator[tuple], window: int) -> Iterator:
     """(task, _tally_segment(*task)) for each task, in order, with at most
     window tasks submitted to the pool (_submit) and not yet yielded."""
     pending = collections.deque()
@@ -516,9 +521,15 @@ def _in_order(pool: ProcessPoolExecutor, tasks: Iterator[tuple], window: int) ->
         yield task, future.result()
 
 
-def _census(profile: BaseProfile, checkpoints: list[int], threads: int = 1) -> list[Counts]:
+def _census(profile: BaseProfile, checkpoints: list[int], threads: int = 1,
+            start: tuple[int, CountAccumulator] | None = None) -> list[Counts]:
     """Every count at each of the strictly ascending checkpoints in
     [2, 2^40], from one fold of the sieve segments up to the last one.
+
+    A start (x', acc), with acc the tally of the primes <= x' and x' below
+    the first checkpoint, resumes a fold: the segments then cover
+    (x', last checkpoint], and acc is merged into in place, so it ends as
+    the tally at the last checkpoint.  Without one the fold starts at 2.
 
     A task is one segment, cut at the checkpoints inside it, and the
     tallies of its pieces are merged in segment order, so the tasks and
@@ -527,15 +538,15 @@ def _census(profile: BaseProfile, checkpoints: list[int], threads: int = 1) -> l
     are made as they are submitted, at most _TASKS_PER_WORKER per worker
     ahead of the merge.
     """
+    first, acc = (start[0] + 1, start[1]) if start else (2, CountAccumulator())
     # a checkpoint c closes the piece that ends before c + 1
     ends = [c + 1 for c in checkpoints]
     closes = set(ends)
     tasks = ((profile, lo, hi, tuple(ends[bisect.bisect_right(ends, lo) :
                                           bisect.bisect_left(ends, hi)]))
-             for lo, hi in _segments(checkpoints[-1]))
+             for lo, hi in _segments(checkpoints[-1], first))
 
     def collect(results) -> list[Counts]:
-        acc = CountAccumulator()
         counts: list[Counts] = []
         for (_, _, hi, cuts), tallies in results:
             for end, tally in zip((*cuts, hi), tallies):
@@ -545,20 +556,50 @@ def _census(profile: BaseProfile, checkpoints: list[int], threads: int = 1) -> l
         return counts
 
     # the number of segments _segments yields
-    workers = _worker_count(threads, checkpoints[-1] // SEGMENT_SIZE + 1)
+    workers = _worker_count(threads, checkpoints[-1] // SEGMENT_SIZE - first // SEGMENT_SIZE + 1)
     if workers == 1:
         return collect((task, _tally_segment(*task)) for task in tasks)
+    # imported here: the pool's modules cost a start that forks no worker
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=signal.pthread_sigmask,
                              initargs=(signal.SIG_UNBLOCK, {signal.SIGTERM})) as pool:
         return collect(_in_order(pool, tasks, _TASKS_PER_WORKER * workers))
+
+
+# The folded points kept for one profile.
+_FOLD_POINTS = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _folds(profile: BaseProfile) -> list[tuple[int, CountAccumulator]]:
+    """The points (x, acc) that counts have folded for profile, by
+    ascending x, with acc the tally of the primes <= x; _accumulate keeps
+    at most _FOLD_POINTS of them and drops the lowest, the cheapest to
+    fold again.  A functools cache: clearing the package's caches empties
+    it."""
+    return []
 
 
 # typed: a float x equal to a cached int must not hit the cache, which would
 # skip the check that rejects it
 @functools.lru_cache(maxsize=64, typed=True)
 def _accumulate(profile: BaseProfile, x: int) -> Counts:
-    _check_bounds(x)
-    return _census(profile, [x])[0]
+    """Every count at x, resumed from the largest x' <= x in _folds (x' = 1
+    and no primes if there is none): the fold (_census) tallies only the
+    primes in (x', x], and x joins _folds.  Tallies add as integers, so the
+    result is the fold from 2 to x exactly."""
+    x = _check_bounds(x)
+    folds = _folds(profile)
+    i = bisect.bisect_right(folds, x, key=operator.itemgetter(0))
+    start, acc = folds[i - 1] if i else (1, CountAccumulator())
+    if start == x:
+        return _evaluate(acc)
+    acc = acc.copy()
+    counts = _census(profile, [x], start=(start, acc))[0]
+    folds.insert(i, (x, acc))
+    if len(folds) > _FOLD_POINTS:
+        del folds[0]
+    return counts
 
 
 # ---------------------------------------------------------------------------

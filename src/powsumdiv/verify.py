@@ -190,7 +190,9 @@ def check_local_factors(p_limit: int = 10**5,
     the exact group index of r = a/b mod p (full multiplicative order,
     factored p-1), whose 2-adic valuation must be s - t.  Then the summed
     weights at several checkpoints in [2, p_limit] against the tallied
-    counts.
+    counts.  The counts at ascending checkpoints resume one another
+    (census._accumulate), so this also checks each resumed fold against
+    the one _fold_segment call.
 
     p_limit must lie in [2, cyclic.P_MAX], the largest p with p^2 < 2^63:
     r and its order are computed lane by lane in int64, one array of

@@ -1,14 +1,18 @@
 """Census: prime streaming, classification, and the exact identities
 between every counting route."""
 
+import concurrent.futures
 import itertools
 import math
+import random
 import signal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference
 from powsumdiv.census import (
@@ -16,6 +20,7 @@ from powsumdiv.census import (
     InternalInconsistencyError,
     _S_CELLS,
     _accumulate,
+    _census,
     _check_bounds,
     _evaluate,
     _fold_segment,
@@ -428,7 +433,8 @@ def test_sweep_tasks_carry_no_array(monkeypatch):
     cps = [10, 97, 1000, 10**5]
     monkeypatch.setattr(census, "SEGMENT_SIZE", 1 << 12)
     want = sweep(profile, cps, threads=1)
-    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    # census imports the pool from concurrent.futures when a sweep starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
     assert sweep(profile, cps, threads=2) == want
     assert len(tasks) == len(list(census._segments(10**5)))
@@ -486,3 +492,105 @@ def test_accumulator_merge_matches_single_pass(monkeypatch):
     assert copy.totals == single.totals
     assert merged.totals == tuple(2 * v for v in single.totals)
     assert _evaluate(copy) == counts
+
+
+# ---------------------------------------------------------------------------
+# resumed counts: _accumulate folds on from the nearest point in _folds
+
+RESUME_PAIRS = [(2, 1), (-16, 1), (7, 3), (8, 27), (65537, 1)]
+# on and beside the segment edges 2^20 and 2^21
+EDGE_XS = [edge + d for edge in (1 << 20, 1 << 21) for d in (-1, 0, 1)]
+
+
+@pytest.fixture
+def cold_counts():
+    """Empty count caches and store, for tests that read _folds."""
+    _accumulate.cache_clear()
+    census._folds.cache_clear()
+    yield
+    _accumulate.cache_clear()
+    census._folds.cache_clear()
+
+
+def fold_from_2(profile, x):
+    return _census(profile, [x])[0]
+
+
+def spy_starts(monkeypatch) -> list:
+    """The x' of each start that _accumulate passes to _census from now on."""
+    starts = []
+    def spy(profile, checkpoints, threads=1, start=None):
+        starts.append(start[0])
+        return _census(profile, checkpoints, threads, start)
+
+    monkeypatch.setattr(census, "_census", spy)
+    return starts
+
+
+def folded_xs(profile) -> list[int]:
+    return [x for x, _ in census._folds(profile)]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pair=st.sampled_from(RESUME_PAIRS),
+       xs=st.lists(st.one_of(st.integers(2, 3 << 20), st.sampled_from(EDGE_XS)),
+                   min_size=1, max_size=6))
+def test_resumed_counts_match_the_fold_from_2(pair, xs):
+    # _folds keeps the points of earlier examples, so a count may resume from
+    # any of them; the repeat after clearing _accumulate resumes from its own
+    profile = decompose(*pair)
+    for x in [*xs, xs[0]]:
+        assert _accumulate(profile, x) == fold_from_2(profile, x), (pair, x)
+    _accumulate.cache_clear()
+    assert _accumulate(profile, xs[-1]) == fold_from_2(profile, xs[-1])
+
+
+def test_count_resumes_from_a_special_prime(cold_counts, monkeypatch):
+    profile = decompose(7, 3)  # special primes 2, 3 and 7
+    starts = spy_starts(monkeypatch)
+    for x in (2, 3, 4, 7, 8):
+        assert _accumulate(profile, x) == fold_from_2(profile, x), x
+    assert starts == [1, 2, 3, 4, 7] and folded_xs(profile) == [2, 3, 4, 7, 8]
+
+
+def test_folded_x_is_served_from_the_store(cold_counts, monkeypatch):
+    profile = decompose(-16, 1)
+    want = _accumulate(profile, 5000)
+    _accumulate.cache_clear()
+    starts = spy_starts(monkeypatch)
+    assert _accumulate(profile, 5000) == want and starts == []
+    assert _accumulate(profile, 5001) == fold_from_2(profile, 5001) and starts == [5000]
+    assert folded_xs(profile) == [5000, 5001]
+
+
+def test_store_keeps_the_highest_points(cold_counts):
+    profile = decompose(8, 27)
+    xs = list(range(100, 6600, 100))
+    random.Random(65).shuffle(xs)
+    assert len(xs) == census._FOLD_POINTS + 1
+    for x in xs:
+        assert _accumulate(profile, x) == fold_from_2(profile, x), x
+    # the 65th point dropped the lowest of all
+    assert folded_xs(profile) == sorted(xs)[1:]
+
+
+def test_float_x_raises_before_the_store_is_read(cold_counts):
+    profile = decompose(2, 1)
+    _accumulate(profile, 1000)
+    info = census._folds.cache_info()
+    for x in (1000.0, 1500.0):
+        with pytest.raises(ValueError):
+            _accumulate(profile, x)
+    assert census._folds.cache_info() == info and folded_xs(profile) == [1000]
+
+
+def test_sweep_leaves_the_store_alone(cold_counts):
+    profile = decompose(2, 1)
+    _accumulate(profile, 1000)
+    points = [(x, acc.totals) for x, acc in census._folds(profile)]
+    info = census._folds.cache_info()
+    series = sweep(profile, [10, 1000, 3000])
+    sweep(decompose(7, 3), [500])
+    assert census._folds.cache_info() == info
+    assert [(x, acc.totals) for x, acc in census._folds(profile)] == points
+    assert series.points[1].counts == _accumulate(profile, 1000)

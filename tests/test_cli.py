@@ -418,3 +418,14 @@ def test_threads_come_only_from_the_command_line(capsys, monkeypatch):
         assert cli.main(argv + extra) == 0
         assert asked.pop() == want, extra
     assert capsys.readouterr().out.count("x,pi") == 2
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # census imports the pool when a sweep starts one, so that the start of
+    # every command does not load multiprocessing
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, powsumdiv.cli; "
+            "print(*sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []

@@ -19,17 +19,23 @@ first segment; DENSE, the benchmark's dense json sweep of (-4, 1) to
 2 * 10^6 with a checkpoint every 1000, which cuts two segments into
 2,001 pieces; ONE_LANE, a sweep with one checkpoint and one with 17,
 whose Li takes a group of a single point (its logs take one lane);
+STREAM, the count requests that one process per tree sends through
+cli.main in a fixed shuffled order, so that its counts resume the folds of
+earlier ones: every pair of COUNT_PAIRS and every method, with x on both
+sides of 2^20, repeated, and on and beside the special primes 2 and 3;
 ``powsumdiv verify S`` for each single suite; and last ``powsumdiv verify
 all``, whose ``ok <suite>: <n> checks`` lines pin every suite's check
 count.  It compares stdout and the exit code byte for byte, prints one
-line per command and exits 0 when all 112 agree and exit 0, else 1.  The
+line per command and exits 0 when all 113 agree and exit 0, else 1.  The
 pairs cover b = 1 and b != 1, eps = +-1, e = 0, 1 and 2 (COUNT_PAIRS add
 e = 3), Q(sqrt 2), three special primes ((7,3)), the smaller term of r0
 on both sides of 2^16, and the largest kernel with a Legendre table
 (65535) and the smallest without (65537).
 """
 
+import json
 import os
+import random
 import subprocess
 import sys
 
@@ -56,12 +62,37 @@ ONE_LANE = [
     ["sweep", "2", "1", "10000000", "--checkpoints", "1"],
     ["sweep", "-4", "1", "10000000", "--checkpoints", "17"],
 ]
+# character counts take x <= 2000 only
+STREAM = [["count", str(a), str(b), str(x), "--method", method]
+          for a, b in COUNT_PAIRS for method in METHODS
+          for x in (2, 3, 4, 1000, 2000, 1048575, 1048576, 1048577, 1500000)
+          if x <= X_COUNT or method != "character"]
+STREAM += STREAM[::7]  # repeated requests
+random.Random(2003).shuffle(STREAM)
+# the requests of STREAM, read from stdin, through cli.main in one process;
+# it exits with the largest exit status
+STREAM_SCRIPT = """\
+import json, sys
+from powsumdiv.cli import main
+sys.exit(max(main(argv) for argv in json.load(sys.stdin)))
+"""
 SUITES = ("group", "ramanujan", "characters", "local-factors", "densities", "oracle")
 
 
 def run(src: str, argv: list[str]) -> tuple[int, bytes]:
+    """(exit status, stdout) of ``powsumdiv ARGV`` in a fresh process."""
+    return _python(src, ["-m", "powsumdiv.cli", *argv])
+
+
+def run_stream(src: str, requests: list[list[str]]) -> tuple[int, bytes]:
+    """(largest exit status, concatenated stdout) of the requests, sent to
+    cli.main in turn by one fresh process."""
+    return _python(src, ["-c", STREAM_SCRIPT], json.dumps(requests).encode())
+
+
+def _python(src: str, args: list[str], stdin: bytes = b"") -> tuple[int, bytes]:
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-    done = subprocess.run([sys.executable, "-m", "powsumdiv.cli", *argv],
+    done = subprocess.run([sys.executable, *args], input=stdin,
                           env=env, capture_output=True, check=False)
     return done.returncode, done.stdout
 
@@ -80,13 +111,18 @@ def main(argv: list[str]) -> int:
                  for a, b in PAIRS for fmt in ("text", "json")]
     commands += [["count", str(a), str(b), str(X_COUNT), "--method", method]
                  for a, b in COUNT_PAIRS for method in METHODS]
-    commands += [*SEGMENT_EDGES, DENSE, *ONE_LANE]
+    commands += [*SEGMENT_EDGES, DENSE, *ONE_LANE, STREAM]
     commands += [["verify", suite] for suite in SUITES]
     for cmd in [*commands, ["verify", "all"]]:
-        want, got = run(parent, cmd), run(change, cmd)
+        if cmd is STREAM:
+            label = f"stream of {len(STREAM)} count requests through cli.main"
+            want, got = run_stream(parent, STREAM), run_stream(change, STREAM)
+        else:
+            label = "powsumdiv " + " ".join(cmd)
+            want, got = run(parent, cmd), run(change, cmd)
         ok = want == got and want[0] == 0
         same &= ok
-        print(("same  " if ok else "DIFFER") + " powsumdiv " + " ".join(cmd), flush=True)
+        print(("same  " if ok else "DIFFER") + " " + label, flush=True)
     return 0 if same else 1
 
 
