@@ -40,14 +40,14 @@ formula), so every identity in the test suite is an exact equality.  The
 ten counts of one prime in every cell are stated once, in the table
 _weights(e, eps), the views at scale 2^40; the local-factors suite of
 verify checks its k1 and k2 rows prime by prime against the Ramanujan
-sums.  _tally multiplies its columns with the cell counts of a piece; the
-only accumulated state is a CountAccumulator of those ten totals.  Counts
-and sweeps share one checkpointed fold (_census): it works one sieve
-segment at a time up to the last checkpoint and cuts the segment's cells
-at the checkpoints inside it; tallies add as integers, so any merge
-schedule (1 worker or many) produces bit-identical results.  A count
-(_accumulate) resumes that fold: it starts from the largest x' <= x already
-folded for its profile (_folds) and tallies only the primes in (x', x].
+sums.  _tally multiplies its columns with the cell counts of a piece into
+its totals, a tuple of ten ints: a value, the only fold state, made into
+Counts (_evaluate) only where a count is returned.  Counts and sweeps
+share one checkpointed fold (_census): it works one sieve segment at a
+time up to the last checkpoint and returns the totals at the checkpoints
+inside it; tallies add as integers, so any merge schedule (1 worker or
+many) produces bit-identical results.  A count (_accumulate) resumes from
+the totals at the largest x' <= x already folded for its profile (_folds).
 """
 
 import bisect
@@ -141,15 +141,18 @@ class Counts(NamedTuple):
         return self.ram_full - self.ram_e1
 
 
+_ZEROS = (0,) * len(Counts._fields)  # the totals (_tally) of no primes
+
+
 @dataclass(slots=True, eq=False)
 class CountAccumulator:
-    """The ten Counts fields of the primes tallied so far (_tally), as
-    Python ints, the views at scale 2^40; merge order never matters."""
+    """The running totals of one fold (_census), in any merge order; merge
+    rebinds totals to a new tuple, so a tuple read from it never changes."""
 
-    totals: tuple[int, ...] = (0,) * len(Counts._fields)
+    totals: tuple[int, ...] = _ZEROS
 
-    def merge(self, other: "CountAccumulator") -> None:
-        self.totals = tuple(a + b for a, b in zip(self.totals, other.totals, strict=True))
+    def merge(self, totals: tuple[int, ...]) -> None:
+        self.totals = tuple(a + b for a, b in zip(self.totals, totals, strict=True))
 
     def copy(self) -> "CountAccumulator":
         return CountAccumulator(self.totals)
@@ -463,21 +466,21 @@ def _weights(e: int, eps: int) -> np.ndarray:
     return table
 
 
-def _tally(profile: BaseProfile, cells: np.ndarray) -> CountAccumulator:
-    """The ten Counts fields of one piece's int16 cells: the _weights
-    columns of its nonzero cells times their counts.  An entry is at most
+def _tally(profile: BaseProfile, cells: np.ndarray) -> tuple[int, ...]:
+    """The totals of one piece's int16 cells: the _weights columns of its
+    nonzero cells times their counts, as Python ints.  An entry is at most
     2^40 and a piece holds fewer than 2^19 primes, so every int64 sum stays
     below 2^59."""
     n = np.bincount(cells)
     nonzero = np.flatnonzero(n)
     table = _weights(profile.e, profile.eps)
-    return CountAccumulator(tuple((table[:, nonzero] @ n[nonzero]).tolist()))
+    return tuple((table[:, nonzero] @ n[nonzero]).tolist())
 
 
-def _evaluate(acc: CountAccumulator) -> Counts:
-    """Every counting function of the primes tallied in acc, exactly."""
-    ints, views = acc.totals[:4], acc.totals[4:]
-    return Counts(*ints, *(Fraction(v, 1 << 40) for v in views))
+def _evaluate(totals: tuple[int, ...]) -> Counts:
+    """Every counting function of the primes with these totals, exactly:
+    the one maker of Counts, called at the API boundary."""
+    return Counts(*totals[:4], *(Fraction(v, 1 << 40) for v in totals[4:]))
 
 
 def _tally_segment(profile: BaseProfile, lo: int, hi: int, cuts: tuple[int, ...]) -> list:
@@ -522,14 +525,13 @@ def _in_order(pool, tasks: Iterator[tuple], window: int) -> Iterator:
 
 
 def _census(profile: BaseProfile, checkpoints: list[int], threads: int = 1,
-            start: tuple[int, CountAccumulator] | None = None) -> list[Counts]:
-    """Every count at each of the strictly ascending checkpoints in
+            start: tuple[int, tuple[int, ...]] = (1, _ZEROS)) -> list[tuple[int, ...]]:
+    """The totals at each of the strictly ascending checkpoints in
     [2, 2^40], from one fold of the sieve segments up to the last one.
 
-    A start (x', acc), with acc the tally of the primes <= x' and x' below
-    the first checkpoint, resumes a fold: the segments then cover
-    (x', last checkpoint], and acc is merged into in place, so it ends as
-    the tally at the last checkpoint.  Without one the fold starts at 2.
+    A start (x', the totals of the primes <= x'), x' below the first
+    checkpoint, resumes a fold over (x', last checkpoint]; the default
+    starts at 2.  It sums into its own accumulator: nothing given changes.
 
     A task is one segment, cut at the checkpoints inside it, and the
     tallies of its pieces are merged in segment order, so the tasks and
@@ -538,7 +540,7 @@ def _census(profile: BaseProfile, checkpoints: list[int], threads: int = 1,
     are made as they are submitted, at most _TASKS_PER_WORKER per worker
     ahead of the merge.
     """
-    first, acc = (start[0] + 1, start[1]) if start else (2, CountAccumulator())
+    first, acc = start[0] + 1, CountAccumulator(start[1])
     # a checkpoint c closes the piece that ends before c + 1
     ends = [c + 1 for c in checkpoints]
     closes = set(ends)
@@ -546,14 +548,14 @@ def _census(profile: BaseProfile, checkpoints: list[int], threads: int = 1,
                                           bisect.bisect_left(ends, hi)]))
              for lo, hi in _segments(checkpoints[-1], first))
 
-    def collect(results) -> list[Counts]:
-        counts: list[Counts] = []
+    def collect(results) -> list[tuple[int, ...]]:
+        totals = []
         for (_, _, hi, cuts), tallies in results:
             for end, tally in zip((*cuts, hi), tallies):
                 acc.merge(tally)
                 if end in closes:
-                    counts.append(_evaluate(acc))
-        return counts
+                    totals.append(acc.totals)
+        return totals
 
     # the number of segments _segments yields
     workers = _worker_count(threads, checkpoints[-1] // SEGMENT_SIZE - first // SEGMENT_SIZE + 1)
@@ -571,12 +573,12 @@ _FOLD_POINTS = 64
 
 
 @functools.lru_cache(maxsize=64)
-def _folds(profile: BaseProfile) -> list[tuple[int, CountAccumulator]]:
-    """The points (x, acc) that counts have folded for profile, by
-    ascending x, with acc the tally of the primes <= x; _accumulate keeps
-    at most _FOLD_POINTS of them and drops the lowest, the cheapest to
-    fold again.  A functools cache: clearing the package's caches empties
-    it."""
+def _folds(profile: BaseProfile) -> list[tuple[int, tuple[int, ...]]]:
+    """The points (x, totals of the primes <= x) that counts have folded
+    for profile, by ascending x, each a value never changed once stored;
+    _accumulate keeps at most _FOLD_POINTS and drops the lowest, the
+    cheapest to fold again.  A functools cache: clearing the package's
+    caches empties it."""
     return []
 
 
@@ -584,22 +586,19 @@ def _folds(profile: BaseProfile) -> list[tuple[int, CountAccumulator]]:
 # skip the check that rejects it
 @functools.lru_cache(maxsize=64, typed=True)
 def _accumulate(profile: BaseProfile, x: int) -> Counts:
-    """Every count at x, resumed from the largest x' <= x in _folds (x' = 1
-    and no primes if there is none): the fold (_census) tallies only the
-    primes in (x', x], and x joins _folds.  Tallies add as integers, so the
-    result is the fold from 2 to x exactly."""
+    """Every count at x, from the largest point x' <= x in _folds (x' = 1
+    and no primes if there is none): if x' < x, the fold (_census) tallies
+    only the primes in (x', x], and (x, its totals) joins _folds.  Tallies
+    add as integers, so the result is the fold from 2 to x exactly."""
     x = _check_bounds(x)
     folds = _folds(profile)
     i = bisect.bisect_right(folds, x, key=operator.itemgetter(0))
-    start, acc = folds[i - 1] if i else (1, CountAccumulator())
-    if start == x:
-        return _evaluate(acc)
-    acc = acc.copy()
-    counts = _census(profile, [x], start=(start, acc))[0]
-    folds.insert(i, (x, acc))
-    if len(folds) > _FOLD_POINTS:
-        del folds[0]
-    return counts
+    point = folds[i - 1] if i else (1, _ZEROS)
+    if point[0] < x:
+        point = (x, _census(profile, [x], start=point)[0])
+        folds.insert(i, point)
+        del folds[:-_FOLD_POINTS]  # the lowest, once there are too many
+    return _evaluate(point[1])
 
 
 # ---------------------------------------------------------------------------
@@ -731,4 +730,4 @@ def sweep(profile: BaseProfile, checkpoints: list[int], threads: int = 1) -> Swe
     # Li first: its temporaries are freed before the fold's are made
     lis = log_integrals(checkpoints)
     points = zip(checkpoints, _census(profile, checkpoints, threads), lis, strict=True)
-    return SweepSeries(profile=profile, points=tuple(SweepPoint(x, c, li) for x, c, li in points))
+    return SweepSeries(profile, tuple(SweepPoint(x, _evaluate(t), li) for x, t, li in points))

@@ -342,12 +342,48 @@ def assert_matches_reference(differential_reference):
         assert value.hex() == hex_value, x
 
 
+def spy_widths(monkeypatch) -> list[int]:
+    """The width of each level that _simpson_level walks from now on, a
+    half of a halved level included."""
+    widths = []
+    walk = arith._simpson_level
+
+    def spy(nodes, coarse, fine, depth):
+        widths.append(len(nodes[0]))
+        return walk(nodes, coarse, fine, depth)
+
+    monkeypatch.setattr(arith, "_simpson_level", spy)
+    return widths
+
+
 @pytest.mark.parametrize("budget", [None, 64])
 def test_log_integrals_bit_identical_to_scalar(monkeypatch, budget, differential_reference):
+    points, want = differential_reference
     if budget is not None:
-        # levels wider than the budget are walked half by half
+        # levels wider than the budget are walked half by half.  Every group
+        # of points has a level wider than 64 nodes at the real budget; the
+        # groups whose widest level there is at most 16 times that already
+        # halve about a thousand levels, and the wider ones repeat the same
+        # halving in many more small numpy calls, so only the first are walked
+        group = arith._LI_GROUP
+        keep = []
+        for start in range(0, len(points), group):
+            with monkeypatch.context() as m:
+                widths = spy_widths(m)
+                log_integrals(points[start:start + group])
+            if budget < max(widths, default=0) <= 16 * budget:
+                keep += range(start, min(start + group, len(points)))
+        points, want = [points[i] for i in keep], [want[i] for i in keep]
         monkeypatch.setattr(arith, "_LI_NODE_BUDGET", budget)
-    assert_matches_reference(differential_reference)
+        widths = spy_widths(monkeypatch)
+    assert_matches_reference((points, want))
+    if budget is not None:
+        halved = [width for width in widths if width > budget]
+        # a group has fewer roots than the budget and a level at most twice
+        # the nodes of the half above it, so a half never halves again; some
+        # halves split the two children of one node between them
+        assert halved and max(widths) <= 2 * budget
+        assert any(width // 2 % 2 for width in halved)
     assert log_integrals([]) == []
     assert log_integrals([2]) == [0.0]
 

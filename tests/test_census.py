@@ -485,13 +485,13 @@ def test_accumulator_merge_matches_single_pass(monkeypatch):
         merged = CountAccumulator()
         for tally in order:
             merged.merge(tally)
-        merged.merge(CountAccumulator())
-        assert merged.totals == single.totals
+        merged.merge(CountAccumulator().totals)
+        assert merged.totals == single
     copy = merged.copy()
     merged.merge(single)
-    assert copy.totals == single.totals
-    assert merged.totals == tuple(2 * v for v in single.totals)
-    assert _evaluate(copy) == counts
+    assert copy.totals == single
+    assert merged.totals == tuple(2 * v for v in single)
+    assert _evaluate(copy.totals) == counts
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +513,13 @@ def cold_counts():
 
 
 def fold_from_2(profile, x):
-    return _census(profile, [x])[0]
+    return _evaluate(_census(profile, [x])[0])
 
 
 def spy_starts(monkeypatch) -> list:
     """The x' of each start that _accumulate passes to _census from now on."""
     starts = []
-    def spy(profile, checkpoints, threads=1, start=None):
+    def spy(profile, checkpoints, threads=1, start=(1, census._ZEROS)):
         starts.append(start[0])
         return _census(profile, checkpoints, threads, start)
 
@@ -574,6 +574,25 @@ def test_store_keeps_the_highest_points(cold_counts):
     assert folded_xs(profile) == sorted(xs)[1:]
 
 
+def test_stored_points_stay_the_fold_from_2(cold_counts):
+    # a count that resumed by adding into a stored point would rewrite it;
+    # each count clears _accumulate, so that a repeat reads the store
+    profile = decompose(2, 1)
+    edge = 1 << 20
+    ascending = [edge - 5, edge, edge + 7, 3 * edge]
+    descending = [edge + 3, edge - 1, 1000]
+    repeated = [edge, 1000, 3 * edge, edge + 7]
+    for x in ascending + descending + repeated:
+        _accumulate.cache_clear()
+        assert _accumulate(profile, x) == fold_from_2(profile, x), x
+    points = census._folds(profile)
+    assert [x for x, _ in points] == sorted(set(ascending + descending))
+    for x, totals in points:
+        assert type(x) is int and type(totals) is tuple, x
+        assert all(type(v) is int for v in totals), x
+        assert totals == _census(profile, [x])[0], x
+
+
 def test_float_x_raises_before_the_store_is_read(cold_counts):
     profile = decompose(2, 1)
     _accumulate(profile, 1000)
@@ -587,10 +606,10 @@ def test_float_x_raises_before_the_store_is_read(cold_counts):
 def test_sweep_leaves_the_store_alone(cold_counts):
     profile = decompose(2, 1)
     _accumulate(profile, 1000)
-    points = [(x, acc.totals) for x, acc in census._folds(profile)]
+    points = list(census._folds(profile))
     info = census._folds.cache_info()
     series = sweep(profile, [10, 1000, 3000])
     sweep(decompose(7, 3), [500])
     assert census._folds.cache_info() == info
-    assert [(x, acc.totals) for x, acc in census._folds(profile)] == points
+    assert census._folds(profile) == points
     assert series.points[1].counts == _accumulate(profile, 1000)
