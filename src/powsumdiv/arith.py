@@ -64,6 +64,8 @@ def _simple_sieve(limit: int) -> np.ndarray:
 _TRIAL_LIMIT = 1 << 10
 _TRIAL_PRIMES = tuple(_simple_sieve(_TRIAL_LIMIT).tolist())
 _TRIAL_BOUND = (_TRIAL_LIMIT + 1) ** 2
+# The one bound, on x and every modulus: the mulmod regimes are exact below it.
+MAX_X = 1 << 40
 
 
 def _int_arg(name: str, n) -> int:

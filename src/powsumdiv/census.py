@@ -65,6 +65,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .arith import (
+    MAX_X,
     _factorize_cached,
     _int_arg,
     _mulmod_regime,
@@ -83,7 +84,6 @@ SEGMENT_SIZE = 1 << 20
 # Segment tasks in flight per worker: enough to keep it busy while the parent
 # merges, and a sweep to 2^40 (2^20 tasks) holds only a handful of futures.
 _TASKS_PER_WORKER = 4
-MAX_X = 1 << 40
 # The most checkpoints a sweep takes (cli.default_checkpoints builds 10^5
 # in about 0.08 s).
 MAX_CHECKPOINTS = 10**5

@@ -9,8 +9,8 @@ computation below is integer arithmetic until a character value is
 finally evaluated as a complex number.  The integer primitives come from
 arith, which owns them: the trial primes and the trial bound that
 _prime_factor_table divides by, the array valuation _v2, the lane-wise
-modular power _pow_mod that multiplicative_order strips with, and the
-input checks _int_arg and _int64_lanes.
+modular power _pow_mod that multiplicative_order strips with and its
+bound MAX_X = 2^40, and the input checks _int_arg and _int64_lanes.
 """
 
 import cmath
@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .arith import (
+    MAX_X,
     _TRIAL_BOUND,
     _TRIAL_PRIMES,
     _factorize_cached,
@@ -77,12 +78,6 @@ def power_exponent_set(n: int, h):
     return rows if np.ndim(h) else set(np.flatnonzero(rows[0]).tolist())
 
 
-# the largest p with p^2 < 2^63, so that a product of two residues mod p
-# fits int64, as verify's local-factors suite needs: the bound on the moduli
-# of multiplicative_order and of that suite
-P_MAX = math.isqrt((1 << 63) - 1)
-
-
 def _prime_factor_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct prime factors of each n >= 1 of an int64 array, one row
     per lane, ascending and padded with 1, and how many there are per lane.
@@ -93,7 +88,7 @@ def _prime_factor_table(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arith._TRIAL_BOUND; one at or above it is factored by
     arith._factorize_cached, lane by lane, the same decision as there."""
     rem = n.copy()
-    table = np.ones((n.size, 15), dtype=np.int64)  # 2*3*...*47 > 2^63 has 15 primes
+    table = np.ones((n.size, 15), dtype=np.int64)  # 47# < 2^63 < 53#: an int64 has <= 15 primes
     counts = np.zeros(n.size, dtype=np.int64)
 
     def add(lanes, q):
@@ -124,7 +119,7 @@ def multiplicative_order(g, p):
     and p (scalars broadcast) in int64, for p prime and p not dividing g.
     A Python int pair gives a Python int.
 
-    Raises ValueError unless 2 <= p <= P_MAX, g is a unit and
+    Raises ValueError unless 2 <= p < 2^40 (arith.MAX_X), g is a unit and
     g^(p-1) == 1 mod p, which every unit mod a prime satisfies; the message
     names the first offending lane.  Given that, the order divides p-1:
     from order = p-1, each prime q of the full factorisation of p-1 is
@@ -137,10 +132,10 @@ def multiplicative_order(g, p):
     """
     g, p = np.broadcast_arrays(*_int64_lanes("g and p", g, p))
     shape, g, p = g.shape, g.ravel(), p.ravel()
-    bad = np.flatnonzero((p < 2) | (p > P_MAX))
+    bad = np.flatnonzero((p < 2) | (p >= MAX_X))
     if bad.size:
         i = bad[0]
-        raise ValueError(f"p must lie in [2, {P_MAX}]: p = {p[i]} at lane {i}")
+        raise ValueError(f"p must lie in [2, 2^40): p = {p[i]} at lane {i}")
     g = g % p
     bad = np.flatnonzero(g == 0)
     if bad.size:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import _pow_mod, _v2, divisors, v2
+from .arith import MAX_X, _mulmod_regime, _pow_mod, _v2, divisors, v2
 from .census import (
     heuristic_counts,
     ramanujan_count,
@@ -23,7 +23,6 @@ from .census import (
     _weights,
 )
 from .cyclic import (
-    P_MAX,
     CharacterTable,
     character_table,
     multiplicative_order,
@@ -182,23 +181,35 @@ def check_characters(p_max: int = 200, x_char: int = 500) -> CheckResult:
     return checked, failures
 
 
+def _local_index(profile, lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Of the primes in [lo, hi), hi <= 2^40 + 1, the generic p with the s and
+    cell that one _fold_segment call gives each, the index (p-1)/ord(r) (full
+    order, factored p-1) of r = a * b^(p-2) mod p formed in arith's mulmod
+    regime, and the lanes where v2(p-1) != s or v2(index) != s - t."""
+    cells = _fold_segment(profile, lo, hi)[0]
+    s, t, _, generic, _ = _decode(cells)
+    generic, s, t, cells = primes[generic], s[generic], t[generic], cells[generic]
+    mulmod, p = _mulmod_regime(generic)
+    r = (profile.a % generic).astype(p.dtype)
+    if profile.b != 1:
+        r = mulmod(r, _pow_mod(profile.b % generic, generic - 2, generic).astype(p.dtype), p)
+    index = (generic - 1) // multiplicative_order(r.astype(np.int64), generic)
+    return generic, s, cells, index, np.flatnonzero((_v2(generic - 1) != s) | (_v2(index) != s - t))
+
+
 def check_local_factors(p_limit: int = 10**5,
                         checkpoints: tuple[int, ...] = (10**3, 10**4, 10**5)) -> CheckResult:
     """Per-prime truncated Ramanujan sums against the naive and refined
     local weights, the k1 and k2 rows of census._weights, at the cells that
-    one _fold_segment call gives the generic primes <= p_limit.  The sums use
-    the exact group index of r = a/b mod p (full multiplicative order,
-    factored p-1), whose 2-adic valuation must be s - t.  Then the summed
-    weights at several checkpoints in [2, p_limit] against the tallied
-    counts.  The counts at ascending checkpoints resume one another
-    (census._accumulate), so this also checks each resumed fold against
-    the one _fold_segment call.
-
-    p_limit must lie in [2, cyclic.P_MAX], the largest p with p^2 < 2^63:
-    r and its order are computed lane by lane in int64, one array of
-    generic primes per profile, and b^-1 = b^(p-2) by arith._pow_mod."""
-    if not 2 <= p_limit <= P_MAX:
-        raise ValueError(f"p_limit must lie in [2, {P_MAX}], so residue products fit int64")
+    one _fold_segment call gives the generic primes <= p_limit.  The sums
+    use the exact group index of r = a/b mod p (_local_index), whose 2-adic
+    valuation must be s - t.  Then the summed weights at several
+    checkpoints in [2, p_limit] against the tallied counts.  The counts at
+    ascending checkpoints resume one another (census._accumulate), so this
+    also checks each resumed fold against the one _fold_segment call.
+    p_limit must lie in [2, 2^40] (arith.MAX_X, the regimes' bound)."""
+    if not 2 <= p_limit <= MAX_X:
+        raise ValueError(f"p_limit must lie in [2, 2^40 = {MAX_X}]")
     if not all(2 <= x <= p_limit for x in checkpoints):
         raise ValueError(f"checkpoints must lie in [2, p_limit = {p_limit}]")
     checked = 0
@@ -206,16 +217,8 @@ def check_local_factors(p_limit: int = 10**5,
     primes = _primes_in_range(2, p_limit + 1)
     for a, b in PROFILE_GRID:
         profile = decompose(a, b)
-        cells = _fold_segment(profile, 2, p_limit + 1)[0]
-        s, t, _, generic, _ = _decode(cells)
-        generic, s, t, cells = primes[generic], s[generic], t[generic], cells[generic]
-        # r = a * b^(p-2) mod p, then its index (p-1)/ord(r) in (Z/pZ)*
-        r = profile.a % generic
-        if profile.b != 1:
-            r = r * _pow_mod(profile.b % generic, generic - 2, generic) % generic
-        index = (generic - 1) // multiplicative_order(r, generic)
-        for i in np.flatnonzero((_v2(generic - 1) != s) | (_v2(index) != s - t)).tolist():
-            failures.append(f"index valuation mismatch at ({a},{b}), p={generic[i]}")
+        generic, s, cells, index, bad = _local_index(profile, 2, p_limit + 1, primes)
+        failures += [f"index valuation mismatch at ({a},{b}), p={generic[i]}" for i in bad.tolist()]
         # 2^s times the local factors: c_{2^v}(index) summed to v <= min(s, e) and
         # v <= min(s, e+1), gathered from the prefix sums of one table of c_{2^v}
         # over the distinct indices

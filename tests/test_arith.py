@@ -27,7 +27,7 @@ from powsumdiv.arith import (
     log_integrals,
     v2,
 )
-from powsumdiv.cyclic import P_MAX, rational_mod
+from powsumdiv.cyclic import rational_mod
 from powsumdiv.ramanujan import ramanujan_c
 
 
@@ -139,9 +139,10 @@ def test_rho_splits_semiprimes_near_2_63_within_a_time_bound():
     # prime factor; for two primes near 2^31.5 rho is expected to need about
     # sqrt(q0) ~ 2^16 of them, well inside the alarm
     rng = random.Random(26)
+    top = math.isqrt((1 << 63) - 1)  # the largest q with q^2 < 2^63
     primes = []
     while len(primes) < 8:
-        q = rng.randrange(P_MAX - (1 << 27), P_MAX + 1)
+        q = rng.randrange(top - (1 << 27), top + 1)
         if is_prime(q):
             primes.append(q)
     old = signal.signal(signal.SIGALRM, _rho_timeout)

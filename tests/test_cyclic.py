@@ -8,6 +8,7 @@ import pytest
 
 from powsumdiv import cyclic
 from powsumdiv.arith import (
+    MAX_X,
     _TRIAL_LIMIT,
     _factorize_cached,
     _pow_mod,
@@ -18,7 +19,6 @@ from powsumdiv.arith import (
 )
 from powsumdiv.census import _primes_in_range, character_count
 from powsumdiv.cyclic import (
-    P_MAX,
     CharacterTable,
     _prime_factor_table,
     character_table,
@@ -171,15 +171,22 @@ def test_factor_table_equals_factorize_cached_lane_by_lane(monkeypatch):
         assert table[lane].tolist() == want + [1] * (table.shape[1] - len(want)), m
 
 
+# each mulmod regime's edge and the largest prime below it
+REGIME_EDGES = [(1 << 26, 67_108_859), (1 << 32, 4_294_967_291), (MAX_X, MAX_X - 87)]
+
+
 def test_pow_mod_against_python_pow():
-    # lanes with exponent 0 and 1, a base above its modulus and moduli up
-    # to P_MAX, where the products come closest to 2^63
+    # lanes with exponent 0 and 1, a base above its modulus and moduli below
+    # each regime's edge, one call per regime (that of the largest modulus):
+    # the largest prime and the composite edge - 1 come closest to the edge
     rng = random.Random(26)
-    mods = [2, 3, 7, P_MAX, P_MAX - 2] + [rng.randrange(2, P_MAX + 1) for _ in range(500)]
-    bases = [rng.randrange(0, 1 << 62) for _ in mods]
-    exps = [0, 1, 2, P_MAX - 1, 5] + [rng.randrange(0, 1 << 40) for _ in mods[5:]]
-    got = _pow_mod(np.array(bases), np.array(exps), np.array(mods))
-    assert got.tolist() == [pow(b, e, m) for b, e, m in zip(bases, exps, mods)]
+    for edge, top in REGIME_EDGES:
+        assert is_prime(top) and not any(is_prime(q) for q in range(top + 1, edge))
+        mods = [2, 3, 7, top, edge - 1] + [rng.randrange(2, edge) for _ in range(500)]
+        bases = [rng.randrange(0, 1 << 62) for _ in mods]
+        exps = [0, 1, 2, top - 1, 5] + [rng.randrange(0, 1 << 40) for _ in mods[5:]]
+        got = _pow_mod(np.array(bases), np.array(exps), np.array(mods))
+        assert got.tolist() == [pow(b, e, m) for b, e, m in zip(bases, exps, mods)]
 
 
 def test_primitive_root_examples():
@@ -252,17 +259,21 @@ def scalar_strip(g: int, p: int) -> int:
 
 def test_batched_order_against_the_scalar_strip():
     # seeded random units at every prime up to 10^5, then at primes up to
-    # P_MAX, where trial division leaves a cofactor of p - 1: prime below
-    # 1025^2, or factored by _factorize_cached.  Beside each random unit x
-    # stands x^q, q the largest prime of p - 1, whose order lacks q, so that
-    # the strip must find q to be exact
+    # each regime's edge (one call per regime), where trial division leaves
+    # a cofactor of p - 1: prime below 1025^2, or factored by
+    # _factorize_cached.  Beside each random unit x stands x^q, q the
+    # largest prime of p - 1, whose order lacks q, so that the strip must
+    # find q to be exact
     rng = random.Random(25)
-    large = [2**31 - 1, 3037000429, 3037000453, 3037000493]
-    while len(large) < 204:
-        q = rng.randrange(1 << 21, P_MAX + 1)
-        if is_prime(q):
-            large.append(q)
-    for primes in (_primes_in_range(3, 10**5 + 1).tolist(), large):
+    by_regime = [[top] for _, top in REGIME_EDGES]
+    by_regime[1].append(2**31 - 1)
+    for primes, lo, (edge, _) in zip(by_regime, (1 << 21, 1 << 26, 1 << 32), REGIME_EDGES):
+        while len(primes) < 68:
+            q = rng.randrange(lo, edge)
+            if is_prime(q):
+                primes.append(q)
+    large = [p for primes in by_regime for p in primes]
+    for primes in (_primes_in_range(3, 10**5 + 1).tolist(), *by_regime):
         units = [rng.randrange(1, p) for p in primes]
         units += [pow(x, _factorize_cached(p - 1)[-1][0], p) for x, p in zip(units, primes)]
         primes = primes * 2
@@ -339,7 +350,7 @@ def test_character_order_sum_rejects_bad_order():
     lambda: order_valuation_count(0, 1, 0),      # n < 1
     lambda: order_valuation_count(4, 1, -1),     # w < 0
     lambda: multiplicative_order(7, 7),          # not a unit
-    lambda: multiplicative_order(2, P_MAX + 1),  # residue products overflow int64
+    lambda: multiplicative_order(2, 1 << 40),    # past the mulmod regimes
     # a float argument, which was truncated: the first two gave 3 and [1, 3]
     lambda: multiplicative_order(2, 7.9),
     lambda: multiplicative_order(np.array([1.5, 2.0]), 7),

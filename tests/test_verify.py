@@ -9,7 +9,9 @@ import pytest
 
 from powsumdiv import ramanujan, verify
 from powsumdiv.census import _decode
-from powsumdiv.cyclic import P_MAX, CharacterTable
+from powsumdiv.arith import MAX_X
+from powsumdiv.cyclic import CharacterTable
+from powsumdiv.profile import decompose
 
 
 def test_reduced_bounds_all_pass():
@@ -58,11 +60,28 @@ def test_local_factors_rejects_checkpoints_outside_the_primes():
     for checkpoints in ((100, 1000), (1, 100), (0,)):
         with pytest.raises(ValueError):
             verify.check_local_factors(p_limit=500, checkpoints=checkpoints)
-    # p_limit < 2 leaves no prime, and above P_MAX residue products overflow
-    # int64; the message names the bound
-    for p_limit in (1, 0, -5, P_MAX + 1):
-        with pytest.raises(ValueError, match=str(P_MAX)):
+    # p_limit < 2 leaves no prime, and above 2^40 the mulmod regimes are not
+    # exact; the message names the bound
+    for p_limit in (1, 0, -5, MAX_X + 1):
+        with pytest.raises(ValueError, match=rf"2\^40 = {MAX_X}"):
             verify.check_local_factors(p_limit=p_limit, checkpoints=(2,))
+
+
+@pytest.mark.parametrize("lo", [1 << 26, 1 << 32, MAX_X - (1 << 16)],
+                         ids=["2^26", "2^32", "2^40-2^16"])
+def test_local_index_at_the_regime_edges(lo):
+    # the suite's own residue-and-index code on every generic prime of a
+    # 2^16-wide window just past the f53 and u64 regimes' edges and just
+    # below 2^40, for the profile grid and a pair with a large kernel: the
+    # kernel's s and t against the index (p-1)/ord(r) of r formed in the
+    # window's regime.  A t planted on one lane near 2^40, or r formed by a
+    # raw int64 product, fails here
+    hi = lo + (1 << 16)
+    primes = verify._primes_in_range(lo, hi)
+    for a, b in [*verify.PROFILE_GRID, (1000003 * 1000033, 1)]:
+        generic, s, _, index, bad = verify._local_index(decompose(a, b), lo, hi, primes)
+        assert len(generic) > 2000 and bad.tolist() == [], (a, b, generic[bad[:5]])
+        assert s.max() >= 10 and (index > 1).any(), (a, b)
 
 
 def test_local_factors_catch_an_order_planted_at_one_prime(monkeypatch):
